@@ -27,7 +27,6 @@ from .estimator import (
 from .harness import (
     OnlineTrace,
     Pretrained,
-    RunResult,
     Scenario,
     improvement_check,
     oracle_trace,
@@ -36,7 +35,6 @@ from .harness import (
     ordering_bias_test,
     run_bare_ols,
     run_online,
-    summarize,
 )
 from .models import (
     Gradients,
@@ -47,8 +45,6 @@ from .models import (
     forward,
     init_model,
     load_model,
-    model_from_json,
-    model_to_json,
     retrain_linear,
     save_model,
     train_supervised,

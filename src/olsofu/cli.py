@@ -31,34 +31,31 @@ EXIT_TRAINING = 3
 EXIT_RUNTIME = 4
 
 
-def write_atomic(path: Path, data) -> None:
-    """Write bytes or text via a temp file in the same directory + rename."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, mode) as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def save_model_atomic(model, path: Path) -> None:
+def _replace_atomic(path: Path, write) -> None:
+    """Call ``write(tmp)`` on a temp file in the same directory, then rename
+    it to ``path``; a failed write leaves no file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     os.close(fd)
     try:
-        save_model(model, tmp)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_atomic(path: Path, data) -> None:
+    """Write bytes or text atomically."""
+    mode = "wb" if isinstance(data, bytes) else "w"
+
+    def write(tmp):
+        with open(tmp, mode) as fh:
+            fh.write(data)
+
+    _replace_atomic(path, write)
 
 
 def _out_dir(args) -> Path:
@@ -95,7 +92,7 @@ def cmd_pretrain(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     pre = pretrain(sc, model=model)
-    save_model_atomic(model, out / "checkpoint.npz")
+    _replace_atomic(out / "checkpoint.npz", lambda tmp: save_model(model, tmp))
     sidecar = {
         "train_accuracy": accuracy(pre.model, train),
         "val_accuracy": accuracy(pre.model, val),
@@ -141,36 +138,10 @@ def cmd_run(args) -> int:
     if cfg["improvement_check"]:
         lhs, rhs, holds = improvement_check(sc, pre)
         summary["improvement_check"] = {"lhs": round(lhs, 4), "rhs": round(rhs, 4), "holds": holds}
-    import io
-
-    # Render the CSV into memory so the write is atomic.
-    buf = io.StringIO()
-    _render_trace_csv(trace, buf)
-    write_atomic(out / "trace.csv", buf.getvalue())
+    _replace_atomic(out / "trace.csv", trace.to_csv)
     write_atomic(out / "summary.json", json.dumps(summary, indent=2))
     print(json.dumps(summary))
     return EXIT_OK
-
-
-def _render_trace_csv(trace, fh) -> None:
-    import csv as _csv
-
-    k = trace.q.shape[1]
-    writer = _csv.writer(fh)
-    writer.writerow(
-        ["t"]
-        + [f"q{i}" for i in range(k)]
-        + [f"s{i}" for i in range(k)]
-        + ["errors", "cum_errors"]
-    )
-    cum = trace.cum_errors
-    for t in range(trace.horizon):
-        writer.writerow(
-            [t + 1]
-            + [repr(float(v)) for v in trace.q[t]]
-            + [repr(float(v)) for v in trace.s[t]]
-            + [int(trace.errors[t]), int(cum[t])]
-        )
 
 
 def _sweep_combos(cfg) -> list[dict]:

@@ -38,6 +38,7 @@ class Key:
     kind: str  # int | num | bool | str | enum:<a|b> | simplex | intlist | path
     help: str
     minimum: float | None = None
+    maximum: float | None = None
     nullable: bool = False
 
 
@@ -115,7 +116,7 @@ SCHEMA: dict = {
         "warmup": Key(50, "int", "rogd gradient-norm estimation steps", minimum=1),
     },
     "reg_lambda": Key(0.01, "num", "confusion regularization toward identity",
-                      minimum=0),
+                      minimum=0, maximum=1),
     "hidden": Key([32, 32], "intlist", "hidden layer widths"),
     "activation": Key("tanh", "enum:tanh|relu", "hidden activation"),
     "retrain_max_iter": Key(500, "int", "head retrain iteration cap", minimum=1),
@@ -178,6 +179,8 @@ def _check_value(path: str, key: Key, value):
             raise ConfigError(f"{path}: expected a nonempty list of strings")
     if key.minimum is not None and kind in ("int", "num") and value < key.minimum:
         raise ConfigError(f"{path}: must be >= {key.minimum}")
+    if key.maximum is not None and kind in ("int", "num") and value > key.maximum:
+        raise ConfigError(f"{path}: must be <= {key.maximum}")
     return value
 
 
@@ -211,6 +214,8 @@ def resolve_config(doc: dict) -> dict:
             raise ConfigError(f"shift.{field}: length must equal data.k")
     if cfg["ssl"]["ba"] is None:
         cfg["ssl"]["ba"] = 50 if cfg["ssl"]["kind"] == "infonce" else 1
+    if cfg["ssl"]["kind"] == "infonce" and cfg["batch_size"] * cfg["ssl"]["ba"] < 2:
+        raise ConfigError("ssl: infonce needs batch_size * ssl.ba >= 2 inputs per update")
     return cfg
 
 

@@ -11,7 +11,7 @@ choice therefore see byte-identical batch streams.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class OnlineTrace:
     batch_size: int
     sigma_min: np.ndarray  # (T,) sigma of the confusion used per step
     snapshots: list = field(default_factory=list)
-    estimator_model_uids: list = field(default_factory=list)
     end_model_uids: list = field(default_factory=list)
 
     @property
@@ -197,14 +196,16 @@ def _empty_trace(sc: Scenario) -> OnlineTrace:
     )
 
 
-def run_online(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTrace:
-    """Run the full online protocol and return its trace.
+def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTrace:
+    """The online protocol shared by ``run_online`` and ``oracle_trace``.
 
     Each step samples a batch from the true marginal, predicts with the
     deployed model, records 0-1 errors against the hidden labels, and then
-    adapts (prediction and adaptation swap under order='update_first').
+    adapts (prediction and adaptation swap under order='update_first'). The
+    deploy policy is the only difference between the two callers: the
+    strategy's composed output, or with ``true_marginal`` the current model
+    reweighted by q_t / q0.
     """
-    pre = pretrained if pretrained is not None else pretrain(sc)
     shift_rng = make_rng(sc.shift_seed)
     pattern = realize_pattern(sc.shift, shift_rng)
     runtime = OfuRuntime(
@@ -221,7 +222,7 @@ def run_online(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTrac
         sc.algorithm, pre.q0, sc.horizon, pre.model, pre.sigma_min, sc.algo_params
     )
     state = init_ofu_state(pre.model, strategy, runtime)
-    predictor = compose_output(state.model, strategy, pre.q0)
+    predictor = None if true_marginal else compose_output(state.model, strategy, pre.q0)
     trace = _empty_trace(sc)
     for t in range(1, sc.horizon + 1):
         try:
@@ -229,12 +230,12 @@ def run_online(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTrac
             inputs, labels = sample_batch(
                 q_t, sc.batch_size, pre.pool, sc.corruption, shift_rng
             )
+            if sc.order == "update_first":
+                predictor, rec = ols_ofu_step(state, inputs, runtime)
+            deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
+            errs = _count_errors(deployed, inputs, labels)
             if sc.order == "predict_first":
-                errs = _count_errors(predictor, inputs, labels)
                 predictor, rec = ols_ofu_step(state, inputs, runtime)
-            else:
-                predictor, rec = ols_ofu_step(state, inputs, runtime)
-                errs = _count_errors(predictor, inputs, labels)
         except Exception as exc:  # noqa: BLE001 - annotate with the step index
             raise RunError(f"step {t}: {exc}", t) from exc
         trace.q[t - 1] = q_t
@@ -242,16 +243,21 @@ def run_online(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTrac
         trace.errors[t - 1] = errs
         trace.sigma_min[t - 1] = rec.sigma_min
         trace.snapshots.append(rec.snapshot)
-        trace.estimator_model_uids.append(rec.estimator_model_uid)
         trace.end_model_uids.append(rec.end_model_uid)
     return trace
+
+
+def run_online(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTrace:
+    """Run the full online protocol, deploying the strategy's output."""
+    pre = pretrained if pretrained is not None else pretrain(sc)
+    return _online_loop(sc, pre, true_marginal=False)
 
 
 def run_bare_ols(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTrace:
     """The adaptation loop without the feature-update wrapper.
 
     Used to check that the wrapper with ssl='none' degenerates to exactly
-    this behavior.
+    this behavior, so it deliberately does not share ``_online_loop``.
     """
     pre = pretrained if pretrained is not None else pretrain(sc)
     shift_rng = make_rng(sc.shift_seed)
@@ -288,7 +294,6 @@ def run_bare_ols(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTr
         trace.errors[t - 1] = errs
         trace.sigma_min[t - 1] = conf.sigma_min
         trace.snapshots.append(strategy.snapshot())
-        trace.estimator_model_uids.append(pre.model.uid)
         trace.end_model_uids.append(pre.model.uid)
     return trace
 
@@ -303,44 +308,8 @@ def oracle_trace(
     base model evolves while the reweighting stays exact.
     """
     pre = pretrained if pretrained is not None else pretrain(sc)
-    shift_rng = make_rng(sc.shift_seed)
-    pattern = realize_pattern(sc.shift, shift_rng)
-    runtime = OfuRuntime(
-        train=pre.train,
-        val=pre.val,
-        q0=pre.q0,
-        ssl=sc.ssl if not frozen else SslSpec(kind="none"),
-        reg_lambda=sc.reg_lambda,
-        rng=make_rng(sc.run_seed),
-        retrain_max_iter=sc.retrain_max_iter,
-        retrain_grad_tol=sc.retrain_grad_tol,
-    )
-    strategy = make_strategy("none", pre.q0, sc.horizon, pre.model, pre.sigma_min)
-    state = init_ofu_state(pre.model, strategy, runtime)
-    trace = _empty_trace(sc)
-    for t in range(1, sc.horizon + 1):
-        try:
-            q_t = marginal_at(pattern, t)
-            inputs, labels = sample_batch(
-                q_t, sc.batch_size, pre.pool, sc.corruption, shift_rng
-            )
-            oracle_now = Predictor(state.model, q_t / pre.q0)
-            if sc.order == "predict_first":
-                errs = _count_errors(oracle_now, inputs, labels)
-                _, rec = ols_ofu_step(state, inputs, runtime)
-            else:
-                _, rec = ols_ofu_step(state, inputs, runtime)
-                errs = _count_errors(Predictor(state.model, q_t / pre.q0), inputs, labels)
-        except Exception as exc:  # noqa: BLE001
-            raise RunError(f"step {t}: {exc}", t) from exc
-        trace.q[t - 1] = q_t
-        trace.s[t - 1] = rec.s_raw
-        trace.errors[t - 1] = errs
-        trace.sigma_min[t - 1] = rec.sigma_min
-        trace.snapshots.append(rec.snapshot)
-        trace.estimator_model_uids.append(rec.estimator_model_uid)
-        trace.end_model_uids.append(rec.end_model_uid)
-    return trace
+    oracle = replace(sc, algorithm="none", ssl=SslSpec() if frozen else sc.ssl)
+    return _online_loop(oracle, pre, true_marginal=True)
 
 
 def improvement_check(
@@ -453,43 +422,6 @@ def pearson(xs, ys) -> float:
         raise UndefinedCorrelationError("zero variance sequence")
     r = float((xc * yc).sum() / denom)
     return max(-1.0, min(1.0, r))
-
-
-@dataclass
-class RunResult:
-    """One completed scenario run, keyed for grouping in summaries."""
-
-    key: str
-    trace: OnlineTrace
-    oracle_pair: tuple[float, float, bool] | None = None
-
-
-def summarize(results: list[RunResult]) -> list[dict]:
-    """Aggregate runs by key: mean and std of the average error over
-    replicates, mean shift severity, and oracle-pair values when present."""
-    if not results:
-        raise InvalidArgumentError("summarize needs at least one result")
-    groups: dict[str, list[RunResult]] = {}
-    for res in results:
-        groups.setdefault(res.key, []).append(res)
-    rows = []
-    for key, members in groups.items():
-        errs = np.array([m.trace.avg_error for m in members])
-        vts = np.array([m.trace.shift_severity for m in members])
-        row = {
-            "key": key,
-            "replicates": len(members),
-            "avg_error_mean": float(errs.mean()),
-            "avg_error_std": float(errs.std(ddof=1)) if errs.size > 1 else 0.0,
-            "shift_severity_mean": float(vts.mean()),
-        }
-        pairs = [m.oracle_pair for m in members if m.oracle_pair is not None]
-        if pairs:
-            row["oracle_updated"] = float(np.mean([p[0] for p in pairs]))
-            row["oracle_frozen"] = float(np.mean([p[1] for p in pairs]))
-            row["updates_help"] = bool(row["oracle_updated"] < row["oracle_frozen"])
-        rows.append(row)
-    return rows
 
 
 def base_error_reference(pre: Pretrained) -> float:

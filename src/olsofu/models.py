@@ -13,7 +13,6 @@ the exact model that produced them.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -629,34 +628,3 @@ def load_model(path) -> ModelParams:
             activation=str(data["activation"]),
         )
 
-
-def model_to_json(m: ModelParams) -> str:
-    """JSON checkpoint; values survive the round trip to within 1e-12."""
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "activation": m.activation,
-        "feat_layers": [
-            {"w": w.tolist(), "b": b.tolist()}
-            for w, b in zip(m.feat_weights, m.feat_biases)
-        ],
-        "linear_head": {"w": m.linear_w.tolist(), "b": m.linear_b.tolist()},
-        "ssl_head": {"w": m.ssl_w.tolist(), "b": m.ssl_b.tolist()},
-        "temperature": m.temperature,
-    }
-    return json.dumps(doc)
-
-
-def model_from_json(text: str) -> ModelParams:
-    doc = json.loads(text)
-    if doc["version"] != CHECKPOINT_VERSION:
-        raise InvalidArgumentError(f"unsupported checkpoint version {doc['version']}")
-    return ModelParams(
-        feat_weights=tuple(np.asarray(l["w"]) for l in doc["feat_layers"]),
-        feat_biases=tuple(np.asarray(l["b"]) for l in doc["feat_layers"]),
-        linear_w=np.asarray(doc["linear_head"]["w"]),
-        linear_b=np.asarray(doc["linear_head"]["b"]),
-        ssl_w=np.asarray(doc["ssl_head"]["w"]),
-        ssl_b=np.asarray(doc["ssl_head"]["b"]),
-        temperature=float(doc["temperature"]),
-        activation=doc["activation"],
-    )

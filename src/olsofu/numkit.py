@@ -119,14 +119,3 @@ def softmax(z, temperature: float = 1.0) -> np.ndarray:
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
-
-def array_digest(*arrays) -> str:
-    """Short stable hash of array contents, used for trace snapshots."""
-    import hashlib
-
-    h = hashlib.blake2b(digest_size=8)
-    for a in arrays:
-        a = np.ascontiguousarray(a, dtype=float)
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-    return h.hexdigest()

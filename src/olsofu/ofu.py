@@ -133,16 +133,10 @@ class Predictor:
         return np.argmax(probs, axis=-1)
 
 
-def compose_output(
-    base_model: ModelParams, strategy, q0: np.ndarray, algorithm: str | None = None
-) -> Predictor:
+def compose_output(base_model: ModelParams, strategy, q0: np.ndarray) -> Predictor:
     """Build the deployed model: reweighting strategies reweight the fresh
     calibrated model by p/q0; last-layer strategies install their own head
     on the current features and ignore reweighting."""
-    if algorithm is not None and algorithm != strategy.name:
-        raise ContractViolationError(
-            f"algorithm tag {algorithm!r} does not match strategy {strategy.name!r}"
-        )
     if strategy.kind == "reweight":
         ratio = strategy.reweight_vector() / np.asarray(q0, dtype=float)
         return Predictor(base_model, ratio)
@@ -170,10 +164,8 @@ class StepRecord:
     """Per-step bookkeeping the harness stores into the trace."""
 
     s_raw: np.ndarray
-    s_clipped: np.ndarray
     sigma_min: float
     snapshot: np.ndarray
-    estimator_model_uid: int
     end_model_uid: int
 
 
@@ -195,7 +187,6 @@ def build_context(model: ModelParams, train, q0: np.ndarray) -> OlsContext:
     k = q0.shape[0]
     slices = train.class_indices(k)
     return OlsContext(
-        model=model,
         q0=np.asarray(q0, dtype=float),
         train_labels=train.labels,
         class_slices=slices,
@@ -240,7 +231,6 @@ def ols_ofu_step(
     state.t += 1
 
     # (1) Estimate from the pre-update model, then step the OLS strategy.
-    estimator_uid = state.model.uid
     est = bbse_estimate(state.model, state.confusion, batch_inputs)
     sigma_used = state.confusion.sigma_min
     state.strategy.step(state.ctx, est)
@@ -280,10 +270,8 @@ def ols_ofu_step(
     predictor = compose_output(state.model, state.strategy, state.ctx.q0)
     record = StepRecord(
         s_raw=est.s.copy(),
-        s_clipped=est.clipped.copy(),
         sigma_min=sigma_used,
         snapshot=state.strategy.snapshot(),
-        estimator_model_uid=estimator_uid,
         end_model_uid=state.model.uid,
     )
     return predictor, record

@@ -53,7 +53,6 @@ class OlsContext:
     whenever the model changes.
     """
 
-    model: ModelParams
     q0: np.ndarray
     train_labels: np.ndarray
     class_slices: dict

@@ -7,7 +7,6 @@ shift process, and covariate corruptions emulate generalized label shift.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -344,25 +343,3 @@ def bayes_error_mc(
     pred = np.argmax(scores, axis=1)
     return float(np.mean(pred != labels))
 
-
-def save_labeled_csv(dataset: LabeledSet, path) -> None:
-    """Dump a dataset as CSV with header x1..xd,label."""
-    d = dataset.inputs.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(d)] + ["label"])
-        for row, lab in zip(dataset.inputs, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(lab)])
-
-
-def load_labeled_csv(path) -> LabeledSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "label":
-            raise InvalidArgumentError("expected header ending in 'label'")
-        inputs, labels = [], []
-        for row in reader:
-            inputs.append([float(v) for v in row[:-1]])
-            labels.append(int(row[-1]))
-    return LabeledSet(np.asarray(inputs), np.asarray(labels))

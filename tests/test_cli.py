@@ -81,6 +81,22 @@ class TestPretrainCommand:
         cfg = write_config(tmp_path, {"algorithmm": "fth"})
         assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_reg_lambda_above_one_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"reg_lambda": 1.5})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "reg_lambda" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infonce_single_input_update_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"batch_size": 1, "ssl": {"kind": "infonce", "ba": 1}}
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "infonce" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exits_3(self, tmp_path, capsys):
         doc = dict(FAST_CONFIG)

@@ -9,7 +9,6 @@ from olsofu.errors import (
     UndefinedCorrelationError,
 )
 from olsofu.harness import (
-    RunResult,
     Scenario,
     base_error_reference,
     improvement_check,
@@ -19,16 +18,18 @@ from olsofu.harness import (
     ordering_bias_test,
     run_bare_ols,
     run_online,
-    summarize,
 )
 from olsofu.models import ModelParams, TrainConfig
 from olsofu.numkit import make_rng
-from olsofu.ofu import SslSpec
+from olsofu.ofu import Predictor, SslSpec
 from olsofu.synthdata import (
     DataSpec,
     ShiftPattern,
     default_means,
     default_pattern,
+    marginal_at,
+    realize_pattern,
+    sample_batch,
     uniform_simplex,
 )
 
@@ -135,6 +136,34 @@ class TestOracle:
         oracle = oracle_trace(small_scenario, frozen=True, pretrained=small_pretrained)
         assert oracle.avg_error < base.avg_error
 
+    @pytest.mark.parametrize("order", ["predict_first", "update_first"])
+    def test_frozen_oracle_reweights_pretrained_model_by_true_marginal(
+        self, small_scenario, small_pretrained, order
+    ):
+        # Rebuild the batch stream from the shift seed and count, per step,
+        # the errors of f_0 reweighted by q_t / q0. The frozen oracle must
+        # ignore both the strategy and the SSL settings of the scenario.
+        pre = small_pretrained
+        sc = dataclasses.replace(
+            small_scenario,
+            algorithm="uogd",
+            ssl=SslSpec(kind="rotation", ba=5),
+            retrain_max_iter=20,
+            order=order,
+        )
+        shift_rng = make_rng(sc.shift_seed)
+        pattern = realize_pattern(sc.shift, shift_rng)
+        expected = []
+        for t in range(1, sc.horizon + 1):
+            q_t = marginal_at(pattern, t)
+            inputs, labels = sample_batch(
+                q_t, sc.batch_size, pre.pool, sc.corruption, shift_rng
+            )
+            predicted = Predictor(pre.model, q_t / pre.q0).predict(inputs)
+            expected.append(int(np.sum(predicted != labels)))
+        trace = oracle_trace(sc, frozen=True, pretrained=pre)
+        np.testing.assert_array_equal(trace.errors, expected)
+
 
 class TestWrapperDegeneracy:
     @pytest.mark.parametrize("algorithm", ["fth", "rogd", "uogd"])
@@ -206,34 +235,6 @@ class TestPearson:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
             pearson([1, 2], [1, 2, 3])
-
-
-class TestSummarize:
-    def _trace(self, sc, pre, seed):
-        return run_online(dataclasses.replace(sc, shift_seed=seed), pre)
-
-    def test_singleton_group(self, small_scenario, small_pretrained):
-        trace = run_online(small_scenario, small_pretrained)
-        rows = summarize([RunResult("fth|none", trace)])
-        assert rows[0]["avg_error_mean"] == pytest.approx(trace.avg_error)
-        assert rows[0]["replicates"] == 1
-
-    def test_replicate_mean(self, small_scenario, small_pretrained):
-        traces = [self._trace(small_scenario, small_pretrained, s) for s in (5, 6, 7)]
-        rows = summarize([RunResult("k", t) for t in traces])
-        expected = np.mean([t.avg_error for t in traces])
-        assert rows[0]["avg_error_mean"] == pytest.approx(expected, abs=1e-12)
-        assert rows[0]["replicates"] == 3
-
-    def test_oracle_pair_columns_present_when_supplied(self, small_scenario, small_pretrained):
-        trace = run_online(small_scenario, small_pretrained)
-        rows = summarize([RunResult("k", trace, oracle_pair=(0.1, 0.12, True))])
-        assert rows[0]["oracle_updated"] == pytest.approx(0.1)
-        assert rows[0]["updates_help"] is True
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            summarize([])
 
 
 class TestEndToEnd:

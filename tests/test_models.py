@@ -13,8 +13,6 @@ from olsofu.models import (
     forward,
     init_model,
     load_model,
-    model_from_json,
-    model_to_json,
     nll_at_temperature,
     retrain_linear,
     save_model,
@@ -294,21 +292,6 @@ class TestCheckpoints:
             assert wa.tobytes() == wb.tobytes()
         assert m.linear_w.tobytes() == loaded.linear_w.tobytes()
         assert m.ssl_w.tobytes() == loaded.ssl_w.tobytes()
-
-    def test_json_roundtrip_close(self):
-        m = with_updates(init_model(4, 2, rng=make_rng(8)), temperature=0.93)
-        loaded = model_from_json(model_to_json(m))
-        for wa, wb in zip(m.feat_weights, loaded.feat_weights):
-            np.testing.assert_allclose(wa, wb, atol=1e-12)
-        np.testing.assert_allclose(m.linear_w, loaded.linear_w, atol=1e-12)
-        assert loaded.temperature == pytest.approx(m.temperature, abs=1e-12)
-
-    def test_unknown_version_rejected(self, tmp_path):
-        m = init_model(4, 2, rng=make_rng(9))
-        doc = model_to_json(m).replace('"version": 1', '"version": 99')
-        with pytest.raises(InvalidArgumentError):
-            model_from_json(doc)
-
 
 class TestModelValue:
     def test_with_updates_bumps_uid(self):

@@ -15,14 +15,12 @@ from olsofu.synthdata import (
     default_means,
     default_pattern,
     default_switch_prob,
-    load_labeled_csv,
     make_source_data,
     marginal_at,
     marginal_path,
     path_length,
     realize_pattern,
     sample_batch,
-    save_labeled_csv,
 )
 
 
@@ -129,15 +127,6 @@ class TestSourceData:
         a = bayes_error_mc(s.class_means, 1.0, q, 250_000, make_rng(10))
         b = bayes_error_mc(s.class_means, 1.0, q, 250_000, make_rng(11))
         assert a == pytest.approx(b, abs=0.01)
-
-    def test_csv_roundtrip(self, tmp_path):
-        train, _, _, _ = make_source_data(spec(n_train=50, pool=8), seed=3)
-        path = tmp_path / "dump.csv"
-        save_labeled_csv(train, path)
-        loaded = load_labeled_csv(path)
-        np.testing.assert_array_equal(loaded.inputs, train.inputs)
-        np.testing.assert_array_equal(loaded.labels, train.labels)
-
 
 class TestSampleBatch:
     def test_one_hot_marginal_yields_single_class(self, rng):
