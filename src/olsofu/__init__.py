@@ -37,7 +37,6 @@ from .harness import (
     run_online,
 )
 from .models import (
-    Gradients,
     ModelParams,
     TrainConfig,
     backward,

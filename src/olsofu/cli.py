@@ -19,10 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import iter_schema_keys, load_config, scenario_from_config
-from .errors import ConfigError, RunError, TrainingDivergedError, UndefinedCorrelationError
+from .errors import (
+    ConfigError,
+    InvalidArgumentError,
+    RunError,
+    TrainingDivergedError,
+    UndefinedCorrelationError,
+)
 from .harness import improvement_check, pretrain, run_online
-from .models import accuracy, load_model, save_model, train_supervised
-from .synthdata import make_source_data
+from .models import accuracy, load_model, save_model, with_updates
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -74,28 +79,13 @@ def _config_epilog() -> str:
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
-    sc = scenario_from_config(cfg)
-    try:
-        train, val, _, _ = make_source_data(sc.data, sc.data_seed)
-        model = train_supervised(
-            train,
-            sc.train_cfg,
-            k=sc.data.k,
-            ssl_kind=sc.pretrain_ssl,
-            ssl_weight=sc.pretrain_ssl_weight,
-            hidden=sc.hidden,
-            activation=sc.activation,
-            infonce_temperature=sc.ssl.infonce_temperature,
-            augment_noise=sc.ssl.augment_noise,
-        )
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    pre = pretrain(sc, model=model)
+    pre = pretrain(scenario_from_config(cfg))
+    # Calibration changes only the temperature, so this is the trained model.
+    model = with_updates(pre.model, temperature=1.0)
     _replace_atomic(out / "checkpoint.npz", lambda tmp: save_model(model, tmp))
     sidecar = {
-        "train_accuracy": accuracy(pre.model, train),
-        "val_accuracy": accuracy(pre.model, val),
+        "train_accuracy": accuracy(pre.model, pre.train),
+        "val_accuracy": accuracy(pre.model, pre.val),
         "sigma_min": pre.sigma_min,
         "temperature": pre.model.temperature,
         "config": cfg,
@@ -117,6 +107,11 @@ def _load_scenario(args):
         if not path.exists():
             raise ConfigError(f"checkpoint not found: {path}")
         model = load_model(path)
+        if (model.input_dim, model.n_classes) != (sc.data.d, sc.data.k):
+            raise InvalidArgumentError(
+                f"checkpoint {path} has input_dim={model.input_dim}, "
+                f"n_classes={model.n_classes}; the config has d={sc.data.d}, k={sc.data.k}"
+            )
     return cfg, sc, model
 
 

@@ -5,6 +5,11 @@ producing temperature-scaled probabilities, and a 4-way auxiliary head used
 for rotation prediction. All gradients are computed analytically; the test
 suite checks every loss against central finite differences.
 
+A model's parameters live in one flat float vector ``theta``; the named
+fields are views into it. Every gradient is a vector with the same layout,
+so an optimiser step is vector arithmetic on ``theta`` and ``with_theta``
+turns the result back into a model.
+
 Models are values: every training operation returns a new instance and the
 ``uid`` field tracks lineage so downstream caches can pair artifacts with
 the exact model that produced them.
@@ -12,8 +17,12 @@ the exact model that produced them.
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,18 +30,58 @@ from .errors import InvalidArgumentError, TrainingDivergedError
 from .numkit import as_array, make_rng, softmax
 
 LOSS_KINDS = ("cross_entropy", "entropy", "rotation", "infonce")
-SCOPES = ("all", "feat_only", "linear_only")
 ROTATION_DEGREES = (0.0, 90.0, 180.0, 270.0)
 
 _uid_counter = itertools.count(1)
 
 
+class _Views(NamedTuple):
+    """A vector laid out like ``ModelParams.theta``, split by field name."""
+
+    feat_weights: tuple
+    feat_biases: tuple
+    linear_w: np.ndarray
+    linear_b: np.ndarray
+    ssl_w: np.ndarray
+    ssl_b: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _check_layout(shapes: tuple, n_layers: int) -> tuple:
+    """Check a model's parameter shapes, given in field order, and return
+    each array's (start, stop, shape) in ``theta``. Cached per architecture:
+    every SGD step builds a model."""
+    weights, biases, heads = shapes[:n_layers], shapes[n_layers:-4], shapes[-4:]
+    two_d = all(len(s) == 2 for s in (*weights, heads[0]))
+    if not weights or len(biases) != n_layers or not two_d:
+        raise InvalidArgumentError("need 2-D weights and one bias per feature layer")
+    for (o1, _), (_, i2) in zip(weights, weights[1:]):
+        if o1 != i2:
+            raise InvalidArgumentError("feature layer dimensions do not chain")
+    h, k, r = weights[-1][0], heads[0][0], len(ROTATION_DEGREES)
+    names = [f"feat_biases[{i}]" for i in range(n_layers)]
+    names += ["linear_w", "linear_b", "ssl_w", "ssl_b"]
+    expected = [(o,) for o, _ in weights] + [(k, h), (k,), (r, h), (r,)]
+    for name, got, want in zip(names, biases + heads, expected):
+        if got != want:
+            raise InvalidArgumentError(f"{name} has shape {got}, expected {want}")
+    layout, start = [], 0
+    for shape in shapes:
+        layout.append((start, start + math.prod(shape), shape))
+        start += math.prod(shape)
+    return tuple(layout)
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Feature extractor + classification head + auxiliary rotation head."""
+    """Feature extractor + classification head + auxiliary rotation head.
+
+    The constructor copies the six parameter families into one flat vector
+    ``theta`` and rebinds the fields as views into it.
+    """
 
     feat_weights: tuple  # each (out, in)
-    feat_biases: tuple
+    feat_biases: tuple  # each (out,)
     linear_w: np.ndarray  # (K, h)
     linear_b: np.ndarray  # (K,)
     ssl_w: np.ndarray  # (4, h)
@@ -40,19 +89,34 @@ class ModelParams:
     temperature: float = 1.0
     activation: str = "tanh"
     uid: int = field(default_factory=lambda: next(_uid_counter), compare=False)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    _layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.temperature <= 0:
             raise InvalidArgumentError("temperature must be > 0")
         if self.activation not in ("tanh", "relu"):
             raise InvalidArgumentError(f"unknown activation {self.activation!r}")
-        dims = [w.shape for w in self.feat_weights]
-        for (o1, i1), (o2, i2) in zip(dims, dims[1:]):
-            if o1 != i2:
-                raise InvalidArgumentError("feature layer dimensions do not chain")
-        h = self.feat_weights[-1].shape[0] if self.feat_weights else None
-        if h is not None and self.linear_w.shape[1] != h:
-            raise InvalidArgumentError("linear head width mismatch")
+        arrays = [
+            *self.feat_weights, *self.feat_biases,
+            self.linear_w, self.linear_b, self.ssl_w, self.ssl_b,
+        ]
+        shapes = tuple(np.shape(a) for a in arrays)
+        object.__setattr__(self, "_layout", _check_layout(shapes, len(self.feat_weights)))
+        self._bind(np.concatenate([np.ravel(a) for a in arrays], dtype=float))
+
+    def _bind(self, theta: np.ndarray) -> None:
+        object.__setattr__(self, "theta", theta)
+        for name, view in zip(_Views._fields, self.views(theta)):
+            object.__setattr__(self, name, view)
+
+    def views(self, vec: np.ndarray) -> _Views:
+        """Split a vector laid out like ``theta`` (a gradient, a velocity)
+        into views named like the model's fields."""
+        # Plain slicing: this runs several times per SGD step.
+        parts = [vec[start:stop].reshape(shape) for start, stop, shape in self._layout]
+        n = len(self.feat_weights)
+        return _Views(tuple(parts[:n]), tuple(parts[n : 2 * n]), *parts[2 * n :])
 
     @property
     def n_classes(self) -> int:
@@ -61,10 +125,6 @@ class ModelParams:
     @property
     def input_dim(self) -> int:
         return self.feat_weights[0].shape[1]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.feat_weights[-1].shape[0]
 
 
 def with_updates(m: ModelParams, **changes) -> ModelParams:
@@ -75,27 +135,17 @@ def with_updates(m: ModelParams, **changes) -> ModelParams:
     return dataclasses.replace(m, **changes)
 
 
-@dataclass
-class Gradients:
-    """Gradient container shaped like ModelParams (temperature excluded)."""
-
-    feat_w: list
-    feat_b: list
-    linear_w: np.ndarray
-    linear_b: np.ndarray
-    ssl_w: np.ndarray
-    ssl_b: np.ndarray
-
-
-def zero_gradients(m: ModelParams) -> Gradients:
-    return Gradients(
-        [np.zeros_like(w) for w in m.feat_weights],
-        [np.zeros_like(b) for b in m.feat_biases],
-        np.zeros_like(m.linear_w),
-        np.zeros_like(m.linear_b),
-        np.zeros_like(m.ssl_w),
-        np.zeros_like(m.ssl_b),
-    )
+def with_theta(m: ModelParams, theta: np.ndarray) -> ModelParams:
+    """Copy a model with every parameter taken from ``theta``, a vector laid
+    out like ``m.theta``; temperature and activation are kept."""
+    if np.shape(theta) != m.theta.shape:
+        raise InvalidArgumentError(f"theta must have shape {m.theta.shape}")
+    # The layout is m's, so skip the constructor's shape checks and packing:
+    # every SGD step builds a model.
+    new = copy.copy(m)
+    object.__setattr__(new, "uid", next(_uid_counter))
+    new._bind(np.array(theta, dtype=float))
+    return new
 
 
 def init_model(
@@ -168,32 +218,29 @@ def forward(m: ModelParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return probs, feats, logits
 
 
-def _backprop_features(m: ModelParams, acts: list, dfeats: np.ndarray, grads: Gradients):
+def _backprop_features(m: ModelParams, acts: list, dfeats: np.ndarray, gv: _Views):
     delta = dfeats
     for layer in reversed(range(len(m.feat_weights))):
         dz = delta * _act_deriv_from_output(m, acts[layer + 1])
-        grads.feat_w[layer] += dz.T @ acts[layer]
-        grads.feat_b[layer] += dz.sum(axis=0)
+        gv.feat_weights[layer][...] += dz.T @ acts[layer]
+        gv.feat_biases[layer][...] += dz.sum(axis=0)
         delta = dz @ m.feat_weights[layer]
 
 
-def _apply_scope(grads: Gradients, m: ModelParams, scope: str) -> Gradients:
-    if scope == "feat_only":
-        grads.linear_w = np.zeros_like(m.linear_w)
-        grads.linear_b = np.zeros_like(m.linear_b)
-        grads.ssl_w = np.zeros_like(m.ssl_w)
-        grads.ssl_b = np.zeros_like(m.ssl_b)
-    elif scope == "linear_only":
-        grads.feat_w = [np.zeros_like(w) for w in m.feat_weights]
-        grads.feat_b = [np.zeros_like(b) for b in m.feat_biases]
-        grads.ssl_w = np.zeros_like(m.ssl_w)
-        grads.ssl_b = np.zeros_like(m.ssl_b)
-    return grads
+def _head_grad(m: ModelParams, acts: list, dlogits: np.ndarray, head: str) -> np.ndarray:
+    """Gradient, laid out like ``m.theta``, of a loss whose derivative with
+    respect to the logits ``acts[-1] @ w.T + b`` of ``head`` is ``dlogits``."""
+    g = np.zeros_like(m.theta)
+    gv = m.views(g)
+    getattr(gv, f"{head}_w")[...] += dlogits.T @ acts[-1]
+    getattr(gv, f"{head}_b")[...] += dlogits.sum(axis=0)
+    _backprop_features(m, acts, dlogits @ getattr(m, f"{head}_w"), gv)
+    return g
 
 
 def cross_entropy_loss_grad(
-    m: ModelParams, x: np.ndarray, y: np.ndarray, scope: str = "all"
-) -> tuple[float, Gradients]:
+    m: ModelParams, x: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
     x = as_array(x, "x")
     y = np.asarray(y, dtype=int)
     n = x.shape[0]
@@ -206,16 +253,10 @@ def cross_entropy_loss_grad(
     dlogits = probs.copy()
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n * m.temperature
-    grads = zero_gradients(m)
-    grads.linear_w += dlogits.T @ feats
-    grads.linear_b += dlogits.sum(axis=0)
-    _backprop_features(m, acts, dlogits @ m.linear_w, grads)
-    return loss, _apply_scope(grads, m, scope)
+    return loss, _head_grad(m, acts, dlogits, "linear")
 
 
-def entropy_loss_grad(
-    m: ModelParams, x: np.ndarray, scope: str = "all"
-) -> tuple[float, Gradients]:
+def entropy_loss_grad(m: ModelParams, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean prediction entropy H(f(x)) = -sum_k f(x)_k log f(x)_k."""
     x = as_array(x, "x")
     n = x.shape[0]
@@ -228,11 +269,7 @@ def entropy_loss_grad(
     loss = float(np.mean(ent))
     # dH/du_j = -p_j (log p_j + H) for u = logits / temperature
     dlogits = -probs * (logp + ent[:, None]) / (n * m.temperature)
-    grads = zero_gradients(m)
-    grads.linear_w += dlogits.T @ feats
-    grads.linear_b += dlogits.sum(axis=0)
-    _backprop_features(m, acts, dlogits @ m.linear_w, grads)
-    return loss, _apply_scope(grads, m, scope)
+    return loss, _head_grad(m, acts, dlogits, "linear")
 
 
 def rotate_first_two(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -246,8 +283,8 @@ def rotate_first_two(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
 
 
 def rotation_loss_grad(
-    m: ModelParams, x: np.ndarray, degree_idx: np.ndarray, scope: str = "all"
-) -> tuple[float, Gradients]:
+    m: ModelParams, x: np.ndarray, degree_idx: np.ndarray
+) -> tuple[float, np.ndarray]:
     """Rotation prediction: the auxiliary head classifies which of
     {0, 90, 180, 270} degrees was applied. ``degree_idx`` fixes the draw so
     gradients can be checked against finite differences."""
@@ -266,11 +303,7 @@ def rotation_loss_grad(
     dlogits = probs.copy()
     dlogits[np.arange(n), degree_idx] -= 1.0
     dlogits /= n
-    grads = zero_gradients(m)
-    grads.ssl_w += dlogits.T @ feats
-    grads.ssl_b += dlogits.sum(axis=0)
-    _backprop_features(m, acts, dlogits @ m.ssl_w, grads)
-    return loss, _apply_scope(grads, m, scope)
+    return loss, _head_grad(m, acts, dlogits, "ssl")
 
 
 def infonce_loss_grad(
@@ -278,8 +311,7 @@ def infonce_loss_grad(
     x: np.ndarray,
     x_aug: np.ndarray,
     temperature: float,
-    scope: str = "all",
-) -> tuple[float, Gradients]:
+) -> tuple[float, np.ndarray]:
     """InfoNCE on cosine similarity of features: row i's positive is its own
     augmentation, the other augmented rows are negatives."""
     x = as_array(x, "x")
@@ -308,22 +340,22 @@ def infonce_loss_grad(
     dv = dsims.T @ u
     dza = (du - (du * u).sum(axis=1, keepdims=True) * u) / ra
     dzb = (dv - (dv * v).sum(axis=1, keepdims=True) * v) / rb
-    grads = zero_gradients(m)
-    _backprop_features(m, acts_a, dza, grads)
-    _backprop_features(m, acts_b, dzb, grads)
-    return loss, _apply_scope(grads, m, scope)
+    g = np.zeros_like(m.theta)
+    gv = m.views(g)
+    _backprop_features(m, acts_a, dza, gv)
+    _backprop_features(m, acts_b, dzb, gv)
+    return loss, g
 
 
 def backward(
     m: ModelParams,
     batch,
     loss_kind: str,
-    scope: str = "all",
     rng: np.random.Generator | None = None,
     infonce_temperature: float = 0.07,
     augment_noise: float = 0.1,
-) -> tuple[float, Gradients]:
-    """Batch-mean loss and its analytic gradient for the requested scope.
+) -> tuple[float, np.ndarray]:
+    """Batch-mean loss and its analytic gradient, laid out like ``m.theta``.
 
     ``batch`` is ``(inputs, labels)``; labels may be None except for
     cross_entropy. Rotation and InfoNCE draw their degrees / augmentations
@@ -331,8 +363,6 @@ def backward(
     """
     if loss_kind not in LOSS_KINDS:
         raise InvalidArgumentError(f"unknown loss kind {loss_kind!r}")
-    if scope not in SCOPES:
-        raise InvalidArgumentError(f"unknown scope {scope!r}")
     x, y = batch
     x = as_array(x, "inputs")
     if x.ndim != 2 or x.shape[0] == 0:
@@ -340,16 +370,16 @@ def backward(
     if loss_kind == "cross_entropy":
         if y is None:
             raise InvalidArgumentError("cross_entropy requires labels")
-        return cross_entropy_loss_grad(m, x, y, scope)
+        return cross_entropy_loss_grad(m, x, y)
     if loss_kind == "entropy":
-        return entropy_loss_grad(m, x, scope)
+        return entropy_loss_grad(m, x)
     if rng is None:
         raise InvalidArgumentError(f"{loss_kind} requires an rng")
     if loss_kind == "rotation":
         degree_idx = rng.integers(len(ROTATION_DEGREES), size=x.shape[0])
-        return rotation_loss_grad(m, x, degree_idx, scope)
+        return rotation_loss_grad(m, x, degree_idx)
     x_aug = x + augment_noise * rng.standard_normal(x.shape)
-    return infonce_loss_grad(m, x, x_aug, infonce_temperature, scope)
+    return infonce_loss_grad(m, x, x_aug, infonce_temperature)
 
 
 @dataclass(frozen=True)
@@ -368,21 +398,6 @@ class TrainConfig:
             raise InvalidArgumentError("learning_rate must be positive")
         if self.momentum < 0 or self.weight_decay < 0:
             raise InvalidArgumentError("momentum and weight_decay must be >= 0")
-
-
-def _params_finite(m: ModelParams) -> bool:
-    arrays = [*m.feat_weights, *m.feat_biases, m.linear_w, m.linear_b, m.ssl_w, m.ssl_b]
-    return all(np.all(np.isfinite(a)) for a in arrays)
-
-
-def _add_scaled(dst: Gradients, src: Gradients, scale: float):
-    for i in range(len(dst.feat_w)):
-        dst.feat_w[i] += scale * src.feat_w[i]
-        dst.feat_b[i] += scale * src.feat_b[i]
-    dst.linear_w += scale * src.linear_w
-    dst.linear_b += scale * src.linear_b
-    dst.ssl_w += scale * src.ssl_w
-    dst.ssl_b += scale * src.ssl_b
 
 
 def train_supervised(
@@ -406,7 +421,7 @@ def train_supervised(
         raise InvalidArgumentError("train set must cover all classes")
     rng = make_rng(cfg.seed)
     m = init_model(x.shape[1], k, hidden=hidden, rng=rng, activation=activation)
-    velocity = zero_gradients(m)
+    velocity = np.zeros_like(m.theta)
     n = x.shape[0]
     if ssl_weight == 0.0:
         ssl_kind = "none"  # weight 0 is pure supervised training
@@ -419,21 +434,20 @@ def train_supervised(
             if ssl_kind == "infonce" and idx.size < 2:
                 continue
             try:
-                loss, grads = cross_entropy_loss_grad(m, x[idx], y[idx])
+                loss, g = cross_entropy_loss_grad(m, x[idx], y[idx])
                 if ssl_kind != "none":
-                    ssl_loss, ssl_grads = backward(
+                    ssl_loss, ssl_g = backward(
                         m,
                         (x[idx], None),
                         ssl_kind,
-                        scope="all",
                         rng=rng,
                         infonce_temperature=infonce_temperature,
                         augment_noise=augment_noise,
                     )
                     loss += ssl_weight * ssl_loss
-                    _add_scaled(grads, ssl_grads, ssl_weight)
+                    g += ssl_weight * ssl_g
             except InvalidArgumentError as exc:
-                if _params_finite(m):
+                if np.isfinite(m.theta).all():
                     raise
                 raise TrainingDivergedError(
                     f"training diverged (non-finite parameters) in epoch {epoch}",
@@ -446,41 +460,8 @@ def train_supervised(
             epoch_loss += loss
             n_batches += 1
             # SGD with momentum: v = mu*v + g + wd*p, then p -= lr*v.
-            new_fw, new_fb = [], []
-            for i in range(len(m.feat_weights)):
-                velocity.feat_w[i] = (
-                    cfg.momentum * velocity.feat_w[i]
-                    + grads.feat_w[i]
-                    + cfg.weight_decay * m.feat_weights[i]
-                )
-                velocity.feat_b[i] = (
-                    cfg.momentum * velocity.feat_b[i]
-                    + grads.feat_b[i]
-                    + cfg.weight_decay * m.feat_biases[i]
-                )
-                new_fw.append(m.feat_weights[i] - cfg.learning_rate * velocity.feat_w[i])
-                new_fb.append(m.feat_biases[i] - cfg.learning_rate * velocity.feat_b[i])
-            velocity.linear_w = (
-                cfg.momentum * velocity.linear_w + grads.linear_w + cfg.weight_decay * m.linear_w
-            )
-            velocity.linear_b = (
-                cfg.momentum * velocity.linear_b + grads.linear_b + cfg.weight_decay * m.linear_b
-            )
-            velocity.ssl_w = (
-                cfg.momentum * velocity.ssl_w + grads.ssl_w + cfg.weight_decay * m.ssl_w
-            )
-            velocity.ssl_b = (
-                cfg.momentum * velocity.ssl_b + grads.ssl_b + cfg.weight_decay * m.ssl_b
-            )
-            m = with_updates(
-                m,
-                feat_weights=tuple(new_fw),
-                feat_biases=tuple(new_fb),
-                linear_w=m.linear_w - cfg.learning_rate * velocity.linear_w,
-                linear_b=m.linear_b - cfg.learning_rate * velocity.linear_b,
-                ssl_w=m.ssl_w - cfg.learning_rate * velocity.ssl_w,
-                ssl_b=m.ssl_b - cfg.learning_rate * velocity.ssl_b,
-            )
+            velocity = cfg.momentum * velocity + g + cfg.weight_decay * m.theta
+            m = with_theta(m, m.theta - cfg.learning_rate * velocity)
         if n_batches and not np.isfinite(epoch_loss):
             raise TrainingDivergedError(
                 f"training loss became non-finite in epoch {epoch}", epoch

@@ -29,6 +29,7 @@ from .models import (
     calibrate_temperature,
     forward,
     retrain_linear,
+    with_theta,
     with_updates,
 )
 from .ols import OlsContext, reweight_probs
@@ -70,18 +71,18 @@ def ssl_loss_grad(
     """Self-supervised loss and its gradient over the feature extractor and
     the auxiliary head; the classification head's own entries are zeroed."""
     spec = spec or SslSpec(kind=kind)
-    loss, grads = backward(
+    loss, g = backward(
         m,
         (batch_inputs, None),
         kind,
-        scope="all",
         rng=rng,
         infonce_temperature=spec.infonce_temperature,
         augment_noise=spec.augment_noise,
     )
-    grads.linear_w = np.zeros_like(grads.linear_w)
-    grads.linear_b = np.zeros_like(grads.linear_b)
-    return loss, grads
+    gv = m.views(g)
+    gv.linear_w[...] = 0.0
+    gv.linear_b[...] = 0.0
+    return loss, g
 
 
 def feature_update(
@@ -97,20 +98,8 @@ def feature_update(
     """
     if spec.kind == "none":
         raise ContractViolationError("feature_update called with ssl kind 'none'")
-    _, grads = ssl_loss_grad(spec.kind, batch_inputs, m, rng, spec)
-    new_fw = tuple(
-        w - spec.ssl_lr * g for w, g in zip(m.feat_weights, grads.feat_w)
-    )
-    new_fb = tuple(
-        b - spec.ssl_lr * g for b, g in zip(m.feat_biases, grads.feat_b)
-    )
-    return with_updates(
-        m,
-        feat_weights=new_fw,
-        feat_biases=new_fb,
-        ssl_w=m.ssl_w - spec.ssl_lr * grads.ssl_w,
-        ssl_b=m.ssl_b - spec.ssl_lr * grads.ssl_b,
-    )
+    _, g = ssl_loss_grad(spec.kind, batch_inputs, m, rng, spec)
+    return with_theta(m, m.theta - spec.ssl_lr * g)
 
 
 @dataclass(frozen=True)
@@ -248,16 +237,10 @@ def ols_ofu_step(
                 carrier = with_updates(carrier, linear_w=w, linear_b=b)
             for _ in range(ssl.inner_steps):
                 carrier = feature_update(carrier, inputs, ssl, runtime.rng)
-            updated = with_updates(
-                state.model,
-                feat_weights=carrier.feat_weights,
-                feat_biases=carrier.feat_biases,
-                ssl_w=carrier.ssl_w,
-                ssl_b=carrier.ssl_b,
-            )
-            # (3) Re-train the head on source data and re-calibrate.
+            # (3) Re-train the head on source data and re-calibrate. The
+            # retrain replaces whatever head the carrier holds.
             retrained = retrain_linear(
-                updated,
+                carrier,
                 runtime.train,
                 rng=runtime.rng,
                 max_iter=runtime.retrain_max_iter,

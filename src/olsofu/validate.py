@@ -37,6 +37,7 @@ from .models import (
     init_model,
     nll_at_temperature,
     rotation_loss_grad,
+    with_theta,
     with_updates,
 )
 from .numkit import make_rng, project_simplex
@@ -157,7 +158,7 @@ def check_p1() -> CheckResult:
 
 
 def check_p2() -> CheckResult:
-    """Analytic gradients vs central finite differences, all losses/scopes."""
+    """Analytic gradients vs central finite differences, all losses."""
     rng = make_rng(2002)
     m = with_updates(init_model(6, 3, rng=rng), temperature=1.3)
     x = rng.standard_normal((8, 6))
@@ -165,74 +166,34 @@ def check_p2() -> CheckResult:
     deg = rng.integers(4, size=8)
     x_aug = x + 0.1 * rng.standard_normal(x.shape)
     losses = {
-        "cross_entropy": lambda mm, scope="all": cross_entropy_loss_grad(mm, x, y, scope),
-        "entropy": lambda mm, scope="all": entropy_loss_grad(mm, x, scope),
-        "rotation": lambda mm, scope="all": rotation_loss_grad(mm, x, deg, scope),
-        "infonce": lambda mm, scope="all": infonce_loss_grad(mm, x, x_aug, 0.07, scope),
+        "cross_entropy": lambda mm: cross_entropy_loss_grad(mm, x, y),
+        "entropy": lambda mm: entropy_loss_grad(mm, x),
+        "rotation": lambda mm: rotation_loss_grad(mm, x, deg),
+        "infonce": lambda mm: infonce_loss_grad(mm, x, x_aug, 0.07),
     }
+    flat = m.views(np.arange(m.theta.size))
 
-    def perturbed(field, layer, idx, eps):
-        if field == "feat_w":
-            fw = [w.copy() for w in m.feat_weights]
-            fw[layer][idx] += eps
-            return with_updates(m, feat_weights=tuple(fw))
-        if field == "linear_w":
-            lw = m.linear_w.copy()
-            lw[idx] += eps
-            return with_updates(m, linear_w=lw)
-        sw = m.ssl_w.copy()
-        sw[idx] += eps
-        return with_updates(m, ssl_w=sw)
+    def draw(index_grid):
+        return int(index_grid[tuple(int(rng.integers(n)) for n in index_grid.shape)])
 
-    def grad_entry(g, field, layer, idx):
-        if field == "feat_w":
-            return g.feat_w[layer][idx]
-        if field == "linear_w":
-            return g.linear_w[idx]
-        return g.ssl_w[idx]
-
+    # Random coordinates of both feature layers and the classification head,
+    # plus the auxiliary head for rotation, which trains it.
+    coords = [draw(flat.feat_weights[layer]) for _ in range(10) for layer in (0, 1)]
+    coords += [draw(flat.linear_w) for _ in range(20)]
+    ssl_coords = [draw(flat.ssl_w) for _ in range(20)]
     eps = 1e-5
     worst = 0.0
-    coords = {
-        "feat_only": [
-            ("feat_w", l, (int(rng.integers(m.feat_weights[l].shape[0])),
-                           int(rng.integers(m.feat_weights[l].shape[1]))))
-            for _ in range(10)
-            for l in (0, 1)
-        ],
-        "linear_only": [
-            ("linear_w", None, (int(rng.integers(3)), int(rng.integers(32))))
-            for _ in range(20)
-        ],
-    }
-    ssl_coords = [
-        ("ssl_w", None, (int(rng.integers(4)), int(rng.integers(32))))
-        for _ in range(20)
-    ]
     for name, fn in losses.items():
-        for scope, coord_list in coords.items():
-            _, g = fn(m, scope)
-            for field, layer, idx in coord_list:
-                a = grad_entry(g, field, layer, idx)
-                fd = (
-                    fn(perturbed(field, layer, idx, eps))[0]
-                    - fn(perturbed(field, layer, idx, -eps))[0]
-                ) / (2 * eps)
-                rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
-                worst = max(worst, rel)
-        # auxiliary head coordinates (rotation trains it)
-        if name == "rotation":
-            _, g = fn(m, "all")
-            for field, layer, idx in ssl_coords:
-                a = grad_entry(g, field, layer, idx)
-                fd = (
-                    fn(perturbed(field, layer, idx, eps))[0]
-                    - fn(perturbed(field, layer, idx, -eps))[0]
-                ) / (2 * eps)
-                rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
-                worst = max(worst, rel)
+        _, g = fn(m)
+        for i in coords + (ssl_coords if name == "rotation" else []):
+            up, down = m.theta.copy(), m.theta.copy()
+            up[i] += eps
+            down[i] -= eps
+            fd = (fn(with_theta(m, up))[0] - fn(with_theta(m, down))[0]) / (2 * eps)
+            rel = abs(g[i] - fd) / max(abs(g[i]), abs(fd), 1e-8)
+            worst = max(worst, rel)
     return CheckResult(
-        "P2 gradient fidelity (4 losses x scopes)",
+        "P2 gradient fidelity (4 losses)",
         f"max rel err {worst:.2e}",
         "< 1e-4",
         worst < 1e-4,

@@ -70,6 +70,25 @@ class TestPretrainCommand:
         assert sidecar["val_accuracy"] > 0.7
         assert 0 < sidecar["sigma_min"] <= 1.0
 
+    def test_draws_source_data_once(self, tmp_path, capsys, monkeypatch):
+        import sys
+
+        from olsofu import synthdata
+
+        original = synthdata.make_source_data
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "make_source_data", None) is original:
+                monkeypatch.setattr(mod, "make_source_data", counting)
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_malformed_json_exits_2_without_files(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -144,14 +163,16 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg2), "--out", str(out)]) == 0
 
-    def test_mismatched_checkpoint_exits_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("d", 4), ("k", 4)], ids=["d", "k"])
+    def test_mismatched_checkpoint_exits_4(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, FAST_CONFIG)
         pre_out = tmp_path / "pre"
         assert main(["pretrain", "--config", str(cfg), "--out", str(pre_out)]) == 0
-        doc = {**FAST_CONFIG, "data": {**FAST_CONFIG["data"], "d": 4},
+        doc = {**FAST_CONFIG, "data": {**FAST_CONFIG["data"], key: value},
                "checkpoint": str(pre_out / "checkpoint.npz")}
         cfg2 = write_config(tmp_path, doc, "mismatch.json")
         assert main(["run", "--config", str(cfg2), "--out", str(tmp_path)]) == 4
+        assert "checkpoint" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         doc = {**FAST_CONFIG, "checkpoint": str(tmp_path / "nope.npz")}
