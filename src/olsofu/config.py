@@ -119,7 +119,7 @@ SCHEMA: dict = {
                       minimum=0, maximum=1),
     "hidden": Key([32, 32], "intlist", "hidden layer widths"),
     "activation": Key("tanh", "enum:tanh|relu", "hidden activation"),
-    "retrain_max_iter": Key(500, "int", "head retrain iteration cap", minimum=1),
+    "retrain_max_iter": Key(500, "int", "head retrain Newton iteration cap", minimum=1),
     "improvement_check": Key(False, "bool", "also run the feature-update improvement check"),
     "checkpoint": Key(None, "path", "pretrained checkpoint to load (skips training)",
                       nullable=True),

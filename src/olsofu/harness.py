@@ -3,9 +3,9 @@ bias experiment.
 
 Three seed streams keep runs comparable: the data seed fixes the source
 draw and pretraining, the shift seed fixes the marginal process and batch
-sampling, and the run seed feeds only algorithm-side randomness (SSL draws,
-head re-initialisations). Two scenarios differing only in algorithm or SSL
-choice therefore see byte-identical batch streams.
+sampling, and the run seed feeds only algorithm-side randomness (the SSL
+draws; the head retrain draws nothing). Two scenarios differing only in
+algorithm or SSL choice therefore see byte-identical batch streams.
 """
 
 from __future__ import annotations
@@ -398,9 +398,7 @@ def ordering_bias_test(
         for i in range(n_trials):
             batch = draw_batch()
             bumped = feature_update(f, batch, spec, rng)
-            retrained = retrain_linear(
-                bumped, train, rng=rng, max_iter=retrain_max_iter
-            )
+            retrained = retrain_linear(bumped, train, max_iter=retrain_max_iter)
             conf = confusion_matrix(retrained, val)
             estimates[i] = bbse_estimate(retrained, conf, batch).s
     bias = estimates.mean(axis=0) - q

@@ -197,11 +197,14 @@ def feat_activations(m: ModelParams, x: np.ndarray) -> list:
     return acts
 
 
-def forward(m: ModelParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def forward(
+    m: ModelParams, x, head: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Model forward pass: (probs, features, logits).
 
     Accepts one input vector or a batch of row vectors; output shapes
-    mirror the input.
+    mirror the input. ``head``, a ``(w, b)`` pair, stands in for the
+    model's classification head without building a new model.
     """
     x = as_array(x, "x")
     single = x.ndim == 1
@@ -211,7 +214,8 @@ def forward(m: ModelParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"input dimension {batch.shape[1]} != model dimension {m.input_dim}"
         )
     feats = feat_activations(m, batch)[-1]
-    logits = feats @ m.linear_w.T + m.linear_b
+    w, b = (m.linear_w, m.linear_b) if head is None else head
+    logits = feats @ w.T + b
     probs = softmax(logits, m.temperature)
     if single:
         return probs[0], feats[0], logits[0]
@@ -469,58 +473,74 @@ def train_supervised(
     return m
 
 
+# Ridge on the head in the retrain objective. Adding one vector to every
+# class row leaves the softmax unchanged, so without it the Hessian is
+# singular along that direction; it also gives linearly separable features
+# a finite optimum.
+RETRAIN_RIDGE = 1e-6
+
+
 def retrain_linear(
     m: ModelParams,
     train,
-    rng: np.random.Generator | None = None,
     max_iter: int = 500,
     grad_tol: float = 1e-6,
 ) -> ModelParams:
     """Re-train the classification head on frozen features.
 
-    The head restarts from a random init and full-batch gradient descent
-    with Armijo backtracking minimises the mean CE at temperature 1; the
-    returned model keeps the feature extractor bit-identical and resets the
-    temperature to 1 (calibration is a separate step).
+    Minimises the mean CE at temperature 1 plus ``RETRAIN_RIDGE / 2`` times
+    the squared norm of the head ``[w, b]`` by damped Newton, warm-started
+    from the head ``m`` holds. Each of at most ``max_iter`` iterations
+    solves the K(h+1) x K(h+1) Newton system and backtracks on the step
+    with the Armijo test; the solve stops once the gradient norm is below
+    ``grad_tol``. The returned model keeps the feature extractor
+    bit-identical and resets the temperature to 1 (calibration is a
+    separate step).
     """
-    rng = rng if rng is not None else make_rng(0)
     x, y = train.inputs, train.labels
     feats = feat_activations(m, x)[-1]
-    n, h = feats.shape
+    n = feats.shape[0]
     k = m.n_classes
-    bound = 1.0 / np.sqrt(h)
-    w = rng.uniform(-bound, bound, size=(k, h))
-    b = rng.uniform(-bound, bound, size=k)
+    xt = np.hstack([feats, np.ones((n, 1))])  # bias as a constant feature
+    width = xt.shape[1]
+    wt = np.hstack([m.linear_w, m.linear_b[:, None]])  # (K, h+1)
+    rows = np.arange(n)
     onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
+    onehot[rows, y] = 1.0
 
-    def loss_only(w, b):
-        probs = softmax(feats @ w.T + b)
-        return float(-np.mean(np.log(np.maximum(probs[np.arange(n), y], 1e-300))))
+    def objective(wt):
+        probs = softmax(xt @ wt.T)
+        ce = -np.mean(np.log(np.maximum(probs[rows, y], 1e-300)))
+        return float(ce + 0.5 * RETRAIN_RIDGE * (wt * wt).sum()), probs
 
-    def loss_grad(w, b):
-        probs = softmax(feats @ w.T + b)
-        loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), y], 1e-300))))
-        d = (probs - onehot) / n
-        return loss, d.T @ feats, d.sum(axis=0)
-
-    loss, gw, gb = loss_grad(w, b)
-    alpha = 1.0
+    loss, probs = objective(wt)
+    hess = np.empty((k, width, k, width))
     for _ in range(max_iter):
-        gnorm2 = float((gw * gw).sum() + (gb * gb).sum())
-        if np.sqrt(gnorm2) < grad_tol:
+        g = ((probs - onehot) / n).T @ xt + RETRAIN_RIDGE * wt
+        if np.sqrt((g * g).sum()) < grad_tol:
             break
-        alpha = min(alpha * 2.0, 1e3)
-        while alpha > 1e-12:
-            w_new = w - alpha * gw
-            b_new = b - alpha * gb
-            loss_new = loss_only(w_new, b_new)
-            if loss_new <= loss - 1e-4 * alpha * gnorm2:
+        # Block (i, j) of the CE Hessian is xt.T @ diag(S[:, i, j]) @ xt
+        # with S = p (delta - p^T) / n; blocks are symmetric in (i, j).
+        s = probs[:, :, None] * (np.eye(k) - probs[:, None, :]) / n
+        for i in range(k):
+            for j in range(i, k):
+                block = (xt * s[:, i, j, None]).T @ xt
+                hess[i, :, j, :] = block
+                hess[j, :, i, :] = block
+        h2 = hess.reshape(k * width, k * width)
+        h2[np.diag_indices(k * width)] += RETRAIN_RIDGE
+        step = np.linalg.solve(h2, g.ravel()).reshape(k, width)
+        decrease = float((g * step).sum())
+        alpha = 1.0
+        while alpha > 1e-10:
+            loss_new, probs_new = objective(wt - alpha * step)
+            if loss_new <= loss - 1e-4 * alpha * decrease:
                 break
             alpha *= 0.5
-        w, b = w_new, b_new
-        loss, gw, gb = loss_grad(w, b)
-    return with_updates(m, linear_w=w, linear_b=b, temperature=1.0)
+        else:
+            break  # no decrease along the Newton step: rounding floor
+        wt, loss, probs = wt - alpha * step, loss_new, probs_new
+    return with_updates(m, linear_w=wt[:, :-1], linear_b=wt[:, -1], temperature=1.0)
 
 
 def nll_at_temperature(logits: np.ndarray, y: np.ndarray, temperature: float) -> float:

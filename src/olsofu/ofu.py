@@ -105,13 +105,15 @@ def feature_update(
 @dataclass(frozen=True)
 class Predictor:
     """Composed prediction model: a base network plus an optional
-    reweighting ratio."""
+    reweighting ratio or an optional ``(w, b)`` head that replaces the base
+    network's classification head."""
 
     base: ModelParams
     ratio: np.ndarray | None = None
+    head: tuple | None = None
 
     def predict_proba(self, x) -> np.ndarray:
-        probs, _, _ = forward(self.base, x)
+        probs, _, _ = forward(self.base, x, self.head)
         if self.ratio is None:
             return probs
         return reweight_probs(probs, self.ratio)
@@ -129,14 +131,14 @@ def compose_output(base_model: ModelParams, strategy, q0: np.ndarray) -> Predict
     if strategy.kind == "reweight":
         ratio = strategy.reweight_vector() / np.asarray(q0, dtype=float)
         return Predictor(base_model, ratio)
-    w, b = strategy.head()
-    return Predictor(with_updates(base_model, linear_w=w, linear_b=b), None)
+    return Predictor(base_model, head=strategy.head())
 
 
 @dataclass
 class OfuRuntime:
-    """Fixed per-run resources: source data, estimator settings and the
-    run-level rng that feeds SSL draws and retrain initialisations."""
+    """Fixed per-run resources: source data, estimator settings, the
+    run-level rng that feeds SSL draws, and the head retrain's iteration
+    cap and gradient tolerance."""
 
     train: object
     val: object
@@ -238,11 +240,17 @@ def ols_ofu_step(
             for _ in range(ssl.inner_steps):
                 carrier = feature_update(carrier, inputs, ssl, runtime.rng)
             # (3) Re-train the head on source data and re-calibrate. The
-            # retrain replaces whatever head the carrier holds.
+            # solve is warm-started from the previous refresh's optimum,
+            # which a head strategy's carrier does not hold.
+            if state.strategy.kind == "head":
+                carrier = with_updates(
+                    carrier,
+                    linear_w=state.model.linear_w,
+                    linear_b=state.model.linear_b,
+                )
             retrained = retrain_linear(
                 carrier,
                 runtime.train,
-                rng=runtime.rng,
                 max_iter=runtime.retrain_max_iter,
                 grad_tol=runtime.retrain_grad_tol,
             )

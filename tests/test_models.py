@@ -3,6 +3,7 @@ import pytest
 
 from olsofu.errors import InvalidArgumentError, TrainingDivergedError
 from olsofu.models import (
+    RETRAIN_RIDGE,
     ModelParams,
     TrainConfig,
     accuracy,
@@ -19,8 +20,8 @@ from olsofu.models import (
     train_supervised,
     with_updates,
 )
-from olsofu.numkit import make_rng
-from olsofu.synthdata import DataSpec, default_means, make_source_data
+from olsofu.numkit import make_rng, softmax
+from olsofu.synthdata import DataSpec, LabeledSet, default_means, make_source_data
 
 
 def identity_model(k=2, scale=1.0, temperature=1.0):
@@ -197,19 +198,53 @@ class TestTraining:
         assert ce(long) < ce(short)
 
 
+def head_grad(m, train):
+    """Gradient of the retrain objective (mean CE at temperature 1 plus the
+    ridge) over the head [w, b], on m's features."""
+    feats = feat_activations(m, train.inputs)[-1]
+    xt = np.hstack([feats, np.ones((len(feats), 1))])
+    wt = np.hstack([m.linear_w, m.linear_b[:, None]])
+    d = softmax(xt @ wt.T)
+    d[np.arange(len(d)), train.labels] -= 1.0
+    return (d / len(d)).T @ xt + RETRAIN_RIDGE * wt
+
+
 class TestRetrainLinear:
     def test_convex_optimum_is_init_independent(self, small_pretrained):
         pre = small_pretrained
-        a = retrain_linear(pre.model, pre.train, rng=make_rng(1))
-        b = retrain_linear(pre.model, pre.train, rng=make_rng(99))
-        ce = lambda m: cross_entropy_loss_grad(
-            m, pre.train.inputs, pre.train.labels
-        )[0]
-        assert abs(ce(a) - ce(b)) < 1e-3
+        rng = make_rng(99)
+        other = with_updates(
+            pre.model,
+            linear_w=rng.standard_normal(pre.model.linear_w.shape),
+            linear_b=rng.standard_normal(pre.model.linear_b.shape),
+        )
+        # A tight tolerance, so the heads compare optima, not stopping points.
+        a = retrain_linear(pre.model, pre.train, grad_tol=1e-8)
+        b = retrain_linear(other, pre.train, grad_tol=1e-8)
+        np.testing.assert_allclose(a.linear_w, b.linear_w, atol=1e-5)
+        np.testing.assert_allclose(a.linear_b, b.linear_b, atol=1e-5)
+
+    def test_converges_within_cap(self, small_pretrained):
+        pre = small_pretrained
+        new = retrain_linear(pre.model, pre.train, max_iter=80, grad_tol=1e-6)
+        assert np.linalg.norm(head_grad(new, pre.train)) < 1e-6
+
+    def test_separable_features_give_finite_head(self):
+        # Identity features on three well-separated clusters: without the
+        # ridge the CE has no finite minimiser.
+        rng = make_rng(3)
+        labels = np.repeat(np.arange(3), 20)
+        inputs = 5.0 * np.eye(3)[labels] + 0.1 * rng.random((60, 3))
+        train = LabeledSet(inputs, labels)
+        m = with_updates(identity_model(k=3), linear_w=np.zeros((3, 3)))
+        new = retrain_linear(m, train, max_iter=50, grad_tol=1e-6)
+        assert np.isfinite(new.theta).all()
+        assert np.linalg.norm(head_grad(new, train)) < 1e-6
+        assert accuracy(new, train) == 1.0
 
     def test_features_frozen_bit_exact(self, small_pretrained):
         pre = small_pretrained
-        new = retrain_linear(pre.model, pre.train, rng=make_rng(5))
+        new = retrain_linear(pre.model, pre.train)
         for wa, wb in zip(pre.model.feat_weights, new.feat_weights):
             np.testing.assert_array_equal(wa, wb)
         for ba_, bb in zip(pre.model.feat_biases, new.feat_biases):
@@ -217,7 +252,7 @@ class TestRetrainLinear:
 
     def test_retrained_head_matches_original_validation_accuracy(self, small_pretrained):
         pre = small_pretrained
-        new = retrain_linear(pre.model, pre.train, rng=make_rng(6))
+        new = retrain_linear(pre.model, pre.train)
         assert accuracy(new, pre.val) >= accuracy(pre.model, pre.val) - 0.01
 
 

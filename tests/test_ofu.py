@@ -171,8 +171,11 @@ class TestComposeOutput:
         predictor = compose_output(pre.model, strategy, pre.q0)
         assert predictor.ratio is None
         w, b = strategy.head()
-        np.testing.assert_array_equal(predictor.base.linear_w, w)
-        np.testing.assert_array_equal(predictor.base.linear_b, b)
+        np.testing.assert_array_equal(predictor.head[0], w)
+        np.testing.assert_array_equal(predictor.head[1], b)
+        x = rng.standard_normal((10, 8))
+        expected, _, _ = forward(with_updates(pre.model, linear_w=w, linear_b=b), x)
+        np.testing.assert_array_equal(predictor.predict_proba(x), expected)
 
     def test_matches_reweight_predict(self, small_pretrained, rng):
         from olsofu.estimator import MarginalEstimate
