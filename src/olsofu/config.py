@@ -111,7 +111,7 @@ SCHEMA: dict = {
                        minimum=0, nullable=True),
         "flh_max_experts": Key(200, "int", "flhftl expert cap", minimum=1),
         "meta_eps": Key(None, "num", "atlas meta rate (default: sqrt(8/T))",
-                        minimum=0, nullable=True),
+                        minimum=1e-12, nullable=True),
         "radius": Key(100.0, "num", "uogd/atlas head norm-ball radius", minimum=1e-12),
         "warmup": Key(50, "int", "rogd gradient-norm estimation steps", minimum=1),
     },

@@ -177,12 +177,16 @@ def build_context(model: ModelParams, train, q0: np.ndarray) -> OlsContext:
     probs, feats, _ = forward(model, train.inputs)
     k = q0.shape[0]
     slices = train.class_indices(k)
+    xt = np.empty((feats.shape[1] + 1, feats.shape[0]))
+    xt[:-1] = feats.T
+    xt[-1] = 1.0
     return OlsContext(
         q0=np.asarray(q0, dtype=float),
         train_labels=train.labels,
         class_slices=slices,
+        class_counts=np.array([slices[c].size for c in range(k)], dtype=float),
         train_probs=probs,
-        train_feats=feats,
+        xt=xt,
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .estimator import MarginalEstimate
 from .models import ModelParams, forward
-from .numkit import project_simplex, softmax
+from .numkit import project_simplex
 
 ALGORITHMS = ("none", "fth", "ftfwh", "rogd", "flhftl", "uogd", "atlas")
 REWEIGHT_ALGORITHMS = ("none", "fth", "ftfwh", "rogd", "flhftl")
@@ -47,40 +47,71 @@ def reweight_predict(
 class OlsContext:
     """Artifacts of the current f_t'' that strategies read.
 
-    ``train_probs`` are f_t'' predictions on the train set (ROGD risk
-    surface); ``train_feats`` are the train features under the current
-    extractor (UOGD/ATLAS risk gradients). The harness refreshes them
-    whenever the model changes.
+    ``train_probs`` are f_t'' predictions on the train set, one row per
+    sample (ROGD risk surface). ``xt`` holds the train features under the
+    current extractor class-major, one column per sample, with a ones row
+    appended for the bias: shape (h+1, n). ``class_counts`` are the train
+    class sizes; with ``train_labels`` they give UOGD/ATLAS their
+    per-sample risk weights. The harness refreshes all of them whenever
+    the model changes.
     """
 
     q0: np.ndarray
     train_labels: np.ndarray
     class_slices: dict
+    class_counts: np.ndarray
     train_probs: np.ndarray | None = None
-    train_feats: np.ndarray | None = None
+    xt: np.ndarray | None = None
 
 
-def weighted_class_risk_grad(
-    feats: np.ndarray,
+def head_risks_and_grads(
+    xt: np.ndarray,
     labels: np.ndarray,
     class_counts: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray,
+    heads: np.ndarray,
     s: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value and gradient of sum_k s_k * R_k(w), where R_k is the mean CE of
-    the head (w, b) over the class-k train slice."""
-    n = feats.shape[0]
-    k = w.shape[0]
-    logits = feats @ w.T + b
-    probs = softmax(logits)
-    picked = np.maximum(probs[np.arange(n), labels], 1e-300)
-    per_sample = s[labels] / class_counts[labels]
-    value = float((per_sample * -np.log(picked)).sum())
-    d = probs.copy()
-    d[np.arange(n), labels] -= 1.0
-    d *= per_sample[:, None]
-    return value, d.T @ feats, d.sum(axis=0)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and gradients of sum_k s_k * R_k for N stacked heads.
+
+    ``heads`` has shape (N, K, h+1), each head ``[w, b]``; R_k is the mean
+    CE of a head over the class-k train slice of the class-major features
+    ``xt`` (h+1, n). Returns the risks (N,) and their gradients
+    (N, K, h+1). All heads share one logits GEMM, a softmax along the
+    class axis and one gradient GEMM.
+    """
+    n_heads, k, _ = heads.shape
+    n = xt.shape[1]
+    z = (heads.reshape(n_heads * k, -1) @ xt).reshape(n_heads, k, n)
+    if not np.isfinite(z).all():
+        raise InvalidArgumentError("head logits must be finite")
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    cols = np.arange(n)
+    per_sample = (s / class_counts)[labels]
+    picked = np.maximum(z[:, labels, cols], 1e-300)
+    risks = -np.log(picked) @ per_sample
+    z[:, labels, cols] -= 1.0
+    z *= per_sample
+    grads = (z.reshape(n_heads * k, n) @ xt.T).reshape(heads.shape)
+    return risks, grads
+
+
+def _descend(heads: np.ndarray, etas: np.ndarray, radius: float,
+             ctx: OlsContext, s: np.ndarray) -> np.ndarray:
+    """One projected gradient step of every head on the s-weighted class
+    risk; updates ``heads`` in place and returns the risks before it."""
+    if ctx.xt is None:
+        raise InvalidArgumentError("head strategies need train features in the context")
+    risks, grads = head_risks_and_grads(
+        ctx.xt, ctx.train_labels, ctx.class_counts, heads, s
+    )
+    heads -= etas[:, None, None] * grads
+    norms = np.sqrt((heads * heads).sum(axis=(1, 2)))
+    outside = norms > radius
+    if outside.any():
+        heads[outside] *= (radius / norms[outside])[:, None, None]
+    return risks
 
 
 def per_class_risk_jacobian(
@@ -271,9 +302,11 @@ class UogdStrategy:
     """Unbiased gradient descent on the classification head weights.
 
     Per-class empirical risks use the *current* feature extractor; the
-    gradient is the s_t-weighted combination of per-class risk gradients.
-    The head lives in a Frobenius-norm ball and is only projected back when
-    it leaves it.
+    gradient is the s_t-weighted combination of per-class risk gradients,
+    the N=1 case of :func:`head_risks_and_grads`. The head ``[w, b]`` is
+    stored as one (1, K, h+1) array, read through the ``w`` and ``b``
+    views; it lives in a Frobenius-norm ball and is only projected back
+    when it leaves it.
     """
 
     kind = "head"
@@ -284,28 +317,18 @@ class UogdStrategy:
             raise InvalidArgumentError("eta must be >= 0")
         self.eta = eta
         self.radius = radius
-        self.w = f0.linear_w.copy()
-        self.b = f0.linear_b.copy()
+        self.heads = np.column_stack([f0.linear_w, f0.linear_b])[None]
 
-    def _project(self):
-        norm = math.sqrt(float((self.w * self.w).sum() + (self.b * self.b).sum()))
-        if norm > self.radius:
-            scale = self.radius / norm
-            self.w *= scale
-            self.b *= scale
+    @property
+    def w(self) -> np.ndarray:
+        return self.heads[0, :, :-1]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.heads[0, :, -1]
 
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
-        if ctx.train_feats is None:
-            raise InvalidArgumentError("UOGD needs train features in the context")
-        counts = np.array(
-            [ctx.class_slices[c].size for c in range(self.w.shape[0])], dtype=float
-        )
-        _, gw, gb = weighted_class_risk_grad(
-            ctx.train_feats, ctx.train_labels, counts, self.w, self.b, est.s
-        )
-        self.w = self.w - self.eta * gw
-        self.b = self.b - self.eta * gb
-        self._project()
+        _descend(self.heads, np.array([self.eta]), self.radius, ctx, est.s)
 
     def head(self) -> tuple[np.ndarray, np.ndarray]:
         return self.w.copy(), self.b.copy()
@@ -328,9 +351,12 @@ def atlas_step_pool(horizon: int, k: int, sigma_min: float) -> np.ndarray:
 class AtlasStrategy:
     """Meta-ensemble of UOGD experts over a geometric step-size pool.
 
-    Expert risks are estimated with the same s_t-weighted per-class risks
-    the gradients use; meta weights are exponential in the cumulative
-    estimated risk and the played head is the meta-weighted average.
+    The experts are one (N, K, h+1) array ``heads`` with step sizes
+    ``etas``; each step moves all of them with one
+    :func:`head_risks_and_grads` call. Expert risks are the same
+    s_t-weighted per-class risks the gradients use; meta weights ``meta``
+    are exponential in the cumulative estimated risk ``cum_risk``, and the
+    played head is the meta-weighted average of the experts.
     """
 
     kind = "head"
@@ -340,46 +366,31 @@ class AtlasStrategy:
         etas = np.asarray(etas, dtype=float)
         if etas.size == 0:
             raise InvalidArgumentError("step-size pool must be nonempty")
+        if np.any(etas < 0):
+            raise InvalidArgumentError("eta must be >= 0")
         if eps <= 0:
             raise InvalidArgumentError("meta learning rate must be > 0")
-        self.experts = [UogdStrategy(f0, float(e), radius) for e in etas]
+        self.etas = etas
         self.eps = eps
+        self.radius = radius
+        self.played = np.column_stack([f0.linear_w, f0.linear_b])
+        self.heads = np.repeat(self.played[None], etas.size, axis=0)
         self.cum_risk = np.zeros(etas.size)
         self.meta = np.full(etas.size, 1.0 / etas.size)
-        self.w = f0.linear_w.copy()
-        self.b = f0.linear_b.copy()
 
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
-        if ctx.train_feats is None:
-            raise InvalidArgumentError("ATLAS needs train features in the context")
-        counts = np.array(
-            [ctx.class_slices[c].size for c in range(self.w.shape[0])], dtype=float
-        )
-        for i, expert in enumerate(self.experts):
-            risk, gw, gb = weighted_class_risk_grad(
-                ctx.train_feats,
-                ctx.train_labels,
-                counts,
-                expert.w,
-                expert.b,
-                est.s,
-            )
-            self.cum_risk[i] += risk
-            expert.w = expert.w - expert.eta * gw
-            expert.b = expert.b - expert.eta * gb
-            expert._project()
+        self.cum_risk += _descend(self.heads, self.etas, self.radius, ctx, est.s)
         logits = -self.eps * self.cum_risk
         logits -= logits.max()
         w = np.exp(logits)
         self.meta = w / w.sum()
-        self.w = sum(p * e.w for p, e in zip(self.meta, self.experts))
-        self.b = sum(p * e.b for p, e in zip(self.meta, self.experts))
+        self.played = (self.meta[:, None, None] * self.heads).sum(axis=0)
 
     def head(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.w.copy(), self.b.copy()
+        return self.played[:, :-1].copy(), self.played[:, -1].copy()
 
     def snapshot(self) -> np.ndarray:
-        return np.concatenate([self.w.ravel(), self.b])
+        return np.concatenate([self.played[:, :-1].ravel(), self.played[:, -1]])
 
 
 @dataclass(frozen=True)

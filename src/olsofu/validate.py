@@ -377,7 +377,7 @@ def check_p10() -> CheckResult:
     rng = make_rng(10)
     f0 = init_model(6, 4, rng=rng)
     strat = AtlasStrategy(f0, atlas_step_pool(1000, 4, 0.7), eps=0.1)
-    weights_ok = bool(np.all(strat.meta == 1.0 / 7.0)) and len(strat.experts) == n
+    weights_ok = bool(np.all(strat.meta == 1.0 / 7.0)) and strat.heads.shape[0] == n
     return CheckResult(
         "P10 atlas pool formula (T=1000)",
         f"N={n}, initial weights uniform={weights_ok}",

@@ -107,6 +107,13 @@ class TestPretrainCommand:
         assert "reg_lambda" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_meta_eps_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"algorithm": "atlas", "algo": {"meta_eps": 0}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "meta_eps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infonce_single_input_update_exits_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"batch_size": 1, "ssl": {"kind": "infonce", "ba": 1}}

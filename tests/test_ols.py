@@ -17,11 +17,12 @@ from olsofu.ols import (
     UogdStrategy,
     atlas_pool_size,
     atlas_step_pool,
+    head_risks_and_grads,
     per_class_risk_jacobian,
     reweight_predict,
     reweight_probs,
-    weighted_class_risk_grad,
 )
+from olsofu.numkit import softmax
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -33,6 +34,59 @@ def est(v):
 
 def random_estimates(rng, n, k=4):
     return [est(project_simplex(rng.normal(size=k))) for _ in range(n)]
+
+
+def stacked(*heads):
+    """Stack (w, b) pairs into the (N, K, h+1) layout of the head strategies."""
+    return np.stack([np.column_stack([w, b]) for w, b in heads])
+
+
+def reference_risk_grad(feats, labels, class_counts, w, b, s):
+    """Row-major, one-head value and gradient of sum_k s_k * R_k(w, b)."""
+    n = feats.shape[0]
+    probs = softmax(feats @ w.T + b)
+    picked = np.maximum(probs[np.arange(n), labels], 1e-300)
+    per_sample = s[labels] / class_counts[labels]
+    value = float((per_sample * -np.log(picked)).sum())
+    d = probs.copy()
+    d[np.arange(n), labels] -= 1.0
+    d *= per_sample[:, None]
+    return value, d.T @ feats, d.sum(axis=0)
+
+
+class ReferenceAtlas:
+    """ATLAS as a plain loop over separate UOGD experts."""
+
+    def __init__(self, f0, etas, eps, radius=100.0):
+        self.experts = [
+            [f0.linear_w.copy(), f0.linear_b.copy(), float(e)] for e in etas
+        ]
+        self.eps = eps
+        self.radius = radius
+        self.cum_risk = np.zeros(len(etas))
+        self.meta = np.full(len(etas), 1.0 / len(etas))
+
+    def step(self, ctx, s):
+        feats = ctx.xt[:-1].T
+        for i, (w, b, eta) in enumerate(self.experts):
+            risk, gw, gb = reference_risk_grad(
+                feats, ctx.train_labels, ctx.class_counts, w, b, s
+            )
+            self.cum_risk[i] += risk
+            w, b = w - eta * gw, b - eta * gb
+            norm = np.sqrt((w * w).sum() + (b * b).sum())
+            if norm > self.radius:
+                w, b = w * (self.radius / norm), b * (self.radius / norm)
+            self.experts[i] = [w, b, eta]
+        logits = -self.eps * self.cum_risk
+        logits -= logits.max()
+        w = np.exp(logits)
+        self.meta = w / w.sum()
+
+    def head(self):
+        w = sum(p * e[0] for p, e in zip(self.meta, self.experts))
+        b = sum(p * e[1] for p, e in zip(self.meta, self.experts))
+        return w, b
 
 
 class TestReweight:
@@ -219,45 +273,63 @@ class TestUogd:
     def test_one_hot_estimate_reduces_to_single_class_gradient(self, small_pretrained):
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0)
-        counts = np.array([ctx.class_slices[c].size for c in range(4)], dtype=float)
         s = np.eye(4)[2]
-        _, gw_full, _ = weighted_class_risk_grad(
-            ctx.train_feats, ctx.train_labels, counts,
-            pre.model.linear_w, pre.model.linear_b, s,
+        _, grads = head_risks_and_grads(
+            ctx.xt, ctx.train_labels, ctx.class_counts,
+            stacked((pre.model.linear_w, pre.model.linear_b)), s,
         )
         rows = ctx.class_slices[2]
-        feats_k = ctx.train_feats[rows]
-        from olsofu.numkit import softmax
-
+        feats_k = ctx.xt[:-1, rows].T
         probs = softmax(feats_k @ pre.model.linear_w.T + pre.model.linear_b)
         d = probs.copy()
         d[:, 2] -= 1.0
-        gw_direct = (d / rows.size).T @ feats_k
-        np.testing.assert_allclose(gw_full, gw_direct, atol=1e-12)
+        d /= rows.size
+        np.testing.assert_allclose(grads[0, :, :-1], d.T @ feats_k, atol=1e-12)
+        np.testing.assert_allclose(grads[0, :, -1], d.sum(axis=0), atol=1e-12)
 
     def test_weighted_risk_gradient_matches_finite_differences(self, small_pretrained):
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0)
-        counts = np.array([ctx.class_slices[c].size for c in range(4)], dtype=float)
         s = np.array([0.5, 0.2, 0.2, 0.1])
-        w = pre.model.linear_w.copy()
-        b = pre.model.linear_b.copy()
-        value, gw, gb = weighted_class_risk_grad(
-            ctx.train_feats, ctx.train_labels, counts, w, b, s
+        w0, b0 = pre.model.linear_w, pre.model.linear_b
+        h = w0.shape[1]
+        rng = np.random.default_rng(3)
+        heads = stacked(
+            (w0, b0),
+            (0.5 * w0 + 0.1 * rng.standard_normal(w0.shape), -b0),
+            (rng.standard_normal(w0.shape), rng.standard_normal(b0.shape)),
+        )
+
+        def risks(hs):
+            return head_risks_and_grads(
+                ctx.xt, ctx.train_labels, ctx.class_counts, hs, s
+            )[0]
+
+        _, grads = head_risks_and_grads(
+            ctx.xt, ctx.train_labels, ctx.class_counts, heads, s
         )
         eps = 1e-6
-        for idx in [(0, 3), (2, 10), (3, 0)]:
-            w[idx] += eps
-            up = weighted_class_risk_grad(
-                ctx.train_feats, ctx.train_labels, counts, w, b, s
-            )[0]
-            w[idx] -= 2 * eps
-            down = weighted_class_risk_grad(
-                ctx.train_feats, ctx.train_labels, counts, w, b, s
-            )[0]
-            w[idx] += eps
-            fd = (up - down) / (2 * eps)
-            assert abs(gw[idx] - fd) / max(abs(fd), 1e-8) < 1e-4
+        # (class, column): three w entries and every class's bias (column h).
+        entries = [(0, 3), (2, 10), (3, 0)] + [(c, h) for c in range(4)]
+        for i in range(heads.shape[0]):
+            for idx in entries:
+                bumped = heads.copy()
+                bumped[(i, *idx)] += eps
+                up = risks(bumped)[i]
+                bumped[(i, *idx)] -= 2 * eps
+                down = risks(bumped)[i]
+                fd = (up - down) / (2 * eps)
+                assert abs(grads[(i, *idx)] - fd) / max(abs(fd), 1e-8) < 1e-4
+
+    def test_non_finite_logits_rejected(self, small_pretrained):
+        pre = small_pretrained
+        ctx = build_context(pre.model, pre.train, pre.q0)
+        heads = stacked((pre.model.linear_w, pre.model.linear_b))
+        heads[0, 1, 0] = np.nan
+        with pytest.raises(InvalidArgumentError):
+            head_risks_and_grads(
+                ctx.xt, ctx.train_labels, ctx.class_counts, heads, UNIFORM4
+            )
 
     def test_norm_ball_projection(self, small_pretrained):
         pre = small_pretrained
@@ -311,6 +383,57 @@ class TestAtlas:
             atlas.step(ctx, e)
         assert is_simplex(atlas.meta)
         assert atlas.cum_risk.min() > 0
+
+    @pytest.mark.parametrize("radius", [100.0, 0.5])
+    def test_batched_experts_match_per_expert_loop(self, small_pretrained, radius):
+        pre = small_pretrained
+        ctx = build_context(pre.model, pre.train, pre.q0)
+        etas = atlas_step_pool(1000, 4, pre.sigma_min)
+        atlas = AtlasStrategy(pre.model, etas, eps=0.3, radius=radius)
+        ref = ReferenceAtlas(pre.model, etas, eps=0.3, radius=radius)
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            e = est(rng.normal(0.25, 0.5, size=4))
+            atlas.step(ctx, e)
+            ref.step(ctx, e.s)
+            np.testing.assert_allclose(atlas.cum_risk, ref.cum_risk, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(atlas.meta, ref.meta, rtol=0, atol=1e-12)
+        assert len(ref.experts) == atlas.heads.shape[0] == 7
+        for i, (w, b, _) in enumerate(ref.experts):
+            np.testing.assert_allclose(atlas.heads[i, :, :-1], w, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(atlas.heads[i, :, -1], b, rtol=0, atol=1e-12)
+        for got, want in zip(atlas.head(), ref.head()):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestHeadStrategyProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+            min_size=1, max_size=6,
+        ),
+        st.sampled_from([0.5, 5.0, 100.0]),
+    )
+    def test_arbitrary_estimates_keep_heads_bounded(self, small_pretrained,
+                                                    estimates, radius):
+        pre = small_pretrained
+        ctx = build_context(pre.model, pre.train, pre.q0)
+        uogd = UogdStrategy(pre.model, eta=0.05, radius=radius)
+        atlas = AtlasStrategy(pre.model, atlas_step_pool(100, 4, pre.sigma_min),
+                              eps=0.3, radius=radius)
+        for s in estimates:
+            e = est(s)
+            uogd.step(ctx, e)
+            atlas.step(ctx, e)
+            heads = [uogd.head(), atlas.head()]
+            heads += [(hd[:, :-1], hd[:, -1]) for hd in atlas.heads]
+            for w, b in heads:
+                assert np.sqrt((w * w).sum() + (b * b).sum()) <= radius + 1e-12
+            for state in (uogd.heads, atlas.heads, atlas.cum_risk, atlas.meta,
+                          uogd.snapshot(), atlas.snapshot()):
+                assert np.isfinite(state).all()
+            assert is_simplex(atlas.meta)
 
 
 class TestDeterminism:
