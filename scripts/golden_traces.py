@@ -8,7 +8,11 @@ before it and on the commit after it, then compares the two files:
     python scripts/golden_traces.py --compare before.json after.json
 
 ``--compare`` prints every key whose digest differs (or that only one file
-has) and exits 1 if there is any. Recording takes about 20 s on two cores.
+has) and exits 1 if there is any. The file also keeps each trace's raw
+estimates ``s`` and per-step error counts, so for a differing trace key
+``--compare`` adds the drift: the largest |change| of any ``s`` entry and
+the number of steps whose error count changed. Recording takes about 20 s
+on two cores.
 
 The scenario is the test suite's ``small_scenario`` (K=4, d=8, 1200 train
 and pool rows, sinusoidal shift over T=150) with ``retrain_max_iter=20``.
@@ -53,7 +57,7 @@ def _arrays_digest(arrays) -> str:
     return h.hexdigest()
 
 
-def _trace_digests(key: str, trace) -> dict:
+def _trace_digests(key: str, trace, raw: dict) -> dict:
     fd, tmp = tempfile.mkstemp(suffix=".csv")
     os.close(fd)
     try:
@@ -62,6 +66,7 @@ def _trace_digests(key: str, trace) -> dict:
             csv_bytes = fh.read()
     finally:
         os.unlink(tmp)
+    raw[key] = {"s": trace.s.tolist(), "errors": trace.errors.tolist()}
     return {
         f"{key}/csv": _sha(csv_bytes),
         f"{key}/sigma_min": _arrays_digest([trace.sigma_min]),
@@ -95,40 +100,52 @@ def record() -> dict:
     )
     pre = harness.pretrain(sc)
     rotation = SslSpec(kind="rotation", ba=5)
-    out = {}
+    out, raw = {}, {}
     for order in ORDERS:
         o = dataclasses.replace(sc, order=order)
         for algo in ALGORITHMS:
             for ssl in (SslSpec(), rotation):
                 run = dataclasses.replace(o, algorithm=algo, ssl=ssl)
                 key = f"run_online/{algo}/ssl={ssl.kind}/{order}"
-                out.update(_trace_digests(key, harness.run_online(run, pre)))
+                out.update(_trace_digests(key, harness.run_online(run, pre), raw))
         rot = dataclasses.replace(o, ssl=rotation)
         for frozen in (True, False):
             key = f"oracle_trace/{'frozen' if frozen else 'updated'}/{order}"
-            out.update(_trace_digests(key, harness.oracle_trace(rot, frozen, pre)))
-        out.update(_trace_digests(f"run_bare_ols/{order}", harness.run_bare_ols(o, pre)))
+            out.update(_trace_digests(key, harness.oracle_trace(rot, frozen, pre), raw))
+        bare = harness.run_bare_ols(o, pre)
+        out.update(_trace_digests(f"run_bare_ols/{order}", bare, raw))
     for name, ssl in (
         ("entropy", SslSpec(kind="entropy", ba=5)),
         ("infonce", SslSpec(kind="infonce", ba=5, inner_steps=2)),
     ):
         run = dataclasses.replace(sc, algorithm="atlas", ssl=ssl)
-        out.update(_trace_digests(f"run_online/atlas/ssl={name}", harness.run_online(run, pre)))
+        trace = harness.run_online(run, pre)
+        out.update(_trace_digests(f"run_online/atlas/ssl={name}", trace, raw))
     for kind in ("none", "rotation", "infonce"):
         p = harness.pretrain(dataclasses.replace(sc, pretrain_ssl=kind))
         out[f"pretrain/ssl={kind}/model"] = _model_digest(p.model)
     out["validate/P2"] = _sha(validate.check_p2().value.encode())
-    return out
+    return {"digests": out, "traces": raw}
+
+
+def _drift(a: dict, b: dict) -> str:
+    """Max |change| of s and the number of changed per-step error counts."""
+    ds = np.max(np.abs(np.asarray(a["s"]) - np.asarray(b["s"])))
+    flips = int(np.sum(np.asarray(a["errors"]) != np.asarray(b["errors"])))
+    return f"max |ds| {ds:.2e}, {flips} error counts changed"
 
 
 def compare(a_path: str, b_path: str) -> int:
     with open(a_path) as fh:
-        a = json.load(fh)
+        a_doc = json.load(fh)
     with open(b_path) as fh:
-        b = json.load(fh)
+        b_doc = json.load(fh)
+    a, b = a_doc["digests"], b_doc["digests"]
     differing = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     for key in differing:
-        print(key)
+        run = key.rsplit("/", 1)[0]
+        traces = [doc["traces"].get(run) for doc in (a_doc, b_doc)]
+        print(f"{key}: {_drift(*traces)}" if all(traces) else key)
     print(f"{len(differing)} of {len(a.keys() | b.keys())} keys differ")
     return 1 if differing else 0
 
@@ -143,10 +160,10 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     if not args.out:
         parser.error("give an output file or --compare A B")
-    digests = record()
+    doc = record()
     with open(args.out, "w") as fh:
-        json.dump(digests, fh, indent=1, sort_keys=True)
-    print(f"{len(digests)} digests -> {args.out}")
+        json.dump(doc, fh, indent=1, sort_keys=True)
+    print(f"{len(doc['digests'])} digests -> {args.out}")
     return 0
 
 

@@ -78,7 +78,6 @@ from .ols import (
     atlas_pool_size,
     atlas_step_pool,
     make_strategy,
-    reweight_predict,
 )
 from .synthdata import (
     CorruptionSpec,

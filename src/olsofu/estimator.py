@@ -18,7 +18,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .models import ModelParams, forward
-from .numkit import min_singular_value, project_simplex, solve_linear
+from .numkit import min_singular_value, project_simplex, softmax, solve_linear
 
 # Below this the confusion is treated as effectively rank-deficient.
 SIGMA_MIN_FLOOR = 1e-8
@@ -51,16 +51,26 @@ class MarginalEstimate:
     clipped: np.ndarray
 
 
-def confusion_matrix(f: ModelParams, val) -> ConfusionMatrix:
+def confusion_matrix(
+    f: ModelParams, val, logits: np.ndarray | None = None
+) -> ConfusionMatrix:
     """Soft confusion: column j is the mean predicted probability vector
-    over validation points of class j."""
+    over validation points of class j.
+
+    ``logits`` are ``f``'s validation logits if the caller already has
+    them (the probabilities are then ``softmax(logits, f.temperature)``,
+    exactly as ``forward`` computes them); otherwise ``val`` is forwarded.
+    """
     k = f.n_classes
     labels = val.labels
     present = np.unique(labels)
     if present.size != k:
         missing = sorted(set(range(k)) - set(present.tolist()))
         raise InvalidArgumentError(f"validation set is missing classes {missing}")
-    probs, _, _ = forward(f, val.inputs)
+    if logits is None:
+        probs, _, _ = forward(f, val.inputs)
+    else:
+        probs = softmax(logits, f.temperature)
     c = np.empty((k, k))
     for j in range(k):
         c[:, j] = probs[labels == j].mean(axis=0)

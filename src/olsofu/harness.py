@@ -21,7 +21,7 @@ from .models import (
     ModelParams,
     TrainConfig,
     accuracy,
-    calibrate_temperature,
+    calibrate_temperature,  # noqa: F401 - perfbench's tracer wraps it here too
     retrain_linear,
     train_supervised,
 )
@@ -31,6 +31,7 @@ from .ofu import (
     Predictor,
     SslSpec,
     build_context,
+    calibrate,
     compose_output,
     feature_update,
     init_ofu_state,
@@ -176,9 +177,9 @@ def pretrain(sc: Scenario, model: ModelParams | None = None) -> Pretrained:
             infonce_temperature=sc.ssl.infonce_temperature,
             augment_noise=sc.ssl.augment_noise,
         )
-    calibrated = calibrate_temperature(model, val)
-    conf = regularize_confusion(confusion_matrix(calibrated, val), sc.reg_lambda)
-    return Pretrained(calibrated, train, val, pool, q0, conf.sigma_min)
+    calibrated, conf = calibrate(model, val)
+    sigma_min = regularize_confusion(conf, sc.reg_lambda).sigma_min
+    return Pretrained(calibrated, train, val, pool, q0, sigma_min)
 
 
 def _count_errors(predictor: Predictor, inputs, labels) -> int:

@@ -197,6 +197,16 @@ def feat_activations(m: ModelParams, x: np.ndarray) -> list:
     return acts
 
 
+def head_output(
+    m: ModelParams, feats: np.ndarray, head: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, logits) of the classification head on features ``feats``;
+    ``forward`` computes its outputs with exactly this arithmetic."""
+    w, b = (m.linear_w, m.linear_b) if head is None else head
+    logits = feats @ w.T + b
+    return softmax(logits, m.temperature), logits
+
+
 def forward(
     m: ModelParams, x, head: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,9 +224,7 @@ def forward(
             f"input dimension {batch.shape[1]} != model dimension {m.input_dim}"
         )
     feats = feat_activations(m, batch)[-1]
-    w, b = (m.linear_w, m.linear_b) if head is None else head
-    logits = feats @ w.T + b
-    probs = softmax(logits, m.temperature)
+    probs, logits = head_output(m, feats, head)
     if single:
         return probs[0], feats[0], logits[0]
     return probs, feats, logits
@@ -485,6 +493,7 @@ def retrain_linear(
     train,
     max_iter: int = 500,
     grad_tol: float = 1e-6,
+    feats: np.ndarray | None = None,
 ) -> ModelParams:
     """Re-train the classification head on frozen features.
 
@@ -495,10 +504,12 @@ def retrain_linear(
     with the Armijo test; the solve stops once the gradient norm is below
     ``grad_tol``. The returned model keeps the feature extractor
     bit-identical and resets the temperature to 1 (calibration is a
-    separate step).
+    separate step). ``feats`` are ``m``'s train features if the caller
+    already has them; otherwise they are computed here.
     """
-    x, y = train.inputs, train.labels
-    feats = feat_activations(m, x)[-1]
+    y = train.labels
+    if feats is None:
+        feats = feat_activations(m, train.inputs)[-1]
     n = feats.shape[0]
     k = m.n_classes
     xt = np.hstack([feats, np.ones((n, 1))])  # bias as a constant feature
@@ -548,41 +559,78 @@ def nll_at_temperature(logits: np.ndarray, y: np.ndarray, temperature: float) ->
     return float(-np.mean(np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300))))
 
 
-def calibrate_temperature(m: ModelParams, val) -> ModelParams:
+# Calibration searches temperatures in [e^-3, e^3], i.e. beta = 1/T in the
+# same range. Newton stops once its step is below CALIBRATION_STEP_RTOL
+# times beta and takes that last step without evaluating it (quadratic
+# convergence leaves an error of order its square); the evaluation cap only
+# bounds the bracket bisections.
+CALIBRATION_BETA_RANGE = (math.exp(-3.0), math.exp(3.0))
+CALIBRATION_STEP_RTOL = 1e-6
+CALIBRATION_MAX_EVALS = 60
+
+
+def _nll_derivatives(logits: np.ndarray, y: np.ndarray, beta: float):
+    """Validation NLL at temperature 1/beta and its first two derivatives
+    in beta: mean(E_p[z] - z_y) and mean(Var_p[z]), from one softmax."""
+    probs = softmax(logits, 1.0 / beta)
+    rows = np.arange(len(y))
+    nll = float(-np.mean(np.log(np.maximum(probs[rows, y], 1e-300))))
+    mean_z = (probs * logits).sum(axis=1)
+    grad = float(np.mean(mean_z - logits[rows, y]))
+    curv = float(np.mean((probs * (logits - mean_z[:, None]) ** 2).sum(axis=1)))
+    return nll, grad, curv
+
+
+def calibrate_temperature(
+    m: ModelParams, val, logits: np.ndarray | None = None
+) -> ModelParams:
     """Pick the temperature minimising validation NLL.
 
-    Golden-section search on log-temperature over [-3, 3]; ties (and any
-    search loss vs. temperature 1) resolve to temperature 1, so the result
-    never has higher NLL than the uncalibrated model.
+    The NLL of ``softmax(beta * z)`` is convex in beta = 1/T (a mean of
+    log-sum-exps of linear maps), so safeguarded Newton on beta finds the
+    minimiser over [e^-3, e^3]. It starts cold at beta = 1, so the result
+    depends only on the logits. Each evaluation is one softmax giving the
+    NLL and both derivatives; every evaluated beta narrows a bracket of
+    the minimiser, and a step that leaves the bracket goes to the range
+    bound the first time, else to the bracket's geometric midpoint. A
+    minimiser on a bound (a derivative pointing out of the range there)
+    ends the search at that bound. Ties (and any search loss vs.
+    temperature 1) resolve to temperature 1, so the result never has
+    higher NLL than the uncalibrated model.
+
+    ``logits`` are ``m``'s validation logits if the caller already has
+    them; otherwise they are computed here.
     """
     if len(val) == 0:
         raise InvalidArgumentError("validation set must be nonempty")
-    _, _, logits = forward(m, val.inputs)
+    if logits is None:
+        _, _, logits = forward(m, val.inputs)
     y = val.labels
-
-    def f(u):
-        return nll_at_temperature(logits, y, float(np.exp(u)))
-
-    lo, hi = -3.0, 3.0
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    u_best = c if fc < fd else d
-    t_best = float(np.exp(u_best))
-    if nll_at_temperature(logits, y, 1.0) <= f(u_best) + 1e-12:
-        t_best = 1.0
-    return with_updates(m, temperature=t_best)
+    lo, hi = CALIBRATION_BETA_RANGE
+    lo_seen = hi_seen = False  # whether lo / hi is an evaluated point
+    beta = 1.0
+    for i in range(CALIBRATION_MAX_EVALS):
+        nll, g, h = _nll_derivatives(logits, y, beta)
+        if i == 0:
+            nll_one = nll  # at beta = 1
+        if g > 0:
+            hi, hi_seen = beta, True
+        elif g < 0:
+            lo, lo_seen = beta, True
+        if g == 0 or lo == hi or h <= 0:
+            break
+        new = beta - g / h
+        if new >= hi:
+            new = math.sqrt(lo * hi) if hi_seen else hi
+        elif new <= lo:
+            new = math.sqrt(lo * hi) if lo_seen else lo
+        if abs(new - beta) <= CALIBRATION_STEP_RTOL * beta:
+            beta = new
+            break
+        beta = new
+    if nll_one <= nll + 1e-12:
+        return with_updates(m, temperature=1.0)
+    return with_updates(m, temperature=1.0 / beta)
 
 
 def accuracy(m: ModelParams, dataset) -> float:

@@ -8,6 +8,12 @@ the classification head on the source train set and re-calibrates on the
 validation set. The ordering is normative: the estimate consumed in (1)
 is always computed from a model with no data-flow dependence on the
 current batch.
+
+A refresh (step 3) forwards each source set once. The train features of
+the updated extractor feed both the head retrain and the strategies'
+``OlsContext`` (the retrain leaves the extractor frozen, so they are the
+same features); the validation logits feed both the temperature
+calibration and the soft confusion of the calibrated model.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ from .models import (
     ModelParams,
     backward,
     calibrate_temperature,
+    feat_activations,
     forward,
+    head_output,
     retrain_linear,
     with_theta,
     with_updates,
@@ -173,8 +181,16 @@ class OfuState:
     feature_updates_done: int = 0
 
 
-def build_context(model: ModelParams, train, q0: np.ndarray) -> OlsContext:
-    probs, feats, _ = forward(model, train.inputs)
+def build_context(
+    model: ModelParams, train, q0: np.ndarray, feats: np.ndarray | None = None
+) -> OlsContext:
+    """The strategies' view of ``model`` on the train set. ``feats`` are
+    ``model``'s train features if the caller already has them (a refresh
+    does); otherwise the train set is forwarded here."""
+    if feats is None:
+        probs, feats, _ = forward(model, train.inputs)
+    else:
+        probs, _ = head_output(model, feats)
     k = q0.shape[0]
     slices = train.class_indices(k)
     xt = np.empty((feats.shape[1] + 1, feats.shape[0]))
@@ -190,6 +206,14 @@ def build_context(model: ModelParams, train, q0: np.ndarray) -> OlsContext:
     )
 
 
+def calibrate(model: ModelParams, val) -> tuple[ModelParams, ConfusionMatrix]:
+    """Calibrate ``model``'s temperature on ``val`` and measure the soft
+    confusion of the calibrated model there, from one forward of ``val``."""
+    _, _, logits = forward(model, val.inputs)
+    calibrated = calibrate_temperature(model, val, logits)
+    return calibrated, confusion_matrix(calibrated, val, logits)
+
+
 def init_ofu_state(
     f0_calibrated: ModelParams, strategy, runtime: OfuRuntime
 ) -> OfuState:
@@ -198,14 +222,6 @@ def init_ofu_state(
     )
     ctx = build_context(f0_calibrated, runtime.train, runtime.q0)
     return OfuState(model=f0_calibrated, strategy=strategy, confusion=conf, ctx=ctx)
-
-
-def _refresh_model(state: OfuState, runtime: OfuRuntime, new_model: ModelParams):
-    state.model = new_model
-    state.confusion = regularize_confusion(
-        confusion_matrix(new_model, runtime.val), runtime.reg_lambda
-    )
-    state.ctx = build_context(new_model, runtime.train, runtime.q0)
 
 
 def ols_ofu_step(
@@ -252,14 +268,17 @@ def ols_ofu_step(
                     linear_w=state.model.linear_w,
                     linear_b=state.model.linear_b,
                 )
+            feats = feat_activations(carrier, runtime.train.inputs)[-1]
             retrained = retrain_linear(
                 carrier,
                 runtime.train,
                 max_iter=runtime.retrain_max_iter,
                 grad_tol=runtime.retrain_grad_tol,
+                feats=feats,
             )
-            calibrated = calibrate_temperature(retrained, runtime.val)
-            _refresh_model(state, runtime, calibrated)
+            state.model, conf = calibrate(retrained, runtime.val)
+            state.confusion = regularize_confusion(conf, runtime.reg_lambda)
+            state.ctx = build_context(state.model, runtime.train, runtime.q0, feats)
             state.feature_updates_done += 1
 
     predictor = compose_output(state.model, state.strategy, state.ctx.q0)

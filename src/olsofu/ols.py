@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .estimator import MarginalEstimate
-from .models import ModelParams, forward
+from .models import ModelParams
 from .numkit import project_simplex
 
 ALGORITHMS = ("none", "fth", "ftfwh", "rogd", "flhftl", "uogd", "atlas")
@@ -30,17 +30,6 @@ def reweight_probs(probs: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     weighted = probs * ratio
     total = weighted.sum(axis=-1, keepdims=True)
     return weighted / np.maximum(total, 1e-300)
-
-
-def reweight_predict(
-    base: ModelParams, p: np.ndarray, q0: np.ndarray, x
-) -> np.ndarray:
-    """Posterior correction: output_k proportional to f(x)_k * p_k / q0_k."""
-    q0 = np.asarray(q0, dtype=float)
-    if np.any(q0 <= 0):
-        raise InvalidArgumentError("q0 must be strictly positive")
-    probs, _, _ = forward(base, x)
-    return reweight_probs(probs, np.asarray(p, dtype=float) / q0)
 
 
 @dataclass

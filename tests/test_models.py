@@ -256,6 +256,43 @@ class TestRetrainLinear:
         assert accuracy(new, pre.val) >= accuracy(pre.model, pre.val) - 0.01
 
 
+def reference_calibrate(m, val) -> float:
+    """The golden-section calibration the Newton solve replaced: 60
+    iterations on log-temperature over [-3, 3], ties resolving to 1."""
+    _, _, logits = forward(m, val.inputs)
+
+    def f(u):
+        return nll_at_temperature(logits, val.labels, float(np.exp(u)))
+
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = -3.0, 3.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    u_best = c if fc < fd else d
+    if nll_at_temperature(logits, val.labels, 1.0) <= f(u_best) + 1e-12:
+        return 1.0
+    return float(np.exp(u_best))
+
+
+def p11_models():
+    """The 20 (model, validation set) pairs acceptance check P11 draws."""
+    rng = make_rng(1111)
+    for _ in range(20):
+        m = init_model(5, 4, rng=rng)
+        scale = float(rng.uniform(0.3, 6.0))
+        m = with_updates(m, linear_w=m.linear_w * scale, linear_b=m.linear_b * scale)
+        yield m, LabeledSet(rng.standard_normal((200, 5)), rng.integers(4, size=200))
+
+
 class TestCalibration:
     def _calibrated_setup(self, scale, seed=0, n=4000):
         # Labels sampled from the model's own probabilities make the model
@@ -305,6 +342,66 @@ class TestCalibration:
                 nll_at_temperature(logits, val.labels, out.temperature)
                 <= nll_at_temperature(logits, val.labels, 1.0) + 1e-12
             )
+
+
+    def _count_softmax(self, monkeypatch):
+        import olsofu.models
+
+        calls = []
+        real = olsofu.models.softmax
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(olsofu.models, "softmax", counting)
+        return calls
+
+    def test_matches_golden_section_reference(self, monkeypatch):
+        cases = list(p11_models())
+        cases += [self._calibrated_setup(scale) for scale in (0.25, 1.0, 5.0)]
+        calls = self._count_softmax(monkeypatch)
+        for m, val in cases:
+            expected = reference_calibrate(m, val)
+            _, _, logits = forward(m, val.inputs)
+            calls.clear()
+            t = calibrate_temperature(m, val, logits).temperature
+            assert len(calls) <= 12
+            # The reference stops where NLL differences fall below rounding,
+            # which leaves it up to ~5e-7 relative from the optimum here.
+            assert abs(t - expected) <= 1e-6 * expected
+            assert (
+                nll_at_temperature(logits, val.labels, t)
+                <= nll_at_temperature(logits, val.labels, expected) + 1e-12
+            )
+
+    def test_precomputed_logits_give_the_same_model(self):
+        m, val = self._calibrated_setup(scale=3.0)
+        _, _, logits = forward(m, val.inputs)
+        a = calibrate_temperature(m, val)
+        b = calibrate_temperature(m, val, logits)
+        assert a.temperature == b.temperature
+
+    def _logit_labelled(self, pick):
+        # Labels at each row's largest (or smallest) logit: the NLL then
+        # falls (or rises) with beta = 1/T everywhere.
+        rng = make_rng(5)
+        m = init_model(6, 4, rng=rng)
+        x = rng.standard_normal((300, 6))
+        _, _, logits = forward(m, x)
+        return m, LabeledSet(x, pick(logits, axis=1))
+
+    def test_separable_validation_clamps_to_lowest_temperature(self):
+        m, val = self._logit_labelled(np.argmax)
+        assert calibrate_temperature(m, val).temperature == pytest.approx(
+            np.exp(-3.0), rel=1e-12
+        )
+
+    def test_anti_correlated_labels_clamp_to_highest_temperature(self):
+        m, val = self._logit_labelled(np.argmin)
+        assert calibrate_temperature(m, val).temperature == pytest.approx(
+            np.exp(3.0), rel=1e-12
+        )
 
 
 class TestCheckpoints:

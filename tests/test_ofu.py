@@ -9,6 +9,7 @@ from olsofu.models import forward, init_model, with_updates
 from olsofu.numkit import make_rng
 from olsofu.ofu import (
     OfuRuntime,
+    Predictor,
     SslSpec,
     compose_output,
     feature_update,
@@ -16,7 +17,7 @@ from olsofu.ofu import (
     ols_ofu_step,
     ssl_loss_grad,
 )
-from olsofu.ols import make_strategy, reweight_predict
+from olsofu.ols import make_strategy
 
 
 def make_runtime(pre, ssl, run_seed=99, retrain_max_iter=40):
@@ -120,6 +121,27 @@ class TestOlsOfuStep:
                 assert len(state.buffer) == 0
         assert state.feature_updates_done == 23 // 5
 
+    @pytest.mark.parametrize("algorithm", ["fth", "uogd"])
+    def test_refresh_reuses_forwards_exactly(self, small_pretrained, algorithm):
+        # A refresh reuses the retrain's train features and the
+        # calibration's validation logits; that must equal recomputing both.
+        from olsofu.estimator import confusion_matrix, regularize_confusion
+        from olsofu.ofu import build_context
+
+        pre = small_pretrained
+        runtime = make_runtime(pre, SslSpec(kind="rotation", ssl_lr=0.05))
+        strategy = make_strategy(algorithm, pre.q0, 100, pre.model, pre.sigma_min)
+        state = init_ofu_state(pre.model, strategy, runtime)
+        ols_ofu_step(state, pre.pool.inputs[:10], runtime)
+        assert state.feature_updates_done == 1
+        fresh = build_context(state.model, pre.train, pre.q0)
+        for name in ("xt", "train_probs", "class_counts"):
+            np.testing.assert_array_equal(getattr(state.ctx, name), getattr(fresh, name))
+        conf = regularize_confusion(confusion_matrix(state.model, pre.val), 0.01)
+        np.testing.assert_array_equal(state.confusion.matrix, conf.matrix)
+        assert state.confusion.sigma_min == conf.sigma_min
+        assert state.confusion.model_uid == state.model.uid
+
     def test_ssl_none_keeps_model_fixed(self, small_pretrained):
         pre = small_pretrained
         runtime = make_runtime(pre, SslSpec(kind="none"))
@@ -177,7 +199,7 @@ class TestComposeOutput:
         expected, _, _ = forward(with_updates(pre.model, linear_w=w, linear_b=b), x)
         np.testing.assert_array_equal(predictor.predict_proba(x), expected)
 
-    def test_matches_reweight_predict(self, small_pretrained, rng):
+    def test_reweights_base_by_p_over_q0(self, small_pretrained, rng):
         from olsofu.estimator import MarginalEstimate
         from olsofu.numkit import project_simplex
 
@@ -186,12 +208,11 @@ class TestComposeOutput:
         s = project_simplex(np.array([0.5, 0.3, 0.4, -0.1]))
         strategy.step(None, MarginalEstimate(s, s))
         predictor = compose_output(pre.model, strategy, pre.q0)
+        reference = Predictor(pre.model, strategy.reweight_vector() / pre.q0)
         for _ in range(20):
             x = rng.standard_normal(8)
-            expected = reweight_predict(pre.model, strategy.reweight_vector(),
-                                        pre.q0, x)
-            np.testing.assert_allclose(predictor.predict_proba(x), expected,
-                                       atol=1e-12)
+            np.testing.assert_allclose(predictor.predict_proba(x),
+                                       reference.predict_proba(x), atol=1e-12)
 
 class TestFeatureDriftGuardrail:
     def test_source_accuracy_preserved_under_updates(self, small_scenario, small_pretrained):

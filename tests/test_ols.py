@@ -19,7 +19,6 @@ from olsofu.ols import (
     atlas_step_pool,
     head_risks_and_grads,
     per_class_risk_jacobian,
-    reweight_predict,
     reweight_probs,
 )
 from olsofu.numkit import softmax
@@ -102,12 +101,6 @@ class TestReweight:
     def test_direct_arithmetic(self):
         out = reweight_probs(np.array([0.5, 0.5]), np.array([2.0, 1.0]))
         np.testing.assert_allclose(out, [2 / 3, 1 / 3])
-
-    def test_zero_q0_rejected(self, rng):
-        m = init_model(4, 2, rng=make_rng(0))
-        with pytest.raises(InvalidArgumentError):
-            reweight_predict(m, np.array([0.5, 0.5]), np.array([1.0, 0.0]),
-                             rng.standard_normal(4))
 
     @settings(max_examples=60, deadline=None)
     @given(
