@@ -11,8 +11,10 @@ before it and on the commit after it, then compares the two files:
 has) and exits 1 if there is any. The file also keeps each trace's raw
 estimates ``s`` and per-step error counts, so for a differing trace key
 ``--compare`` adds the drift: the largest |change| of any ``s`` entry and
-the number of steps whose error count changed. Recording takes about 20 s
-on two cores.
+the number of steps whose error count changed. Its last line sums the
+drift up over every differing trace: the largest |change| of ``s`` and
+the total of changed error counts. Recording takes about 20 s on two
+cores.
 
 The scenario is the test suite's ``small_scenario`` (K=4, d=8, 1200 train
 and pool rows, sinusoidal shift over T=150) with ``retrain_max_iter=20``.
@@ -128,11 +130,11 @@ def record() -> dict:
     return {"digests": out, "traces": raw}
 
 
-def _drift(a: dict, b: dict) -> str:
+def _drift(a: dict, b: dict) -> tuple[float, int]:
     """Max |change| of s and the number of changed per-step error counts."""
-    ds = np.max(np.abs(np.asarray(a["s"]) - np.asarray(b["s"])))
+    ds = float(np.max(np.abs(np.asarray(a["s"]) - np.asarray(b["s"]))))
     flips = int(np.sum(np.asarray(a["errors"]) != np.asarray(b["errors"])))
-    return f"max |ds| {ds:.2e}, {flips} error counts changed"
+    return ds, flips
 
 
 def compare(a_path: str, b_path: str) -> int:
@@ -142,11 +144,20 @@ def compare(a_path: str, b_path: str) -> int:
         b_doc = json.load(fh)
     a, b = a_doc["digests"], b_doc["digests"]
     differing = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    drifts = {}  # differing trace -> (max |ds|, changed error counts)
     for key in differing:
         run = key.rsplit("/", 1)[0]
         traces = [doc["traces"].get(run) for doc in (a_doc, b_doc)]
-        print(f"{key}: {_drift(*traces)}" if all(traces) else key)
-    print(f"{len(differing)} of {len(a.keys() | b.keys())} keys differ")
+        if not all(traces):
+            print(key)
+            continue
+        drifts[run] = ds, flips = _drift(*traces)
+        print(f"{key}: max |ds| {ds:.2e}, {flips} error counts changed")
+    worst = max((ds for ds, _ in drifts.values()), default=0.0)
+    flips = sum(n for _, n in drifts.values())
+    print(f"{len(differing)} of {len(a.keys() | b.keys())} keys differ; over "
+          f"{len(drifts)} differing traces max |ds| {worst:.2e}, "
+          f"{flips} error counts changed")
     return 1 if differing else 0
 
 

@@ -45,10 +45,12 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class MarginalEstimate:
-    """Raw estimate s (possibly off-simplex) and its simplex projection."""
+    """Raw estimate s (possibly off-simplex) and its simplex projection;
+    ``model_uid`` names the model the estimator forwarded, when known."""
 
     s: np.ndarray
     clipped: np.ndarray
+    model_uid: int | None = None
 
 
 def confusion_matrix(
@@ -103,16 +105,27 @@ def bbse_estimate(f: ModelParams, c: ConfusionMatrix, batch_inputs) -> MarginalE
     model instance ``f``; pairing a stale confusion with a newer model
     silently breaks unbiasedness, so it is rejected.
     """
+    probs, _, _ = forward(f, batch_inputs)
+    probs = np.atleast_2d(probs)
+    return bbse_estimates(f, c, probs, probs.shape[0])[0]
+
+
+def bbse_estimates(
+    f: ModelParams, c: ConfusionMatrix, probs: np.ndarray, batch_size: int
+) -> list[MarginalEstimate]:
+    """``bbse_estimate`` for consecutive batches from one forward of them.
+
+    ``probs`` are ``f``'s predictions for the batches' rows stacked in
+    order, ``batch_size`` rows per batch. One multi-RHS solve, with one
+    condition check of C, gives every batch's estimate.
+    """
     if c.model_uid != f.uid:
         raise InvalidArgumentError(
             "confusion matrix was built from a different model than the one "
             "supplied; rebuild it from the current model"
         )
-    probs, _, _ = forward(f, batch_inputs)
-    if probs.ndim == 1:
-        probs = probs[None, :]
     if probs.shape[1] != c.n_classes:
         raise InvalidArgumentError("batch prediction width != confusion size")
-    mean_pred = probs.mean(axis=0)
-    s = solve_linear(c.matrix, mean_pred)
-    return MarginalEstimate(s, project_simplex(s))
+    mean_preds = probs.reshape(-1, batch_size, c.n_classes).mean(axis=1)
+    s_all = solve_linear(c.matrix, mean_preds.T).T
+    return [MarginalEstimate(s, project_simplex(s), f.uid) for s in s_all]

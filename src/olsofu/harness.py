@@ -16,12 +16,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, RunError, UndefinedCorrelationError
-from .estimator import bbse_estimate, confusion_matrix, regularize_confusion
+from .estimator import (
+    bbse_estimate,
+    bbse_estimates,
+    confusion_matrix,
+    regularize_confusion,
+)
 from .models import (
     ModelParams,
     TrainConfig,
     accuracy,
     calibrate_temperature,  # noqa: F401 - perfbench's tracer wraps it here too
+    forward,
     retrain_linear,
     train_supervised,
 )
@@ -36,6 +42,7 @@ from .ofu import (
     feature_update,
     init_ofu_state,
     ols_ofu_step,
+    steps_before_refresh,
 )
 from .ols import ALGORITHMS, AlgoParams, make_strategy
 from .synthdata import (
@@ -51,6 +58,12 @@ from .synthdata import (
 )
 
 ORDERS = ("predict_first", "update_first")
+
+# Steps whose batches are drawn, forwarded and BBSE-solved together. The
+# per-call overheads of the forward and the solve are spread over the
+# chunk; its rows (CHUNK_STEPS * batch_size) stay few enough that memory
+# does not grow.
+CHUNK_STEPS = 25
 
 
 @dataclass(frozen=True)
@@ -182,8 +195,70 @@ def pretrain(sc: Scenario, model: ModelParams | None = None) -> Pretrained:
     return Pretrained(calibrated, train, val, pool, q0, sigma_min)
 
 
-def _count_errors(predictor: Predictor, inputs, labels) -> int:
-    return int(np.sum(predictor.predict(inputs) != labels))
+class _BatchStream:
+    """A run's batch stream, drawn, forwarded and BBSE-solved by chunk.
+
+    Between two refreshes the model that estimates q_t is fixed, so the
+    batches of a segment can share one forward and one multi-RHS solve.
+    A chunk holds up to ``CHUNK_STEPS`` consecutive batches, drawn in
+    stream order, and never crosses a refresh: it ends at the step whose
+    refresh would change the model. So every estimate is computed, before
+    its batch is adapted on, from the model finalized before the batch was
+    revealed; ``ols_ofu_step`` rejects an estimate from any other model.
+    Steps must be asked for in order. A draw that fails is re-raised when
+    its step is reached.
+    """
+
+    def __init__(self, sc: Scenario, pre: Pretrained, pattern, rng):
+        self.sc, self.pre, self.pattern, self.rng = sc, pre, pattern, rng
+        self.start = self.stop = 1  # the chunk holds steps [start, stop)
+        self.failure = None  # what drawing step ``stop`` raised
+
+    def step(self, t: int, model: ModelParams, conf, segment_steps: int | None):
+        """(q_t, inputs, estimate) of step t; ``model`` and ``conf`` are the
+        ones estimating from step t for ``segment_steps`` steps (None: to
+        the end of the run)."""
+        if t == self.stop and self.failure is None:
+            stop = min(t + CHUNK_STEPS, self.sc.horizon + 1)
+            if segment_steps is not None:
+                stop = min(stop, t + segment_steps)
+            self._draw(t, stop, model, conf)
+        if t == self.stop:
+            raise self.failure
+        i = t - self.start
+        return self.q[i], self.inputs[i], self.estimates[i]
+
+    def errors(self, t: int, predictor: Predictor) -> int:
+        """Step t's 0-1 errors under ``predictor``; a predictor on the
+        chunk's model reuses the chunk's forward."""
+        i = t - self.start
+        if predictor.base.uid == self.uid:
+            predicted = predictor.predict_forwarded(self.probs[i], self.feats[i])
+        else:
+            predicted = predictor.predict(self.inputs[i])
+        return int(np.sum(predicted != self.labels[i]))
+
+    def _draw(self, start: int, stop: int, model: ModelParams, conf) -> None:
+        sc, pre = self.sc, self.pre
+        self.start, self.q, self.inputs, self.labels = start, [], [], []
+        for t in range(start, stop):
+            try:
+                q_t = marginal_at(self.pattern, t)
+                x, y = sample_batch(q_t, sc.batch_size, pre.pool, sc.corruption, self.rng)
+            except Exception as exc:  # noqa: BLE001 - re-raised at step t
+                self.failure = exc
+                break
+            self.q.append(q_t)
+            self.inputs.append(x)
+            self.labels.append(y)
+        self.stop = start + len(self.q)
+        if self.q:
+            # Row i of probs / feats, shaped (n, B, .), is step start+i's batch.
+            probs, feats, _ = forward(model, np.concatenate(self.inputs))
+            self.estimates = bbse_estimates(model, conf, probs, sc.batch_size)
+            self.probs = probs.reshape(len(self.q), sc.batch_size, -1)
+            self.feats = feats.reshape(len(self.q), sc.batch_size, -1)
+            self.uid = model.uid
 
 
 def _empty_trace(sc: Scenario) -> OnlineTrace:
@@ -205,7 +280,8 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
     adapts (prediction and adaptation swap under order='update_first'). The
     deploy policy is the only difference between the two callers: the
     strategy's composed output, or with ``true_marginal`` the current model
-    reweighted by q_t / q0.
+    reweighted by q_t / q0. The batches, their forwards and their estimates
+    come a chunk at a time from a ``_BatchStream``.
     """
     shift_rng = make_rng(sc.shift_seed)
     pattern = realize_pattern(sc.shift, shift_rng)
@@ -224,19 +300,19 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
     )
     state = init_ofu_state(pre.model, strategy, runtime)
     predictor = None if true_marginal else compose_output(state.model, strategy, pre.q0)
+    stream = _BatchStream(sc, pre, pattern, shift_rng)
     trace = _empty_trace(sc)
     for t in range(1, sc.horizon + 1):
         try:
-            q_t = marginal_at(pattern, t)
-            inputs, labels = sample_batch(
-                q_t, sc.batch_size, pre.pool, sc.corruption, shift_rng
+            q_t, inputs, est = stream.step(
+                t, state.model, state.confusion, steps_before_refresh(state, runtime)
             )
             if sc.order == "update_first":
-                predictor, rec = ols_ofu_step(state, inputs, runtime)
+                predictor, rec = ols_ofu_step(state, inputs, runtime, est)
             deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
-            errs = _count_errors(deployed, inputs, labels)
+            errs = stream.errors(t, deployed)
             if sc.order == "predict_first":
-                predictor, rec = ols_ofu_step(state, inputs, runtime)
+                predictor, rec = ols_ofu_step(state, inputs, runtime, est)
         except Exception as exc:  # noqa: BLE001 - annotate with the step index
             raise RunError(f"step {t}: {exc}", t) from exc
         trace.q[t - 1] = q_t
@@ -258,7 +334,9 @@ def run_bare_ols(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTr
     """The adaptation loop without the feature-update wrapper.
 
     Used to check that the wrapper with ssl='none' degenerates to exactly
-    this behavior, so it deliberately does not share ``_online_loop``.
+    this behavior, so it deliberately does not share ``_online_loop``; it
+    shares only the batch stream, so both see the same forwards and
+    estimates.
     """
     pre = pretrained if pretrained is not None else pretrain(sc)
     shift_rng = make_rng(sc.shift_seed)
@@ -267,27 +345,19 @@ def run_bare_ols(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTr
         sc.algorithm, pre.q0, sc.horizon, pre.model, pre.sigma_min, sc.algo_params
     )
     conf = regularize_confusion(confusion_matrix(pre.model, pre.val), sc.reg_lambda)
-    ctx = build_context(pre.model, pre.train, pre.q0)
+    ctx = build_context(pre.model, pre.train, pre.q0, reads=strategy.reads)
     predictor = compose_output(pre.model, strategy, pre.q0)
+    stream = _BatchStream(sc, pre, pattern, shift_rng)
     trace = _empty_trace(sc)
     for t in range(1, sc.horizon + 1):
         try:
-            q_t = marginal_at(pattern, t)
-            inputs, labels = sample_batch(
-                q_t, sc.batch_size, pre.pool, sc.corruption, shift_rng
-            )
-
-            def adapt():
-                est = bbse_estimate(pre.model, conf, inputs)
-                strategy.step(ctx, est)
-                return est, compose_output(pre.model, strategy, pre.q0)
-
+            q_t, _, est = stream.step(t, pre.model, conf, None)
             if sc.order == "predict_first":
-                errs = _count_errors(predictor, inputs, labels)
-                est, predictor = adapt()
-            else:
-                est, predictor = adapt()
-                errs = _count_errors(predictor, inputs, labels)
+                errs = stream.errors(t, predictor)
+            strategy.step(ctx, est)
+            predictor = compose_output(pre.model, strategy, pre.q0)
+            if sc.order == "update_first":
+                errs = stream.errors(t, predictor)
         except Exception as exc:  # noqa: BLE001
             raise RunError(f"step {t}: {exc}", t) from exc
         trace.q[t - 1] = q_t

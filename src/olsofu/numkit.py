@@ -75,17 +75,19 @@ def project_simplex(v) -> np.ndarray:
 def solve_linear(A, b) -> np.ndarray:
     """Solve ``A x = b`` for square A via LU factorization.
 
-    Raises :class:`SingularMatrixError` (carrying the estimated condition
-    number) when A is singular or its condition number exceeds
+    ``b`` is one right-hand side (n,) or m of them as the columns of an
+    (n, m) array; one condition check and one factorization serve them
+    all. Raises :class:`SingularMatrixError` (carrying the estimated
+    condition number) when A is singular or its condition number exceeds
     ``CONDITION_LIMIT``.
     """
     A = as_array(A, "A")
     b = as_array(b, "b")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError(f"A must be square, got shape {A.shape}")
-    if b.shape != (A.shape[0],):
+    if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise InvalidArgumentError(
-            f"b has shape {b.shape}, expected ({A.shape[0]},)"
+            f"b has shape {b.shape}, expected ({A.shape[0]},) or ({A.shape[0]}, m)"
         )
     svals = np.linalg.svd(A, compute_uv=False)
     smin = float(svals[-1])

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ContractViolationError, InvalidArgumentError
 from .estimator import (
     ConfusionMatrix,
+    MarginalEstimate,
     bbse_estimate,
     confusion_matrix,
     regularize_confusion,
@@ -40,7 +41,7 @@ from .models import (
     with_theta,
     with_updates,
 )
-from .ols import OlsContext, reweight_probs
+from .ols import CONTEXT_FIELDS, OlsContext, reweight_probs
 
 SSL_KINDS = ("rotation", "entropy", "infonce", "none")
 
@@ -122,14 +123,23 @@ class Predictor:
 
     def predict_proba(self, x) -> np.ndarray:
         probs, _, _ = forward(self.base, x, self.head)
+        return self._reweight(probs)
+
+    def predict(self, x) -> np.ndarray:
+        # argmax breaks ties toward the lowest class index
+        return np.argmax(self.predict_proba(x), axis=-1)
+
+    def predict_forwarded(self, base_probs: np.ndarray, feats: np.ndarray) -> np.ndarray:
+        """``predict`` for inputs that ``forward(self.base, x)`` already
+        mapped to ``base_probs`` and ``feats``; only the head is applied."""
+        if self.head is not None:
+            base_probs, _ = head_output(self.base, feats, self.head)
+        return np.argmax(self._reweight(base_probs), axis=-1)
+
+    def _reweight(self, probs: np.ndarray) -> np.ndarray:
         if self.ratio is None:
             return probs
         return reweight_probs(probs, self.ratio)
-
-    def predict(self, x) -> np.ndarray:
-        probs = self.predict_proba(x)
-        # argmax breaks ties toward the lowest class index
-        return np.argmax(probs, axis=-1)
 
 
 def compose_output(base_model: ModelParams, strategy, q0: np.ndarray) -> Predictor:
@@ -182,26 +192,34 @@ class OfuState:
 
 
 def build_context(
-    model: ModelParams, train, q0: np.ndarray, feats: np.ndarray | None = None
+    model: ModelParams,
+    train,
+    q0: np.ndarray,
+    feats: np.ndarray | None = None,
+    reads: tuple = CONTEXT_FIELDS,
 ) -> OlsContext:
-    """The strategies' view of ``model`` on the train set. ``feats`` are
-    ``model``'s train features if the caller already has them (a refresh
-    does); otherwise the train set is forwarded here."""
-    if feats is None:
-        probs, feats, _ = forward(model, train.inputs)
-    else:
-        probs, _ = head_output(model, feats)
+    """The strategies' view of ``model`` on the train set.
+
+    Of the fields that cost a pass over the train set, only those named in
+    ``reads`` (a strategy's ``reads``) are built. ``feats`` are ``model``'s
+    train features if the caller already has them (a refresh does);
+    otherwise the train set is forwarded here when a field needs it.
+    """
+    if reads and feats is None:
+        feats = feat_activations(model, train.inputs)[-1]
     k = q0.shape[0]
     slices = train.class_indices(k)
-    xt = np.empty((feats.shape[1] + 1, feats.shape[0]))
-    xt[:-1] = feats.T
-    xt[-1] = 1.0
+    xt = None
+    if "xt" in reads:
+        xt = np.empty((feats.shape[1] + 1, feats.shape[0]))
+        xt[:-1] = feats.T
+        xt[-1] = 1.0
     return OlsContext(
         q0=np.asarray(q0, dtype=float),
         train_labels=train.labels,
         class_slices=slices,
         class_counts=np.array([slices[c].size for c in range(k)], dtype=float),
-        train_probs=probs,
+        train_probs=head_output(model, feats)[0] if "train_probs" in reads else None,
         xt=xt,
     )
 
@@ -220,29 +238,50 @@ def init_ofu_state(
     conf = regularize_confusion(
         confusion_matrix(f0_calibrated, runtime.val), runtime.reg_lambda
     )
-    ctx = build_context(f0_calibrated, runtime.train, runtime.q0)
+    ctx = build_context(f0_calibrated, runtime.train, runtime.q0, reads=strategy.reads)
     return OfuState(model=f0_calibrated, strategy=strategy, confusion=conf, ctx=ctx)
 
 
+def steps_before_refresh(state: OfuState, runtime: OfuRuntime) -> int | None:
+    """How many steps, the next one included, estimate from ``state.model``;
+    the model refreshes at the end of the last of them. None when no step
+    refreshes it (ssl kind 'none')."""
+    if runtime.ssl.kind == "none":
+        return None
+    return runtime.ssl.ba - len(state.buffer)
+
+
 def ols_ofu_step(
-    state: OfuState, batch_inputs: np.ndarray, runtime: OfuRuntime
+    state: OfuState,
+    batch_inputs: np.ndarray,
+    runtime: OfuRuntime,
+    est: MarginalEstimate | None = None,
 ) -> tuple[Predictor, StepRecord]:
     """Advance one time step; mutates ``state`` and returns the model to
     deploy next plus the step record.
 
     ``batch_inputs`` must be unlabeled; passing a (inputs, labels) pair is
-    rejected so hidden labels cannot leak into adaptation.
+    rejected so hidden labels cannot leak into adaptation. ``est`` is this
+    batch's marginal estimate if the caller computed it ahead (the harness
+    does, a chunk of batches at a time); it must come from ``state.model``,
+    the model finalized before this batch, and is rejected otherwise.
+    Without it the step estimates here.
     """
     if isinstance(batch_inputs, (tuple, list)):
         raise ContractViolationError(
             "adaptation receives unlabeled inputs only; labels must stay on "
             "the evaluation path"
         )
+    if est is not None and est.model_uid != state.model.uid:
+        raise ContractViolationError(
+            "the estimate must come from the model finalized before this batch"
+        )
     batch_inputs = np.asarray(batch_inputs, dtype=float)
     state.t += 1
 
     # (1) Estimate from the pre-update model, then step the OLS strategy.
-    est = bbse_estimate(state.model, state.confusion, batch_inputs)
+    if est is None:
+        est = bbse_estimate(state.model, state.confusion, batch_inputs)
     sigma_used = state.confusion.sigma_min
     state.strategy.step(state.ctx, est)
 
@@ -278,7 +317,9 @@ def ols_ofu_step(
             )
             state.model, conf = calibrate(retrained, runtime.val)
             state.confusion = regularize_confusion(conf, runtime.reg_lambda)
-            state.ctx = build_context(state.model, runtime.train, runtime.q0, feats)
+            state.ctx = build_context(
+                state.model, runtime.train, runtime.q0, feats, state.strategy.reads
+            )
             state.feature_updates_done += 1
 
     predictor = compose_output(state.model, state.strategy, state.ctx.q0)

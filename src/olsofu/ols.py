@@ -32,6 +32,11 @@ def reweight_probs(probs: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     return weighted / np.maximum(total, 1e-300)
 
 
+# The OlsContext fields that cost a pass over the train set; a strategy's
+# ``reads`` names those it needs.
+CONTEXT_FIELDS = ("train_probs", "xt")
+
+
 @dataclass
 class OlsContext:
     """Artifacts of the current f_t'' that strategies read.
@@ -41,8 +46,9 @@ class OlsContext:
     current extractor class-major, one column per sample, with a ones row
     appended for the bias: shape (h+1, n). ``class_counts`` are the train
     class sizes; with ``train_labels`` they give UOGD/ATLAS their
-    per-sample risk weights. The harness refreshes all of them whenever
-    the model changes.
+    per-sample risk weights. The wrapper refreshes the context whenever
+    the model changes, building ``train_probs`` and ``xt`` only for a
+    strategy whose ``reads`` names them.
     """
 
     q0: np.ndarray
@@ -132,6 +138,7 @@ class BaseStrategy:
 
     kind = "reweight"
     name = "none"
+    reads = ()
 
     def __init__(self, q0: np.ndarray):
         self.q0 = np.asarray(q0, dtype=float)
@@ -199,6 +206,7 @@ class RogdStrategy(BaseStrategy):
     """
 
     name = "rogd"
+    reads = ("train_probs",)
 
     def __init__(self, q0: np.ndarray, horizon: int, eta: float | None = None,
                  warmup: int = 50):
@@ -300,6 +308,7 @@ class UogdStrategy:
 
     kind = "head"
     name = "uogd"
+    reads = ("xt",)
 
     def __init__(self, f0: ModelParams, eta: float, radius: float = 100.0):
         if eta < 0:
@@ -350,6 +359,7 @@ class AtlasStrategy:
 
     kind = "head"
     name = "atlas"
+    reads = ("xt",)
 
     def __init__(self, f0: ModelParams, etas, eps: float, radius: float = 100.0):
         etas = np.asarray(etas, dtype=float)

@@ -84,6 +84,7 @@ class LabeledSet:
     inputs: np.ndarray
     labels: np.ndarray
     _class_idx: dict | None = field(default=None, repr=False, compare=False)
+    _class_order: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.inputs = as_array(self.inputs, "inputs")
@@ -102,6 +103,16 @@ class LabeledSet:
                 c: np.flatnonzero(self.labels == c) for c in range(k)
             }
         return self._class_idx
+
+    def class_order(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row indices sorted by class (the ``class_indices`` concatenated),
+        with each class's start offset in that order and its size."""
+        if self._class_order is None or self._class_order[2].size != k:
+            idx = self.class_indices(k)
+            sizes = np.array([idx[c].size for c in range(k)])
+            order = np.concatenate([idx[c] for c in range(k)])
+            self._class_order = (order, np.cumsum(sizes) - sizes, sizes)
+        return self._class_order
 
 
 @dataclass(frozen=True)
@@ -298,17 +309,16 @@ def sample_batch(
     adaptation code.
     """
     q_t = check_simplex(q_t, "q_t")
-    k = q_t.shape[0]
-    idx = pool.class_indices(k)
-    needed = np.flatnonzero(q_t > 0)
-    for c in needed:
-        if idx[int(c)].size == 0:
-            raise DataExhaustedError(f"test pool has no entries for class {int(c)}")
-    labels = rng.choice(k, size=batch_size, p=q_t)
-    rows = np.empty(batch_size, dtype=int)
-    for i, c in enumerate(labels):
-        members = idx[int(c)]
-        rows[i] = members[rng.integers(members.size)]
+    order, starts, sizes = pool.class_order(q_t.shape[0])
+    empty = np.flatnonzero((q_t > 0) & (sizes == 0))
+    if empty.size:
+        raise DataExhaustedError(f"test pool has no entries for class {int(empty[0])}")
+    # The labels rng.choice(k, size=batch_size, p=q_t) draws, from the same
+    # uniforms; then one uniform member of each label's class per row.
+    cdf = q_t.cumsum()
+    cdf /= cdf[-1]
+    labels = cdf.searchsorted(rng.random(batch_size), side="right")
+    rows = order[starts[labels] + rng.integers(sizes[labels])]
     inputs = corrupt(pool.inputs[rows], corruption, rng)
     return inputs, labels
 

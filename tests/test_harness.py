@@ -9,6 +9,7 @@ from olsofu.errors import (
     UndefinedCorrelationError,
 )
 from olsofu.harness import (
+    CHUNK_STEPS,
     Scenario,
     base_error_reference,
     improvement_check,
@@ -21,7 +22,15 @@ from olsofu.harness import (
 )
 from olsofu.models import ModelParams, TrainConfig
 from olsofu.numkit import make_rng
-from olsofu.ofu import Predictor, SslSpec
+from olsofu.ofu import (
+    OfuRuntime,
+    Predictor,
+    SslSpec,
+    compose_output,
+    init_ofu_state,
+    ols_ofu_step,
+)
+from olsofu.ols import make_strategy
 from olsofu.synthdata import (
     DataSpec,
     ShiftPattern,
@@ -175,6 +184,72 @@ class TestWrapperDegeneracy:
         np.testing.assert_array_equal(wrapper.s, bare.s)
         for a, b in zip(wrapper.snapshots, bare.snapshots):
             np.testing.assert_array_equal(a, b)
+
+
+def per_step_reference(sc, pre, true_marginal=False):
+    """The online protocol one batch at a time: draw, ``ols_ofu_step``
+    (which estimates from its own forward) and ``Predictor.predict``.
+    Returns (s, errors, snapshots)."""
+    shift_rng = make_rng(sc.shift_seed)
+    pattern = realize_pattern(sc.shift, shift_rng)
+    runtime = OfuRuntime(
+        train=pre.train, val=pre.val, q0=pre.q0, ssl=sc.ssl,
+        reg_lambda=sc.reg_lambda, rng=make_rng(sc.run_seed),
+        retrain_max_iter=sc.retrain_max_iter, retrain_grad_tol=sc.retrain_grad_tol,
+    )
+    strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
+                             pre.sigma_min, sc.algo_params)
+    state = init_ofu_state(pre.model, strategy, runtime)
+    predictor = compose_output(state.model, strategy, pre.q0)
+    s, errors, snapshots = [], [], []
+    for t in range(1, sc.horizon + 1):
+        q_t = marginal_at(pattern, t)
+        inputs, labels = sample_batch(q_t, sc.batch_size, pre.pool, sc.corruption,
+                                      shift_rng)
+        if sc.order == "update_first":
+            predictor, rec = ols_ofu_step(state, inputs, runtime)
+        deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
+        errors.append(int(np.sum(deployed.predict(inputs) != labels)))
+        if sc.order == "predict_first":
+            predictor, rec = ols_ofu_step(state, inputs, runtime)
+        s.append(rec.s_raw)
+        snapshots.append(rec.snapshot)
+    return np.array(s), np.array(errors), snapshots
+
+
+class TestSegmentPath:
+    @pytest.mark.parametrize("order", ["predict_first", "update_first"])
+    @pytest.mark.parametrize(
+        "ssl",
+        [SslSpec(), SslSpec(kind="rotation", ba=5),
+         SslSpec(kind="rotation", ba=CHUNK_STEPS + 7)],
+        ids=["none", "rotation", "rotation-long-segment"],
+    )
+    @pytest.mark.parametrize("algorithm", ["fth", "uogd"])
+    def test_loops_match_per_step_reference(self, small_scenario, small_pretrained,
+                                            algorithm, ssl, order):
+        # The horizon is not a multiple of the chunk size, so the last
+        # chunk is short; with rotation every refresh also cuts a chunk, and
+        # a segment longer than a chunk spans two chunks of one model.
+        pre = small_pretrained
+        sc = dataclasses.replace(
+            small_scenario, algorithm=algorithm, ssl=ssl, order=order,
+            shift=dataclasses.replace(small_scenario.shift,
+                                      horizon=2 * CHUNK_STEPS + 13),
+            retrain_max_iter=40,
+        )
+        oracle_sc = dataclasses.replace(sc, algorithm="none")
+        runs = [(run_online(sc, pre), per_step_reference(sc, pre)),
+                (oracle_trace(sc, frozen=ssl.kind == "none", pretrained=pre),
+                 per_step_reference(oracle_sc, pre, true_marginal=True))]
+        if ssl.kind == "none":
+            runs.append((run_bare_ols(sc, pre), runs[0][1]))
+        for trace, (s, errors, snapshots) in runs:
+            np.testing.assert_array_equal(trace.errors, errors)
+            assert np.abs(trace.s - s).max() <= 1e-14
+            assert len(trace.snapshots) == len(snapshots)
+            for a, b in zip(trace.snapshots, snapshots):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 class TestProp1:

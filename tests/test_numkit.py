@@ -89,6 +89,33 @@ class TestSolveLinear:
         with pytest.raises(InvalidArgumentError):
             solve_linear(np.eye(2), [1.0, 2.0, 3.0])
 
+    def test_matrix_rhs_matches_column_solves(self, rng):
+        for m in (1, 2, 7):
+            a = rng.standard_normal((4, 4)) + 3 * np.eye(4)
+            b = rng.standard_normal((4, m))
+            x = solve_linear(a, b)
+            assert x.shape == (4, m)
+            for j in range(m):
+                np.testing.assert_allclose(x[:, j], solve_linear(a, b[:, j]),
+                                           rtol=0, atol=1e-14)
+
+    def test_matrix_rhs_singular_raises(self):
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(SingularMatrixError) as err:
+            solve_linear(a, np.ones((2, 5)))
+        assert err.value.condition_number > 1e10
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2), (1, 2)])
+    def test_matrix_rhs_shape_mismatch_rejected(self, shape):
+        with pytest.raises(InvalidArgumentError):
+            solve_linear(np.eye(2), np.ones(shape))
+
+    def test_matrix_rhs_must_be_finite(self):
+        b = np.ones((2, 3))
+        b[1, 2] = np.nan
+        with pytest.raises(InvalidArgumentError):
+            solve_linear(np.eye(2), b)
+
 
 class TestMinSingularValue:
     def test_identity(self):

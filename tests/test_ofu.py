@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from olsofu.errors import ContractViolationError, InvalidArgumentError
+from olsofu.estimator import MarginalEstimate
 from olsofu.harness import run_online
 from olsofu.models import forward, init_model, with_updates
 from olsofu.numkit import make_rng
@@ -121,12 +122,14 @@ class TestOlsOfuStep:
                 assert len(state.buffer) == 0
         assert state.feature_updates_done == 23 // 5
 
-    @pytest.mark.parametrize("algorithm", ["fth", "uogd"])
+    @pytest.mark.parametrize("algorithm", ["fth", "rogd", "uogd"])
     def test_refresh_reuses_forwards_exactly(self, small_pretrained, algorithm):
         # A refresh reuses the retrain's train features and the
         # calibration's validation logits; that must equal recomputing both.
+        # It builds only the context fields the strategy reads.
         from olsofu.estimator import confusion_matrix, regularize_confusion
         from olsofu.ofu import build_context
+        from olsofu.ols import CONTEXT_FIELDS
 
         pre = small_pretrained
         runtime = make_runtime(pre, SslSpec(kind="rotation", ssl_lr=0.05))
@@ -136,11 +139,30 @@ class TestOlsOfuStep:
         assert state.feature_updates_done == 1
         fresh = build_context(state.model, pre.train, pre.q0)
         for name in ("xt", "train_probs", "class_counts"):
+            if name in CONTEXT_FIELDS and name not in strategy.reads:
+                assert getattr(state.ctx, name) is None
+                continue
             np.testing.assert_array_equal(getattr(state.ctx, name), getattr(fresh, name))
         conf = regularize_confusion(confusion_matrix(state.model, pre.val), 0.01)
         np.testing.assert_array_equal(state.confusion.matrix, conf.matrix)
         assert state.confusion.sigma_min == conf.sigma_min
         assert state.confusion.model_uid == state.model.uid
+
+    def test_estimate_from_another_model_rejected(self, small_pretrained):
+        from olsofu.estimator import bbse_estimate
+
+        pre = small_pretrained
+        runtime = make_runtime(pre, SslSpec(kind="rotation", ssl_lr=0.05))
+        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.sigma_min)
+        state = init_ofu_state(pre.model, strategy, runtime)
+        batch = pre.pool.inputs[:10]
+        est = bbse_estimate(state.model, state.confusion, batch)
+        ols_ofu_step(state, batch, runtime, est)  # refreshes the model
+        with pytest.raises(ContractViolationError):
+            ols_ofu_step(state, pre.pool.inputs[10:20], runtime, est)
+        s = np.full(4, 0.25)
+        with pytest.raises(ContractViolationError):
+            ols_ofu_step(state, batch, runtime, MarginalEstimate(s, s))
 
     def test_ssl_none_keeps_model_fixed(self, small_pretrained):
         pre = small_pretrained

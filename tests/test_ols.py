@@ -429,6 +429,38 @@ class TestHeadStrategyProperties:
             assert is_simplex(atlas.meta)
 
 
+class TestReweightStrategyProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_arbitrary_estimates_keep_reweighting_on_simplex(self, small_pretrained,
+                                                           estimates):
+        # Off-simplex and extreme raw estimates, short windows and warm-ups,
+        # and an expert cap the run exceeds.
+        pre = small_pretrained
+        ctx = build_context(pre.model, pre.train, pre.q0, reads=RogdStrategy.reads)
+        fth = FthStrategy(pre.q0)
+        ftfwh = FtfwhStrategy(pre.q0, window=3)
+        rogd = RogdStrategy(pre.q0, horizon=100, warmup=3)
+        rogd_fixed = RogdStrategy(pre.q0, horizon=100, eta=5.0)
+        flh = FlhftlStrategy(pre.q0, max_experts=4)
+        for s in estimates:
+            e = est(s)
+            for strat in (fth, ftfwh, rogd, rogd_fixed, flh):
+                strat.step(ctx, e)
+                assert is_simplex(strat.reweight_vector())
+                assert np.isfinite(strat.snapshot()).all()
+            for state in (fth.running_sum, *ftfwh.history, rogd.p, rogd.lhat,
+                          rogd_fixed.p, flh.sums, flh.counts, flh.weights,
+                          flh.tracked_marginal):
+                assert np.isfinite(state).all()
+            assert is_simplex(flh.weights)
+
+
 class TestDeterminism:
     def test_identical_runs_produce_identical_trajectories(self, small_pretrained):
         pre = small_pretrained

@@ -128,7 +128,54 @@ class TestSourceData:
         b = bayes_error_mc(s.class_means, 1.0, q, 250_000, make_rng(11))
         assert a == pytest.approx(b, abs=0.01)
 
+def reference_sample_batch(q_t, batch_size, pool, corruption, rng):
+    """The per-row draw: rng.choice for the labels, then one rng.integers
+    call per row for its member of the label's class."""
+    idx = pool.class_indices(q_t.shape[0])
+    labels = rng.choice(q_t.shape[0], size=batch_size, p=q_t)
+    rows = np.empty(batch_size, dtype=int)
+    for i, c in enumerate(labels):
+        members = idx[int(c)]
+        rows[i] = members[rng.integers(members.size)]
+    return corrupt(pool.inputs[rows], corruption, rng), labels
+
+
 class TestSampleBatch:
+    @pytest.mark.parametrize("corruption", [CorruptionSpec(),
+                                            CorruptionSpec("gaussian_noise", 0.3)])
+    def test_draw_stream_matches_per_row_loop(self, corruption):
+        # Uneven pool classes (one has a single member, one none) and
+        # marginals with zero entries, including on the empty class.
+        labels = np.repeat(np.arange(5), [40, 1, 25, 0, 13])
+        make_rng(3).shuffle(labels)
+        pool = LabeledSet(make_rng(4).standard_normal((labels.size, 3)), labels)
+        marginals = [
+            np.array([0.2, 0.1, 0.4, 0.0, 0.3]),
+            np.array([0.0, 0.5, 0.0, 0.0, 0.5]),
+            np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
+            np.array([0.35, 0.15, 0.25, 0.0, 0.25]),
+        ]
+        for seed in range(200):
+            new, ref = make_rng(seed), make_rng(seed)
+            for j in range(8):
+                q = marginals[(seed + j) % len(marginals)]
+                x_new, y_new = sample_batch(q, 7, pool, corruption, new)
+                x_ref, y_ref = reference_sample_batch(q, 7, pool, corruption, ref)
+                np.testing.assert_array_equal(y_new, y_ref)
+                np.testing.assert_array_equal(x_new, x_ref)
+            assert new.random() == ref.random()
+
+    def test_label_draw_matches_rng_choice(self):
+        # The labels come from searchsorted on the marginal's cdf; pin that
+        # to rng.choice on marginals with zero entries inside and at the ends.
+        for q in (np.array([0.0, 0.3, 0.0, 0.7]), np.array([0.25, 0.25, 0.5, 0.0]),
+                  np.array([0.1, 0.2, 0.3, 0.4])):
+            pool = LabeledSet(np.zeros((4, 2)), np.arange(4))
+            for seed in range(300):
+                _, labels = sample_batch(q, 11, pool, CorruptionSpec(), make_rng(seed))
+                expected = make_rng(seed).choice(4, size=11, p=q)
+                np.testing.assert_array_equal(labels, expected)
+
     def test_one_hot_marginal_yields_single_class(self, rng):
         _, _, pool, _ = make_source_data(spec(), seed=0)
         q = np.array([0.0, 0.0, 1.0, 0.0])
