@@ -128,4 +128,5 @@ def bbse_estimates(
         raise InvalidArgumentError("batch prediction width != confusion size")
     mean_preds = probs.reshape(-1, batch_size, c.n_classes).mean(axis=1)
     s_all = solve_linear(c.matrix, mean_preds.T).T
-    return [MarginalEstimate(s, project_simplex(s), f.uid) for s in s_all]
+    clipped = project_simplex(s_all)
+    return [MarginalEstimate(s, p, f.uid) for s, p in zip(s_all, clipped)]

@@ -482,9 +482,10 @@ def train_supervised(
 
 
 # Ridge on the head in the retrain objective. Adding one vector to every
-# class row leaves the softmax unchanged, so without it the Hessian is
-# singular along that direction; it also gives linearly separable features
-# a finite optimum.
+# class row leaves the softmax unchanged; the retrain's zero-sum
+# parametrisation removes that null space, and the ridge still pins the
+# minimiser's mean row at 0 and gives linearly separable features a finite
+# optimum.
 RETRAIN_RIDGE = 1e-6
 
 
@@ -499,22 +500,33 @@ def retrain_linear(
 
     Minimises the mean CE at temperature 1 plus ``RETRAIN_RIDGE / 2`` times
     the squared norm of the head ``[w, b]`` by damped Newton, warm-started
-    from the head ``m`` holds. Each of at most ``max_iter`` iterations
-    solves the K(h+1) x K(h+1) Newton system and backtracks on the step
-    with the Armijo test; the solve stops once the gradient norm is below
-    ``grad_tol``. The returned model keeps the feature extractor
-    bit-identical and resets the temperature to 1 (calibration is a
-    separate step). ``feats`` are ``m``'s train features if the caller
-    already has them; otherwise they are computed here.
+    from the head ``m`` holds with its mean row removed (which keeps the CE
+    and cannot raise the ridge). The minimiser's rows sum to zero, so the
+    solve runs over the first K-1 rows ``u`` with the last row ``-sum(u)``:
+    each of at most ``max_iter`` iterations solves the (K-1)(h+1) square
+    Newton system of that parametrisation, whose Hessian is
+    ``sum_i S_i (x) x_i x_i^T / n + ridge (I + 11^T) (x) I`` with
+    ``S_i = diag(p_<K) + p_K 11^T - d d^T`` and ``d = p_<K - p_K``, expands
+    the step to K rows and backtracks on it with the Armijo test. The
+    iterates are full-space Newton's from the centred start. The solve
+    stops once the full gradient's norm is below ``grad_tol``. The returned
+    model keeps the feature extractor bit-identical and resets the
+    temperature to 1 (calibration is a separate step). ``feats`` are
+    ``m``'s train features if the caller already has them; otherwise they
+    are computed here.
     """
     y = train.labels
     if feats is None:
         feats = feat_activations(m, train.inputs)[-1]
     n = feats.shape[0]
     k = m.n_classes
-    xt = np.hstack([feats, np.ones((n, 1))])  # bias as a constant feature
-    width = xt.shape[1]
+    width = feats.shape[1] + 1
+    xt_t = np.empty((width, n))  # features by row, bias as a constant one
+    xt_t[:-1] = feats.T
+    xt_t[-1] = 1.0
+    xt = xt_t.T
     wt = np.hstack([m.linear_w, m.linear_b[:, None]])  # (K, h+1)
+    wt -= wt.mean(axis=0)
     rows = np.arange(n)
     onehot = np.zeros((n, k))
     onehot[rows, y] = 1.0
@@ -525,22 +537,33 @@ def retrain_linear(
         return float(ce + 0.5 * RETRAIN_RIDGE * (wt * wt).sum()), probs
 
     loss, probs = objective(wt)
-    hess = np.empty((k, width, k, width))
+    r = k - 1
+    hess = np.empty((r, width, r, width))
+    h2 = hess.reshape(r * width, r * width)
+    ridge = RETRAIN_RIDGE * np.kron(np.eye(r) + 1.0, np.eye(width))
+    scaled = np.empty((width, n))  # one block's weighted features
+    step = np.empty_like(wt)
     for _ in range(max_iter):
         g = ((probs - onehot) / n).T @ xt + RETRAIN_RIDGE * wt
         if np.sqrt((g * g).sum()) < grad_tol:
             break
-        # Block (i, j) of the CE Hessian is xt.T @ diag(S[:, i, j]) @ xt
-        # with S = p (delta - p^T) / n; blocks are symmetric in (i, j).
-        s = probs[:, :, None] * (np.eye(k) - probs[:, None, :]) / n
-        for i in range(k):
-            for j in range(i, k):
-                block = (xt * s[:, i, j, None]).T @ xt
-                hess[i, :, j, :] = block
-                hess[j, :, i, :] = block
-        h2 = hess.reshape(k * width, k * width)
-        h2[np.diag_indices(k * width)] += RETRAIN_RIDGE
-        step = np.linalg.solve(h2, g.ravel()).reshape(k, width)
+        # Block (a, b) of the reduced CE Hessian is xt.T @ diag(S[:, a, b] /
+        # n) @ xt. S[:, a, a] = p_a (1 - p_a) + p_K (1 - p_K + 2 p_a) is >= 0
+        # term by term, so a diagonal block is scaled @ scaled.T with
+        # scaled = xt.T @ diag(sqrt(S[:, a, a] / n)).
+        p_last = probs[:, r]
+        d = probs[:, :r] - probs[:, r:]
+        for a in range(r):
+            p_a = probs[:, a]
+            s_aa = p_a * (1.0 - p_a) + p_last * (1.0 - p_last + 2.0 * p_a)
+            np.multiply(xt_t, np.sqrt(s_aa / n), out=scaled)
+            hess[a, :, a, :] = scaled @ scaled.T
+            for b in range(a + 1, r):
+                np.multiply(xt_t, (p_last - d[:, a] * d[:, b]) / n, out=scaled)
+                hess[a, :, b, :] = hess[b, :, a, :] = scaled @ xt
+        h2 += ridge
+        step[:r] = np.linalg.solve(h2, (g[:r] - g[r]).ravel()).reshape(r, width)
+        step[r] = -step[:r].sum(axis=0)
         decrease = float((g * step).sum())
         alpha = 1.0
         while alpha > 1e-10:
@@ -550,7 +573,8 @@ def retrain_linear(
             alpha *= 0.5
         else:
             break  # no decrease along the Newton step: rounding floor
-        wt, loss, probs = wt - alpha * step, loss_new, probs_new
+        wt -= alpha * step
+        loss, probs = loss_new, probs_new
     return with_updates(m, linear_w=wt[:, :-1], linear_b=wt[:, -1], temperature=1.0)
 
 

@@ -50,26 +50,30 @@ def check_simplex(v, name="vector", atol: float = SIMPLEX_ATOL) -> np.ndarray:
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection of ``v`` onto the probability simplex.
 
-    Sort-and-threshold algorithm: find the largest k such that the top-k
-    entries shifted by a common offset stay positive, then clip. Exact up
-    to floating point; O(K log K).
+    ``v`` is one vector or an (m, K) array whose rows are projected one by
+    one. Sort-and-threshold algorithm: find the largest k such that the
+    top-k entries shifted by a common offset stay positive, then clip.
+    Exact up to floating point; O(K log K) per row.
     """
     arr = as_array(v, "v")
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidArgumentError("v must be a nonempty 1-d vector")
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 1:
+        raise InvalidArgumentError("v must be a nonempty 1-d vector or an (m, K) array")
+    out = np.atleast_2d(arr).copy()
     # A point already on the simplex is its own projection; returning it
     # unchanged makes the operation exactly idempotent.
-    if arr.min() >= 0.0 and abs(arr.sum() - 1.0) <= 1e-12:
-        return arr.copy()
-    u = np.sort(arr)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, arr.size + 1)
-    mask = u - css / ks > 0
-    rho = int(np.nonzero(mask)[0][-1])
-    tau = css[rho] / (rho + 1.0)
-    out = np.maximum(arr - tau, 0.0)
-    # Renormalisation guards the sum-to-one invariant against rounding.
-    return out / out.sum()
+    off = (out.min(axis=1) < 0.0) | (np.abs(out.sum(axis=1) - 1.0) > 1e-12)
+    if off.any():
+        rows = out[off]
+        u = np.sort(rows, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1) - 1.0
+        ks = np.arange(1, u.shape[1] + 1)
+        mask = u - css / ks > 0
+        rho = u.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)  # last True
+        tau = css[np.arange(len(rows)), rho] / (rho + 1.0)
+        rows = np.maximum(rows - tau[:, None], 0.0)
+        # Renormalisation guards the sum-to-one invariant against rounding.
+        out[off] = rows / rows.sum(axis=1, keepdims=True)
+    return out if arr.ndim == 2 else out[0]
 
 
 def solve_linear(A, b) -> np.ndarray:

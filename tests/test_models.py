@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import olsofu.models as models_mod
 from olsofu.errors import InvalidArgumentError, TrainingDivergedError
 from olsofu.models import (
     RETRAIN_RIDGE,
@@ -209,6 +210,74 @@ def head_grad(m, train):
     return (d / len(d)).T @ xt + RETRAIN_RIDGE * wt
 
 
+def reference_retrain(m, feats, labels, max_iter=500, grad_tol=1e-6):
+    """The full-space damped Newton the (K-1)-row solve replaced: it builds
+    the K(h+1) square Hessian from all K(K+1)/2 weighted Gram blocks and
+    starts from the head as it is. Returns the head [w, b] and the number
+    of objective evaluations."""
+    n, k = feats.shape[0], m.n_classes
+    xt = np.hstack([feats, np.ones((n, 1))])
+    width = xt.shape[1]
+    wt = np.hstack([m.linear_w, m.linear_b[:, None]])
+    rows = np.arange(n)
+    onehot = np.zeros((n, k))
+    onehot[rows, labels] = 1.0
+    evals = 0
+
+    def objective(wt):
+        nonlocal evals
+        evals += 1
+        probs = softmax(xt @ wt.T)
+        ce = -np.mean(np.log(np.maximum(probs[rows, labels], 1e-300)))
+        return float(ce + 0.5 * RETRAIN_RIDGE * (wt * wt).sum()), probs
+
+    loss, probs = objective(wt)
+    hess = np.empty((k, width, k, width))
+    for _ in range(max_iter):
+        g = ((probs - onehot) / n).T @ xt + RETRAIN_RIDGE * wt
+        if np.sqrt((g * g).sum()) < grad_tol:
+            break
+        s = probs[:, :, None] * (np.eye(k) - probs[:, None, :]) / n
+        for i in range(k):
+            for j in range(i, k):
+                block = (xt * s[:, i, j, None]).T @ xt
+                hess[i, :, j, :] = block
+                hess[j, :, i, :] = block
+        h2 = hess.reshape(k * width, k * width)
+        h2[np.diag_indices(k * width)] += RETRAIN_RIDGE
+        step = np.linalg.solve(h2, g.ravel()).reshape(k, width)
+        decrease = float((g * step).sum())
+        alpha = 1.0
+        while alpha > 1e-10:
+            loss_new, probs_new = objective(wt - alpha * step)
+            if loss_new <= loss - 1e-4 * alpha * decrease:
+                break
+            alpha *= 0.5
+        else:
+            break
+        wt, loss, probs = wt - alpha * step, loss_new, probs_new
+    return wt, evals
+
+
+def retrain_problem(k, seed=0):
+    """A head to re-train on K-class features: labels drawn from a softmax
+    of the features (so the CE has a finite minimiser) and a warm start
+    near the generating head with a mean row of norm ~5, which the
+    minimiser does not have."""
+    rng = make_rng(seed)
+    n, h = 300, 6
+    feats = np.tanh(rng.standard_normal((n, h)))
+    true_w = 4.0 * rng.standard_normal((k, h))
+    labels = np.array([rng.choice(k, p=p) for p in softmax(feats @ true_w.T)])
+    labels[:k] = np.arange(k)
+    m = with_updates(
+        init_model(3, k, hidden=(h,), rng=rng),
+        linear_w=true_w + 0.3 * rng.standard_normal((k, h)) + 2.0 * rng.standard_normal(h),
+        linear_b=0.3 * rng.standard_normal(k) + 1.5,
+    )
+    return m, feats, LabeledSet(rng.standard_normal((n, 3)), labels)
+
+
 class TestRetrainLinear:
     def test_convex_optimum_is_init_independent(self, small_pretrained):
         pre = small_pretrained
@@ -254,6 +323,34 @@ class TestRetrainLinear:
         pre = small_pretrained
         new = retrain_linear(pre.model, pre.train)
         assert accuracy(new, pre.val) >= accuracy(pre.model, pre.val) - 0.01
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_matches_full_space_newton(self, k, monkeypatch):
+        # Same iterates as the full-space solve: the same number of loss
+        # evaluations and the same head up to rounding (measured: at most
+        # 6.3e-12 over K in {2, 3, 4, 6}, three seeds, three feature scales
+        # and two tolerances).
+        m, feats, train = retrain_problem(k)
+        calls = []
+        monkeypatch.setattr(
+            models_mod, "softmax", lambda *a, **kw: calls.append(1) or softmax(*a, **kw)
+        )
+        new = retrain_linear(m, train, feats=feats)
+        ref, ref_evals = reference_retrain(m, feats, train.labels)
+        head = np.hstack([new.linear_w, new.linear_b[:, None]])
+        assert len(calls) == ref_evals
+        assert np.abs(head - ref).max() <= 1e-10
+        assert np.abs(head.sum(axis=0)).max() <= 1e-12
+
+    def test_input_model_unchanged(self, small_pretrained):
+        # The solve updates its head and buffers in place; the model's
+        # arrays (views into theta) and the given features must not move.
+        m = small_pretrained.model
+        feats = feat_activations(m, small_pretrained.train.inputs)[-1]
+        theta, feats_before = m.theta.copy(), feats.copy()
+        retrain_linear(m, small_pretrained.train, feats=feats)
+        np.testing.assert_array_equal(m.theta, theta)
+        np.testing.assert_array_equal(feats, feats_before)
 
 
 def reference_calibrate(m, val) -> float:

@@ -18,6 +18,18 @@ finite_vectors = st.lists(
 )
 
 
+def reference_project(v):
+    """Projection of one vector onto the simplex, the per-row algorithm
+    that ``project_simplex`` applies to every row of an array."""
+    if v.min() >= 0.0 and abs(v.sum() - 1.0) <= 1e-12:
+        return v.copy()
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = int(np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1])
+    out = np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+    return out / out.sum()
+
+
 class TestProjectSimplex:
     def test_already_on_simplex(self):
         np.testing.assert_allclose(
@@ -55,6 +67,24 @@ class TestProjectSimplex:
         p = project_simplex(entries)
         assert is_simplex(p)
         np.testing.assert_array_equal(project_simplex(p), p)
+
+    def test_rejects_bad_shapes(self):
+        for bad in ([], np.zeros((2, 0)), np.zeros((2, 2, 2))):
+            with pytest.raises(InvalidArgumentError):
+                project_simplex(bad)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 9, 17])
+    def test_rows_match_per_row_projection_bit_for_bit(self, k, rng):
+        rows = [scale * rng.standard_normal(k) for scale in (1e-3, 1e-1, 1, 10, 1e3, 1e6)]
+        rows += [np.full(k, 2.5), np.r_[np.full(k - 1, 0.7), -3.0]]  # ties
+        rows += [np.full(k, 1.0 / k), np.eye(k)[k - 1], rng.dirichlet(np.ones(k))]
+        v = np.array(rows)
+        expected = np.array([reference_project(r) for r in v])
+        # A transposed solve's output (as in bbse_estimates) has strided rows.
+        for arr in (v, np.asfortranarray(v)):
+            np.testing.assert_array_equal(project_simplex(arr), expected)
+        for row, want in zip(v, expected):
+            np.testing.assert_array_equal(project_simplex(row), want)
 
 
 class TestSolveLinear:
