@@ -20,7 +20,7 @@ from olsofu import (
     pretrain,
     regularize_confusion,
 )
-from olsofu.harness import base_error_reference
+from olsofu.models import accuracy
 from olsofu.synthdata import DataSpec
 
 data = DataSpec(
@@ -32,7 +32,7 @@ sc = Scenario(data=data, shift=default_pattern("constant", 4, 10),
 
 print("Pretraining (CE, SGD momentum 0.9, lr 0.1, weight decay 1e-4)...")
 pre = pretrain(sc)
-print(f"  held-out accuracy {1 - base_error_reference(pre):.3f}, "
+print(f"  held-out accuracy {accuracy(pre.model, pre.pool):.3f}, "
       f"calibrated temperature {pre.model.temperature:.3f}")
 
 conf = regularize_confusion(confusion_matrix(pre.model, pre.val), sc.reg_lambda)

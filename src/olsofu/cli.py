@@ -160,27 +160,31 @@ def _combo_key(combo: dict) -> str:
     )
 
 
+def _cell_scenario(cfg: dict, combo: dict, run_seed, order):
+    """The config's Scenario with the cell's axis values; a cell whose ssl
+    kind is not the config's gets that kind's default ``ssl.ba``."""
+    ssl = {**cfg["ssl"], "kind": combo["ssl"]}
+    if combo["ssl"] != cfg["ssl"]["kind"]:
+        ssl["ba"] = None
+    cell = {
+        **cfg,
+        "algorithm": combo["algorithm"],
+        "ssl": ssl,
+        "shift": {**cfg["shift"], "kind": combo["shift"]},
+        "corruption": {**cfg["corruption"], "kind": combo["corruption"]},
+    }
+    return scenario_from_config(cell, run_seed=run_seed, order=order)
+
+
 def _sweep_cell(payload):
     """Run one sweep cell; executed in a worker process."""
-    cfg, combo, seed_override, order_override = payload
+    sc, combo, sweep = payload
     key = _combo_key(combo)
     try:
-        sc = scenario_from_config(cfg, run_seed=seed_override, order=order_override)
-        if combo["ssl"] == cfg["ssl"]["kind"]:
-            ba = cfg["ssl"]["ba"]
-        else:
-            ba = 50 if combo["ssl"] == "infonce" else 1
-        sc = dataclasses.replace(
-            sc,
-            algorithm=combo["algorithm"],
-            ssl=dataclasses.replace(sc.ssl, kind=combo["ssl"], ba=ba),
-            shift=dataclasses.replace(sc.shift, kind=combo["shift"]),
-            corruption=dataclasses.replace(sc.corruption, kind=combo["corruption"]),
-        )
         pre = pretrain(sc)
         errors, vts = [], []
         oracle_pair = None
-        for i in range(cfg["sweep"]["replicates"]):
+        for i in range(sweep["replicates"]):
             rep = dataclasses.replace(
                 sc,
                 shift_seed=sc.shift_seed + i,
@@ -189,14 +193,14 @@ def _sweep_cell(payload):
             trace = run_online(rep, pre)
             errors.append(trace.avg_error)
             vts.append(trace.shift_severity)
-            if cfg["sweep"]["improvement_check"] and combo["ssl"] != "none" and oracle_pair is None:
+            if sweep["improvement_check"] and combo["ssl"] != "none" and oracle_pair is None:
                 lhs, rhs, _ = improvement_check(rep, pre)
                 oracle_pair = (lhs, rhs)
         row = {
             "key": key,
             **combo,
             "status": "ok",
-            "replicates": cfg["sweep"]["replicates"],
+            "replicates": sweep["replicates"],
             "avg_error_mean": float(np.mean(errors)),
             "avg_error_std": float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0,
             "shift_severity_mean": float(np.mean(vts)),
@@ -205,17 +209,8 @@ def _sweep_cell(payload):
         }
         return row
     except Exception as exc:  # noqa: BLE001 - per-row status, sweep continues
-        return {
-            "key": key,
-            **combo,
-            "status": f"error: {exc}",
-            "replicates": 0,
-            "avg_error_mean": "",
-            "avg_error_std": "",
-            "shift_severity_mean": "",
-            "oracle_updated": "",
-            "oracle_frozen": "",
-        }
+        # The CSV writer leaves the columns an error row lacks empty.
+        return {"key": key, **combo, "status": f"error: {exc}", "replicates": 0}
 
 
 SWEEP_COLUMNS = [
@@ -228,8 +223,11 @@ SWEEP_COLUMNS = [
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
-    combos = _sweep_combos(cfg)
-    payloads = [(cfg, combo, args.seed, args.order) for combo in combos]
+    # Every cell's Scenario is built, and so checked, before any cell runs.
+    payloads = [
+        (_cell_scenario(cfg, combo, args.seed, args.order), combo, cfg["sweep"])
+        for combo in _sweep_combos(cfg)
+    ]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_cell, payloads))

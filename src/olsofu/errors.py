@@ -2,7 +2,18 @@
 
 
 class InvalidArgumentError(ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition. ``field``, when set,
+    names the argument or dataclass field at fault and starts the message."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
+def require(condition: bool, field: str, rule: str) -> None:
+    """Raise ``InvalidArgumentError(f"{field} {rule}", field)`` unless ``condition``."""
+    if not condition:
+        raise InvalidArgumentError(f"{field} {rule}", field)
 
 
 class SingularMatrixError(ArithmeticError):

@@ -23,8 +23,6 @@ from .numkit import min_singular_value, project_simplex, softmax, solve_linear
 # Below this the confusion is treated as effectively rank-deficient.
 SIGMA_MIN_FLOOR = 1e-8
 
-DEFAULT_REG_LAMBDA = 0.01
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix:

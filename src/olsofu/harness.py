@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RunError, UndefinedCorrelationError
+from .errors import InvalidArgumentError, RunError, UndefinedCorrelationError, require
 from .estimator import (
     bbse_estimate,
     bbse_estimates,
@@ -25,7 +25,6 @@ from .estimator import (
 from .models import (
     ModelParams,
     TrainConfig,
-    accuracy,
     calibrate_temperature,  # noqa: F401 - perfbench's tracer wraps it here too
     forward,
     retrain_linear,
@@ -33,6 +32,7 @@ from .models import (
 )
 from .numkit import make_rng
 from .ofu import (
+    SSL_KINDS,
     OfuRuntime,
     Predictor,
     SslSpec,
@@ -91,12 +91,21 @@ class Scenario:
     retrain_grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.shift.horizon < 1 or self.batch_size < 1:
-            raise InvalidArgumentError("horizon and batch size must be >= 1")
-        if self.order not in ORDERS:
-            raise InvalidArgumentError(f"unknown order {self.order!r}")
-        if self.algorithm not in ALGORITHMS:
-            raise InvalidArgumentError(f"unknown algorithm {self.algorithm!r}")
+        require(self.algorithm in ALGORITHMS, "algorithm",
+                f"{self.algorithm!r} is not one of {ALGORITHMS}")
+        require(self.batch_size >= 1, "batch_size", "must be >= 1")
+        require(self.order in ORDERS, "order", f"{self.order!r} is not one of {ORDERS}")
+        for name in ("data_seed", "shift_seed", "run_seed"):
+            require(getattr(self, name) >= 0, name, "must be >= 0")
+        require(self.pretrain_ssl in SSL_KINDS, "pretrain_ssl",
+                f"{self.pretrain_ssl!r} is not one of {SSL_KINDS}")
+        require(self.pretrain_ssl_weight >= 0, "pretrain_ssl_weight", "must be >= 0")
+        require(0 <= self.reg_lambda <= 1, "reg_lambda", "must lie in [0, 1]")
+        require(all(h >= 1 for h in self.hidden), "hidden", "widths must be >= 1")
+        require(self.retrain_max_iter >= 1, "retrain_max_iter", "must be >= 1")
+        require(self.shift.q.size == self.data.k, "shift.q", "must have data.k entries")
+        require(self.ssl.kind != "infonce" or self.batch_size * self.ssl.ba >= 2, "ssl.ba",
+                "is too small: infonce needs batch_size * ssl.ba >= 2 inputs per update")
 
     @property
     def horizon(self) -> int:
@@ -492,7 +501,3 @@ def pearson(xs, ys) -> float:
     r = float((xc * yc).sum() / denom)
     return max(-1.0, min(1.0, r))
 
-
-def base_error_reference(pre: Pretrained) -> float:
-    """Held-out error of the calibrated pretrained model on the pool."""
-    return 1.0 - accuracy(pre.model, pre.pool)

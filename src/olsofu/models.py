@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, TrainingDivergedError
+from .errors import InvalidArgumentError, TrainingDivergedError, require
 from .numkit import as_array, make_rng, softmax
 
 LOSS_KINDS = ("cross_entropy", "entropy", "rotation", "infonce")
@@ -404,12 +404,12 @@ class TrainConfig:
     seed: int = 4242
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise InvalidArgumentError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise InvalidArgumentError("learning_rate must be positive")
-        if self.momentum < 0 or self.weight_decay < 0:
-            raise InvalidArgumentError("momentum and weight_decay must be >= 0")
+        require(self.epochs >= 1, "epochs", "must be >= 1")
+        require(self.batch_size >= 1, "batch_size", "must be >= 1")
+        require(self.learning_rate > 0, "learning_rate", "must be > 0")
+        require(self.momentum >= 0, "momentum", "must be >= 0")
+        require(self.weight_decay >= 0, "weight_decay", "must be >= 0")
+        require(self.seed >= 0, "seed", "must be >= 0")
 
 
 def train_supervised(

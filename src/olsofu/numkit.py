@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularMatrixError
+from .errors import InvalidArgumentError, SingularMatrixError, require
 
 SIMPLEX_ATOL = 1e-9
 
@@ -26,7 +26,7 @@ def make_rng(seed: int) -> np.random.Generator:
 def as_array(v, name="value") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError(f"{name} must be finite, got {arr!r}")
+        raise InvalidArgumentError(f"{name} must be finite, got {arr!r}", name)
     return arr
 
 
@@ -37,12 +37,12 @@ def is_simplex(v, atol: float = SIMPLEX_ATOL) -> bool:
 
 def check_simplex(v, name="vector", atol: float = SIMPLEX_ATOL) -> np.ndarray:
     arr = as_array(v, name)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidArgumentError(f"{name} must be a nonempty 1-d vector")
+    require(arr.ndim == 1 and arr.size >= 1, name, "must be a nonempty 1-d vector")
     if not is_simplex(arr, atol):
         raise InvalidArgumentError(
             f"{name} must be on the probability simplex (sum={arr.sum():.3g}, "
-            f"min={arr.min():.3g})"
+            f"min={arr.min():.3g})",
+            name,
         )
     return arr
 

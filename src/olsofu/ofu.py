@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidArgumentError
+from .errors import ContractViolationError, require
 from .estimator import (
     ConfusionMatrix,
     MarginalEstimate,
@@ -58,16 +58,12 @@ class SslSpec:
     augment_noise: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in SSL_KINDS:
-            raise InvalidArgumentError(f"unknown ssl kind {self.kind!r}")
-        if self.ssl_lr < 0:
-            raise InvalidArgumentError("ssl_lr must be >= 0")
-        if self.ba < 1 or self.inner_steps < 1:
-            raise InvalidArgumentError("ba and inner_steps must be >= 1")
-        if self.infonce_temperature <= 0:
-            raise InvalidArgumentError("infonce_temperature must be > 0")
-        if self.augment_noise < 0:
-            raise InvalidArgumentError("augment_noise must be >= 0")
+        require(self.kind in SSL_KINDS, "kind", f"{self.kind!r} is not one of {SSL_KINDS}")
+        require(self.ssl_lr >= 0, "ssl_lr", "must be >= 0")
+        require(self.ba >= 1, "ba", "must be >= 1")
+        require(self.inner_steps >= 1, "inner_steps", "must be >= 1")
+        require(self.infonce_temperature > 0, "infonce_temperature", "must be > 0")
+        require(self.augment_noise >= 0, "augment_noise", "must be >= 0")
 
 
 def ssl_loss_grad(

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require
 from .estimator import MarginalEstimate
 from .models import ModelParams
 from .numkit import project_simplex
 
 ALGORITHMS = ("none", "fth", "ftfwh", "rogd", "flhftl", "uogd", "atlas")
-REWEIGHT_ALGORITHMS = ("none", "fth", "ftfwh", "rogd", "flhftl")
-HEAD_ALGORITHMS = ("uogd", "atlas")
 
 
 def reweight_probs(probs: np.ndarray, ratio: np.ndarray) -> np.ndarray:
@@ -134,7 +132,8 @@ def per_class_risk_jacobian(
 
 
 class BaseStrategy:
-    """No adaptation: keeps the identity reweighting forever."""
+    """No adaptation: keeps the identity reweighting forever. Every
+    reweighting strategy keeps its simplex vector in ``p``, from q0 on."""
 
     kind = "reweight"
     name = "none"
@@ -142,12 +141,13 @@ class BaseStrategy:
 
     def __init__(self, q0: np.ndarray):
         self.q0 = np.asarray(q0, dtype=float)
+        self.p = self.q0.copy()
 
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
         return None
 
     def reweight_vector(self) -> np.ndarray:
-        return self.q0.copy()
+        return self.p.copy()
 
     def snapshot(self) -> np.ndarray:
         return self.reweight_vector()
@@ -162,15 +162,11 @@ class FthStrategy(BaseStrategy):
         super().__init__(q0)
         self.running_sum = np.zeros_like(self.q0)
         self.t = 0
-        self.p = self.q0.copy()
 
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
         self.running_sum += est.clipped
         self.t += 1
         self.p = self.running_sum / self.t
-
-    def reweight_vector(self) -> np.ndarray:
-        return self.p.copy()
 
 
 class FtfwhStrategy(BaseStrategy):
@@ -180,20 +176,14 @@ class FtfwhStrategy(BaseStrategy):
 
     def __init__(self, q0: np.ndarray, window: int = 100):
         super().__init__(q0)
-        if window < 1:
-            raise InvalidArgumentError("window must be >= 1")
         self.window = window
         self.history: list[np.ndarray] = []
-        self.p = self.q0.copy()
 
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
         self.history.append(est.clipped.copy())
         if len(self.history) > self.window:
             self.history.pop(0)
         self.p = np.mean(self.history, axis=0)
-
-    def reweight_vector(self) -> np.ndarray:
-        return self.p.copy()
 
 
 class RogdStrategy(BaseStrategy):
@@ -211,14 +201,11 @@ class RogdStrategy(BaseStrategy):
     def __init__(self, q0: np.ndarray, horizon: int, eta: float | None = None,
                  warmup: int = 50):
         super().__init__(q0)
-        if eta is not None and eta < 0:
-            raise InvalidArgumentError("eta must be >= 0")
         self.horizon = horizon
         self.eta = eta
         self.warmup = warmup
         self.lhat = 0.0
         self.t = 0
-        self.p = self.q0.copy()
 
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
         if ctx.train_probs is None:
@@ -237,9 +224,6 @@ class RogdStrategy(BaseStrategy):
         else:
             eta_t = 0.0
         self.p = project_simplex(self.p - eta_t * grad)
-
-    def reweight_vector(self) -> np.ndarray:
-        return self.p.copy()
 
 
 class FlhftlStrategy(BaseStrategy):
@@ -264,7 +248,6 @@ class FlhftlStrategy(BaseStrategy):
         self.counts = np.zeros(0)
         self.weights = np.zeros(0)
         self.t = 0
-        self.tracked_marginal = self.q0.copy()
 
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
         s = est.clipped
@@ -289,10 +272,7 @@ class FlhftlStrategy(BaseStrategy):
             self.counts = self.counts[keep]
             self.weights = self.weights / self.weights.sum()
         preds = self.sums / self.counts[:, None]
-        self.tracked_marginal = project_simplex(self.weights @ preds)
-
-    def reweight_vector(self) -> np.ndarray:
-        return self.tracked_marginal.copy()
+        self.p = project_simplex(self.weights @ preds)
 
 
 class UogdStrategy:
@@ -311,8 +291,6 @@ class UogdStrategy:
     reads = ("xt",)
 
     def __init__(self, f0: ModelParams, eta: float, radius: float = 100.0):
-        if eta < 0:
-            raise InvalidArgumentError("eta must be >= 0")
         self.eta = eta
         self.radius = radius
         self.heads = np.column_stack([f0.linear_w, f0.linear_b])[None]
@@ -367,8 +345,6 @@ class AtlasStrategy:
             raise InvalidArgumentError("step-size pool must be nonempty")
         if np.any(etas < 0):
             raise InvalidArgumentError("eta must be >= 0")
-        if eps <= 0:
-            raise InvalidArgumentError("meta learning rate must be > 0")
         self.etas = etas
         self.eps = eps
         self.radius = radius
@@ -394,7 +370,8 @@ class AtlasStrategy:
 
 @dataclass(frozen=True)
 class AlgoParams:
-    """Optional per-algorithm overrides; None means the documented default."""
+    """Optional per-algorithm overrides; None means the documented default.
+    The strategies take the values as they are: their ranges are checked here."""
 
     eta: float | None = None  # rogd / uogd step size
     window: int = 100  # ftfwh
@@ -403,6 +380,15 @@ class AlgoParams:
     meta_eps: float | None = None  # atlas, default sqrt(8/T)
     radius: float = 100.0  # uogd / atlas domain
     warmup: int = 50  # rogd L-hat estimation window
+
+    def __post_init__(self):
+        require(self.eta is None or self.eta >= 0, "eta", "must be >= 0")
+        require(self.window >= 1, "window", "must be >= 1")
+        require(self.flh_eta is None or self.flh_eta >= 0, "flh_eta", "must be >= 0")
+        require(self.flh_max_experts >= 1, "flh_max_experts", "must be >= 1")
+        require(self.meta_eps is None or self.meta_eps > 0, "meta_eps", "must be > 0")
+        require(self.radius > 0, "radius", "must be > 0")
+        require(self.warmup >= 1, "warmup", "must be >= 1")
 
 
 def make_strategy(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataExhaustedError, InvalidArgumentError
+from .errors import DataExhaustedError, InvalidArgumentError, require
 from .numkit import as_array, check_simplex
 
 SHIFT_KINDS = ("sinusoidal", "bernoulli", "constant", "monotone")
@@ -25,21 +25,21 @@ def default_means(k: int, d: int, sep: float = 2.0, layout: str = "axis") -> np.
     circle of radius sep in the first two coordinates, which makes planar
     rotations act directly on the class structure.
     """
+    require(k >= 1, "k", "must be >= 1")
+    require(sep >= 0, "sep", "must be >= 0")
     if layout == "axis":
-        if k > d:
-            raise InvalidArgumentError(f"axis layout needs d >= K ({d} < {k})")
+        require(k <= d, "d", f"must be >= K for the axis layout ({d} < {k})")
         means = np.zeros((k, d))
         means[np.arange(k), np.arange(k)] = sep
         return means
     if layout == "ring2d":
-        if d < 2:
-            raise InvalidArgumentError("ring2d layout needs d >= 2")
+        require(d >= 2, "d", "must be >= 2 for the ring2d layout")
         angles = 2.0 * np.pi * np.arange(k) / k
         means = np.zeros((k, d))
         means[:, 0] = sep * np.cos(angles)
         means[:, 1] = sep * np.sin(angles)
         return means
-    raise InvalidArgumentError(f"unknown mean layout {layout!r}")
+    raise InvalidArgumentError(f"layout {layout!r} is not axis or ring2d", "layout")
 
 
 @dataclass(frozen=True)
@@ -55,22 +55,18 @@ class DataSpec:
     n_test_pool: int = 2000
 
     def __post_init__(self):
-        if self.k < 2:
-            raise InvalidArgumentError("need at least 2 classes")
-        if self.d < 2:
-            raise InvalidArgumentError("need d >= 2 (rotation acts on two coordinates)")
+        require(self.k >= 2, "k", "must be >= 2")
+        require(self.d >= 2, "d", "must be >= 2 (rotation acts on two coordinates)")
         means = as_array(self.class_means, "class_means")
-        if means.shape != (self.k, self.d):
-            raise InvalidArgumentError(
-                f"class_means must be ({self.k}, {self.d}), got {means.shape}"
-            )
+        require(means.shape == (self.k, self.d), "class_means",
+                f"must be ({self.k}, {self.d}), got {means.shape}")
         object.__setattr__(self, "class_means", means)
-        if self.class_cov_scale < 0:
-            raise InvalidArgumentError("class_cov_scale must be >= 0")
-        if self.n_train <= 0 or self.n_test_pool <= 0:
-            raise InvalidArgumentError("sample counts must be positive")
-        if self.n_val is not None and self.n_val <= 0:
-            raise InvalidArgumentError("n_val must be positive when set")
+        require(self.class_cov_scale >= 0, "class_cov_scale", "must be >= 0")
+        require(self.n_train >= self.k, "n_train", f"must be >= k={self.k}")
+        require(self.val_count >= self.k, "n_train" if self.n_val is None else "n_val",
+                f"gives {self.val_count} validation rows, fewer than the k={self.k} "
+                "classes the confusion matrix needs")
+        require(self.n_test_pool >= 1, "n_test_pool", "must be >= 1")
 
     @property
     def val_count(self) -> int:
@@ -127,16 +123,13 @@ class ShiftPattern:
     alphas: np.ndarray | None = None  # realized sequence (bernoulli)
 
     def __post_init__(self):
-        if self.kind not in SHIFT_KINDS:
-            raise InvalidArgumentError(f"unknown shift kind {self.kind!r}")
+        require(self.kind in SHIFT_KINDS, "kind", f"{self.kind!r} is not one of {SHIFT_KINDS}")
         object.__setattr__(self, "q", check_simplex(self.q, "q"))
         object.__setattr__(self, "q_prime", check_simplex(self.q_prime, "q_prime"))
-        if self.q.shape != self.q_prime.shape:
-            raise InvalidArgumentError("q and q_prime must have equal length")
-        if self.horizon < 1:
-            raise InvalidArgumentError("horizon must be >= 1")
-        if self.switch_prob is not None and not (0.0 <= self.switch_prob <= 1.0):
-            raise InvalidArgumentError("switch_prob must lie in [0, 1]")
+        require(self.q.shape == self.q_prime.shape, "q", "must have the length of q_prime")
+        require(self.horizon >= 1, "horizon", "must be >= 1")
+        require(self.switch_prob is None or 0.0 <= self.switch_prob <= 1.0,
+                "switch_prob", "must lie in [0, 1]")
 
 
 def uniform_simplex(k: int) -> np.ndarray:
@@ -226,10 +219,9 @@ class CorruptionSpec:
     angle: float = 0.0  # degrees, rotate2d only
 
     def __post_init__(self):
-        if self.kind not in CORRUPTION_KINDS:
-            raise InvalidArgumentError(f"unknown corruption kind {self.kind!r}")
-        if self.severity < 0:
-            raise InvalidArgumentError("severity must be >= 0")
+        require(self.kind in CORRUPTION_KINDS, "kind",
+                f"{self.kind!r} is not one of {CORRUPTION_KINDS}")
+        require(self.severity >= 0, "severity", "must be >= 0")
 
 
 def corrupt(x: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator) -> np.ndarray:

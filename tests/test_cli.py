@@ -1,10 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from olsofu.cli import main
-from olsofu.config import load_config, resolve_config, scenario_from_config
+from olsofu.config import (
+    iter_schema_keys,
+    load_config,
+    resolve_config,
+    scenario_from_config,
+)
 from olsofu.errors import ConfigError
 
 FAST_CONFIG = {
@@ -58,6 +64,94 @@ class TestConfig:
         assert sc.horizon == 1000
         sc2 = scenario_from_config(cfg, run_seed=7, order="update_first")
         assert sc2.run_seed == 7 and sc2.order == "update_first"
+
+
+# One out-of-range value per numeric config key (defaults: k=4, d=8).
+OUT_OF_RANGE = {
+    "data.k": 1,
+    "data.d": 1,
+    "data.class_sep": -1.0,
+    "data.cov_scale": -0.5,
+    "data.n_train": 3,
+    "data.n_val": 3,
+    "data.n_test_pool": 0,
+    "shift.horizon": 0,
+    "shift.switch_prob": 1.5,
+    "corruption.severity": -0.1,
+    "ssl.ssl_lr": -0.01,
+    "ssl.ba": 0,
+    "ssl.inner_steps": 0,
+    "ssl.infonce_temperature": 0.0,
+    "ssl.augment_noise": -0.1,
+    "train.epochs": 0,
+    "train.batch_size": 0,
+    "train.learning_rate": 0.0,
+    "train.momentum": -0.1,
+    "train.weight_decay": -1e-4,
+    "train.seed": -1,
+    "pretrain_ssl_weight": -1.0,
+    "batch_size": 0,
+    "seeds.data": -1,
+    "seeds.shift": -1,
+    "seeds.run": -1,
+    "algo.eta": -0.1,
+    "algo.window": 0,
+    "algo.flh_eta": -1.0,
+    "algo.flh_max_experts": 0,
+    "algo.meta_eps": 0.0,
+    "algo.radius": 0.0,
+    "algo.warmup": 0,
+    "reg_lambda": 1.5,
+    "retrain_max_iter": 0,
+    "sweep.replicates": 0,
+}
+# Numeric keys that have no range.
+UNBOUNDED = {"corruption.angle"}
+NUMERIC_KEYS = [
+    path for path, key in iter_schema_keys()
+    if key.kind in ("int", "num") and path not in UNBOUNDED
+]
+
+
+def assert_config_error_names(key, argv, capsys):
+    """``argv`` exits 2 before writing its output directory, and stderr
+    starts with the key."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("path", NUMERIC_KEYS)
+    def test_out_of_range_value_exits_2_naming_key(self, tmp_path, capsys, path):
+        # A numeric key added to the schema needs an entry here.
+        assert path in OUT_OF_RANGE, f"no out-of-range case for {path}"
+        doc = OUT_OF_RANGE[path]
+        for part in reversed(path.split(".")):
+            doc = {part: doc}
+        cfg = write_config(tmp_path, doc)
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert_config_error_names(f"{path} ", argv, capsys)
+
+    @pytest.mark.parametrize(
+        "command, doc, extra, key",
+        [
+            # 2000 // 4 validation rows by default; 8 // 4 = 2 cannot hold 4 classes.
+            ("run", {"data": {"n_train": 8}}, [], "data.n_train"),
+            ("run", {"data": {"k": -1}}, [], "data.k"),
+            ("run", {"hidden": [32, 0]}, [], "hidden"),
+            ("run", {}, ["--seed", "-1"], "seeds.run"),
+            ("sweep", {"sweep": {"algorithm": ["fth", "flhftll"]}}, [], "sweep.algorithm"),
+            ("sweep", {}, ["--seed", "-1"], "seeds.run"),
+        ],
+        ids=["val-rows-below-k", "negative-k", "hidden-width", "run-seed-flag", "sweep-axis",
+             "sweep-seed-flag"],
+    )
+    def test_boundary_cases_exit_2_naming_key(self, tmp_path, capsys, command, doc,
+                                              extra, key):
+        cfg = write_config(tmp_path, doc)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]
+        assert_config_error_names(key, argv, capsys)
 
 
 class TestPretrainCommand:

@@ -11,7 +11,6 @@ from olsofu.errors import (
 from olsofu.harness import (
     CHUNK_STEPS,
     Scenario,
-    base_error_reference,
     improvement_check,
     oracle_trace,
     pearson,
@@ -20,7 +19,7 @@ from olsofu.harness import (
     run_bare_ols,
     run_online,
 )
-from olsofu.models import ModelParams, TrainConfig
+from olsofu.models import ModelParams, TrainConfig, accuracy
 from olsofu.numkit import make_rng
 from olsofu.ofu import (
     OfuRuntime,
@@ -56,7 +55,7 @@ class TestRunOnline:
             shift=constant_at_uniform(4, 200),
         )
         trace = run_online(sc, small_pretrained)
-        reference = base_error_reference(small_pretrained)
+        reference = 1 - accuracy(small_pretrained.model, small_pretrained.pool)
         assert abs(trace.avg_error - reference) < 0.02
 
     def test_fth_converges_to_constant_marginal(self, small_scenario, small_pretrained):

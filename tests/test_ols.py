@@ -456,7 +456,7 @@ class TestReweightStrategyProperties:
                 assert np.isfinite(strat.snapshot()).all()
             for state in (fth.running_sum, *ftfwh.history, rogd.p, rogd.lhat,
                           rogd_fixed.p, flh.sums, flh.counts, flh.weights,
-                          flh.tracked_marginal):
+                          flh.p):
                 assert np.isfinite(state).all()
             assert is_simplex(flh.weights)
 
