@@ -21,7 +21,7 @@ from olsofu import (
     regularize_confusion,
 )
 from olsofu.models import accuracy
-from olsofu.synthdata import DataSpec
+from olsofu.synthdata import DataSpec, draw_class_inputs
 
 data = DataSpec(
     k=4, d=8, class_means=default_means(4, 8, 2.0),
@@ -41,13 +41,12 @@ print(np.round(conf.matrix, 3))
 
 q = np.array([0.4, 0.3, 0.2, 0.1])
 rng = make_rng(5)
-std = np.sqrt(data.class_cov_scale)
 
 print(f"\nEstimating a shifted marginal q = {q} from batches of 10:")
 estimates = []
 for _ in range(2000):
     labels = rng.choice(4, size=10, p=q)
-    x = data.class_means[labels] + std * rng.standard_normal((10, 8))
+    x = draw_class_inputs(data.class_means, data.class_cov_scale, labels, rng)
     estimates.append(bbse_estimate(pre.model, conf, x).s)
 estimates = np.array(estimates)
 
@@ -61,7 +60,7 @@ print("\nSingle-batch estimates can leave the simplex; consumers that need a")
 print("distribution use the projected copy:")
 while True:
     labels = rng.choice(4, size=10, p=q)
-    x = data.class_means[labels] + std * rng.standard_normal((10, 8))
+    x = draw_class_inputs(data.class_means, data.class_cov_scale, labels, rng)
     one = bbse_estimate(pre.model, conf, x)
     if one.s.min() < -0.01:
         break

@@ -26,7 +26,7 @@ from .errors import (
     TrainingDivergedError,
     UndefinedCorrelationError,
 )
-from .harness import improvement_check, pretrain, run_online
+from .harness import improvement_check, pearson, pretrain, run_online, write_csv
 from .models import accuracy, load_model, save_model, with_updates
 
 EXIT_OK = 0
@@ -124,10 +124,7 @@ def cmd_run(args) -> int:
         "algorithm": sc.algorithm,
         "ssl": sc.ssl.kind,
         "order": sc.order,
-        "avg_error": trace.avg_error,
-        "shift_severity": trace.shift_severity,
-        "horizon": trace.horizon,
-        "batch_size": trace.batch_size,
+        **trace.summary(),
         "seeds": {"data": sc.data_seed, "shift": sc.shift_seed, "run": sc.run_seed},
     }
     if cfg["improvement_check"]:
@@ -254,8 +251,6 @@ def cmd_sweep(args) -> int:
             oracle_gains.append(row["oracle_frozen"] - row["oracle_updated"])
     coeff = ""
     if len(deltas) >= 2:
-        from .harness import pearson
-
         try:
             coeff = round(pearson(oracle_gains, deltas), 4)
         except UndefinedCorrelationError:
@@ -263,15 +258,8 @@ def cmd_sweep(args) -> int:
     for row in rows:
         row["pearson_gain_vs_delta"] = coeff if row.get("delta_error", "") != "" else ""
 
-    import csv as _csv
-    import io
-
-    buf = io.StringIO()
-    writer = _csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({c: row.get(c, "") for c in SWEEP_COLUMNS})
-    write_atomic(out / "sweep.csv", buf.getvalue())
+    cells = ([row.get(c, "") for c in SWEEP_COLUMNS] for row in rows)
+    _replace_atomic(out / "sweep.csv", lambda tmp: write_csv(tmp, SWEEP_COLUMNS, cells))
     ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"sweep: {ok}/{len(rows)} cells ok -> {out / 'sweep.csv'}")
     return EXIT_OK if ok >= 1 else EXIT_RUNTIME

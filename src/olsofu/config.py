@@ -8,6 +8,8 @@ record of the run.
 The schema checks types only. Ranges are checked by the dataclasses the
 values go into (``Scenario``, ``DataSpec``, ``AlgoParams``, ...), and
 ``scenario_from_config`` reports their errors under the dotted config key.
+The schema reads each key's default from the dataclass field that holds
+it; only the keys no dataclass holds have literal defaults here.
 """
 
 from __future__ import annotations
@@ -51,11 +53,12 @@ SCHEMA: dict = {
         "d": Key(8, "int", "input dimension"),
         "class_sep": Key(2.0, "num", "distance scale of the class means"),
         "mean_layout": Key("axis", "enum:axis|ring2d", "class mean geometry"),
-        "cov_scale": Key(1.0, "num", "isotropic class covariance scale"),
-        "n_train": Key(2000, "int", "train set size"),
-        "n_val": Key(None, "int", "validation size (default: n_train / 4)",
+        "cov_scale": Key(DataSpec.class_cov_scale, "num",
+                         "isotropic class covariance scale"),
+        "n_train": Key(DataSpec.n_train, "int", "train set size"),
+        "n_val": Key(DataSpec.n_val, "int", "validation size (default: n_train / 4)",
                      nullable=True),
-        "n_test_pool": Key(2000, "int", "stratified test pool size"),
+        "n_test_pool": Key(DataSpec.n_test_pool, "int", "stratified test pool size"),
     },
     "shift": {
         "kind": Key("sinusoidal", "enum:" + "|".join(SHIFT_KINDS), "marginal process"),
@@ -70,56 +73,61 @@ SCHEMA: dict = {
                            nullable=True),
     },
     "corruption": {
-        "kind": Key("none", "enum:" + "|".join(CORRUPTION_KINDS), "test-input corruption"),
-        "severity": Key(0.0, "num", "corruption severity"),
-        "angle": Key(0.0, "num", "rotation angle in degrees (rotate2d)"),
+        "kind": Key(CorruptionSpec.kind, "enum:" + "|".join(CORRUPTION_KINDS),
+                    "test-input corruption"),
+        "severity": Key(CorruptionSpec.severity, "num", "corruption severity"),
+        "angle": Key(CorruptionSpec.angle, "num", "rotation angle in degrees (rotate2d)"),
     },
-    "algorithm": Key("flhftl", "enum:" + "|".join(ALGORITHMS), "adaptation algorithm"),
+    "algorithm": Key(Scenario.algorithm, "enum:" + "|".join(ALGORITHMS),
+                     "adaptation algorithm"),
     "ssl": {
-        "kind": Key("none", "enum:" + "|".join(SSL_KINDS), "self-supervised loss"),
-        "ssl_lr": Key(0.01, "num", "feature-update step size"),
-        "ba": Key(None, "int",
+        "kind": Key(SslSpec.kind, "enum:" + "|".join(SSL_KINDS), "self-supervised loss"),
+        "ssl_lr": Key(SslSpec.ssl_lr, "num", "feature-update step size"),
+        "ba": Key(SslSpec.ba, "int",
                   "batch-accumulation period (default: 50 for infonce, else 1)",
                   nullable=True),
-        "inner_steps": Key(1, "int", "gradient steps per feature update"),
-        "infonce_temperature": Key(0.07, "num", "InfoNCE similarity temperature"),
-        "augment_noise": Key(0.1, "num", "InfoNCE augmentation noise"),
+        "inner_steps": Key(SslSpec.inner_steps, "int", "gradient steps per feature update"),
+        "infonce_temperature": Key(SslSpec.infonce_temperature, "num",
+                                   "InfoNCE similarity temperature"),
+        "augment_noise": Key(SslSpec.augment_noise, "num", "InfoNCE augmentation noise"),
     },
     "train": {
-        "epochs": Key(40, "int", "pretraining epochs"),
-        "batch_size": Key(64, "int", "pretraining batch size"),
-        "learning_rate": Key(0.1, "num", "SGD learning rate"),
-        "momentum": Key(0.9, "num", "SGD momentum"),
-        "weight_decay": Key(0.0001, "num", "SGD weight decay"),
-        "seed": Key(4242, "int", "pretraining seed"),
+        "epochs": Key(TrainConfig.epochs, "int", "pretraining epochs"),
+        "batch_size": Key(TrainConfig.batch_size, "int", "pretraining batch size"),
+        "learning_rate": Key(TrainConfig.learning_rate, "num", "SGD learning rate"),
+        "momentum": Key(TrainConfig.momentum, "num", "SGD momentum"),
+        "weight_decay": Key(TrainConfig.weight_decay, "num", "SGD weight decay"),
+        "seed": Key(TrainConfig.seed, "int", "pretraining seed"),
     },
-    "pretrain_ssl": Key("none", "enum:" + "|".join(SSL_KINDS),
+    "pretrain_ssl": Key(Scenario.pretrain_ssl, "enum:" + "|".join(SSL_KINDS),
                         "SSL loss co-trained during pretraining"),
-    "pretrain_ssl_weight": Key(1.0, "num", "weight of the pretraining SSL loss"),
-    "batch_size": Key(10, "int", "online batch size B"),
-    "order": Key("predict_first", "enum:" + "|".join(ORDERS),
+    "pretrain_ssl_weight": Key(Scenario.pretrain_ssl_weight, "num",
+                               "weight of the pretraining SSL loss"),
+    "batch_size": Key(Scenario.batch_size, "int", "online batch size B"),
+    "order": Key(Scenario.order, "enum:" + "|".join(ORDERS),
                  "predict before or after adapting each step"),
     "seeds": {
-        "data": Key(1, "int", "source data seed"),
-        "shift": Key(2, "int", "shift process and batch sampling seed"),
-        "run": Key(8610, "int", "algorithm-side randomness seed"),
+        "data": Key(Scenario.data_seed, "int", "source data seed"),
+        "shift": Key(Scenario.shift_seed, "int", "shift process and batch sampling seed"),
+        "run": Key(Scenario.run_seed, "int", "algorithm-side randomness seed"),
     },
     "algo": {
-        "eta": Key(None, "num", "rogd/uogd step size (default: documented formula)",
-                   nullable=True),
-        "window": Key(100, "int", "ftfwh window"),
-        "flh_eta": Key(None, "num", "flhftl expert-weight rate (default: K/2)",
-                       nullable=True),
-        "flh_max_experts": Key(200, "int", "flhftl expert cap"),
-        "meta_eps": Key(None, "num", "atlas meta rate (default: sqrt(8/T))",
+        "eta": Key(AlgoParams.eta, "num",
+                   "rogd/uogd step size (default: documented formula)", nullable=True),
+        "window": Key(AlgoParams.window, "int", "ftfwh window"),
+        "flh_eta": Key(AlgoParams.flh_eta, "num",
+                       "flhftl expert-weight rate (default: K/2)", nullable=True),
+        "flh_max_experts": Key(AlgoParams.flh_max_experts, "int", "flhftl expert cap"),
+        "meta_eps": Key(AlgoParams.meta_eps, "num", "atlas meta rate (default: sqrt(8/T))",
                         nullable=True),
-        "radius": Key(100.0, "num", "uogd/atlas head norm-ball radius"),
-        "warmup": Key(50, "int", "rogd gradient-norm estimation steps"),
+        "radius": Key(AlgoParams.radius, "num", "uogd/atlas head norm-ball radius"),
+        "warmup": Key(AlgoParams.warmup, "int", "rogd gradient-norm estimation steps"),
     },
-    "reg_lambda": Key(0.01, "num", "confusion regularization toward identity"),
-    "hidden": Key([32, 32], "intlist", "hidden layer widths"),
-    "activation": Key("tanh", "enum:tanh|relu", "hidden activation"),
-    "retrain_max_iter": Key(500, "int", "head retrain Newton iteration cap"),
+    "reg_lambda": Key(Scenario.reg_lambda, "num", "confusion regularization toward identity"),
+    "hidden": Key(list(Scenario.hidden), "intlist", "hidden layer widths"),
+    "activation": Key(Scenario.activation, "enum:tanh|relu", "hidden activation"),
+    "retrain_max_iter": Key(Scenario.retrain_max_iter, "int",
+                            "head retrain Newton iteration cap"),
     "improvement_check": Key(False, "bool", "also run the feature-update improvement check"),
     "checkpoint": Key(None, "path", "pretrained checkpoint to load (skips training)",
                       nullable=True),
@@ -254,43 +262,15 @@ def scenario_from_config(cfg: dict, run_seed: int | None = None,
     q_prime = s["q_prime"] if s["q_prime"] is not None else one_hot(d["k"], 0)
     with _keys("shift."):
         shift = ShiftPattern(s["kind"], q, q_prime, s["horizon"], s["switch_prob"])
-    c = cfg["corruption"]
+    # These sections' keys are their dataclass's field names.
     with _keys("corruption."):
-        corruption = CorruptionSpec(c["kind"], c["severity"], c["angle"])
-    ssl_cfg = cfg["ssl"]
-    ba = ssl_cfg["ba"]
-    if ba is None:
-        ba = 50 if ssl_cfg["kind"] == "infonce" else 1
+        corruption = CorruptionSpec(**cfg["corruption"])
     with _keys("ssl."):
-        ssl = SslSpec(
-            kind=ssl_cfg["kind"],
-            ssl_lr=ssl_cfg["ssl_lr"],
-            ba=ba,
-            inner_steps=ssl_cfg["inner_steps"],
-            infonce_temperature=ssl_cfg["infonce_temperature"],
-            augment_noise=ssl_cfg["augment_noise"],
-        )
-    t = cfg["train"]
+        ssl = SslSpec(**cfg["ssl"])
     with _keys("train."):
-        train_cfg = TrainConfig(
-            epochs=t["epochs"],
-            batch_size=t["batch_size"],
-            learning_rate=t["learning_rate"],
-            momentum=t["momentum"],
-            weight_decay=t["weight_decay"],
-            seed=t["seed"],
-        )
-    a = cfg["algo"]
+        train_cfg = TrainConfig(**cfg["train"])
     with _keys("algo."):
-        algo_params = AlgoParams(
-            eta=a["eta"],
-            window=a["window"],
-            flh_eta=a["flh_eta"],
-            flh_max_experts=a["flh_max_experts"],
-            meta_eps=a["meta_eps"],
-            radius=a["radius"],
-            warmup=a["warmup"],
-        )
+        algo_params = AlgoParams(**cfg["algo"])
     with _keys("", data_seed="seeds.data", shift_seed="seeds.shift",
                run_seed="seeds.run"):
         return Scenario(

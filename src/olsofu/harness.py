@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, RunError, UndefinedCorrelationError, require
 from .estimator import (
+    ConfusionMatrix,
     bbse_estimate,
     bbse_estimates,
     confusion_matrix,
@@ -30,7 +31,7 @@ from .models import (
     retrain_linear,
     train_supervised,
 )
-from .numkit import make_rng
+from .numkit import make_rng, min_singular_value
 from .ofu import (
     SSL_KINDS,
     OfuRuntime,
@@ -50,6 +51,7 @@ from .synthdata import (
     DataSpec,
     LabeledSet,
     ShiftPattern,
+    draw_class_inputs,
     make_source_data,
     marginal_at,
     path_length,
@@ -151,21 +153,24 @@ class OnlineTrace:
     def to_csv(self, path) -> None:
         k = self.q.shape[1]
         cum = self.cum_errors
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t"]
-                + [f"q{i}" for i in range(k)]
-                + [f"s{i}" for i in range(k)]
-                + ["errors", "cum_errors"]
-            )
-            for t in range(self.horizon):
-                writer.writerow(
-                    [t + 1]
-                    + [repr(float(v)) for v in self.q[t]]
-                    + [repr(float(v)) for v in self.s[t]]
-                    + [int(self.errors[t]), int(cum[t])]
-                )
+        header = (["t"] + [f"q{i}" for i in range(k)] + [f"s{i}" for i in range(k)]
+                  + ["errors", "cum_errors"])
+        write_csv(path, header, (
+            [t + 1]
+            + [repr(float(v)) for v in self.q[t]]
+            + [repr(float(v)) for v in self.s[t]]
+            + [int(self.errors[t]), int(cum[t])]
+            for t in range(self.horizon)
+        ))
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write a header row and then ``rows``, each a sequence of cells, as
+    CSV to ``path``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass
@@ -415,7 +420,7 @@ def ordering_bias_test(
     ssl_lr: float = 0.5,
     clean_val_per_class: int = 200_000,
     violate_val_per_class: int = 400,
-    retrain_max_iter: int = 60,
+    retrain_max_iter: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Monte-Carlo check of the estimator's bias under ordering violations.
 
@@ -423,8 +428,9 @@ def ordering_bias_test(
     ``f`` and should be unbiased. With violate_order=True the model first
     takes one entropy feature-update step *using the same batch* and a head
     re-train before estimating, which breaks the independence the estimator
-    needs. Returns (bias per class, standard error per class, flagged),
-    flagged when any |bias| > 3 stderr.
+    needs; ``retrain_max_iter`` caps that retrain and must be given then.
+    Returns (bias per class, standard error per class, flagged), flagged
+    when any |bias| > 3 stderr.
 
     The clean ordering measures its confusion on a very large fresh sample
     (accumulated in chunks) so finite-validation noise stays far below the
@@ -433,35 +439,28 @@ def ordering_bias_test(
     """
     if n_trials < 1000:
         raise InvalidArgumentError("n_trials must be >= 1000")
+    require(not violate_order or retrain_max_iter is not None, "retrain_max_iter",
+            "is needed with violate_order=True")
     q = np.asarray(q, dtype=float)
     k = data.k
-    std = np.sqrt(data.class_cov_scale)
+
+    def inputs(labels):
+        return draw_class_inputs(data.class_means, data.class_cov_scale, labels, rng)
 
     def fresh_stratified(per_class):
         labels = np.repeat(np.arange(k), per_class)
-        inputs = data.class_means[labels] + std * rng.standard_normal(
-            (labels.size, data.d)
-        )
-        return LabeledSet(inputs, labels)
+        return LabeledSet(inputs(labels), labels)
 
     def draw_batch():
-        labels = rng.choice(k, size=batch_size, p=q)
-        return data.class_means[labels] + std * rng.standard_normal(
-            (batch_size, data.d)
-        )
+        return inputs(rng.choice(k, size=batch_size, p=q))
 
     def chunked_confusion(model, per_class, chunk=20_000):
-        from .estimator import ConfusionMatrix
-        from .models import forward as model_forward
-        from .numkit import min_singular_value
-
         cols = np.zeros((k, k))
         for c in range(k):
             done = 0
             while done < per_class:
                 m_now = min(chunk, per_class - done)
-                x = data.class_means[c] + std * rng.standard_normal((m_now, data.d))
-                probs, _, _ = model_forward(model, x)
+                probs, _, _ = forward(model, inputs(np.full(m_now, c)))
                 cols[:, c] += probs.sum(axis=0)
                 done += m_now
             cols[:, c] /= per_class

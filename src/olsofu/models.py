@@ -364,14 +364,16 @@ def backward(
     batch,
     loss_kind: str,
     rng: np.random.Generator | None = None,
-    infonce_temperature: float = 0.07,
-    augment_noise: float = 0.1,
+    *,
+    infonce_temperature: float,
+    augment_noise: float,
 ) -> tuple[float, np.ndarray]:
     """Batch-mean loss and its analytic gradient, laid out like ``m.theta``.
 
     ``batch`` is ``(inputs, labels)``; labels may be None except for
     cross_entropy. Rotation and InfoNCE draw their degrees / augmentations
-    from ``rng`` and delegate to the explicit-argument variants above.
+    from ``rng`` and delegate to the explicit-argument variants above;
+    ``infonce_temperature`` and ``augment_noise`` are InfoNCE's.
     """
     if loss_kind not in LOSS_KINDS:
         raise InvalidArgumentError(f"unknown loss kind {loss_kind!r}")

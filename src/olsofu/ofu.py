@@ -52,13 +52,17 @@ class SslSpec:
 
     kind: str = "none"
     ssl_lr: float = 0.01  # feature-update step size
-    ba: int = 1  # batch-accumulation period (update every ba steps)
+    # Batch-accumulation period (update every ba steps); None -> 50 for
+    # infonce, whose loss needs many inputs per update, else 1.
+    ba: int | None = None
     inner_steps: int = 1  # gradient steps per update
     infonce_temperature: float = 0.07
     augment_noise: float = 0.1
 
     def __post_init__(self):
         require(self.kind in SSL_KINDS, "kind", f"{self.kind!r} is not one of {SSL_KINDS}")
+        if self.ba is None:
+            object.__setattr__(self, "ba", 50 if self.kind == "infonce" else 1)
         require(self.ssl_lr >= 0, "ssl_lr", "must be >= 0")
         require(self.ba >= 1, "ba", "must be >= 1")
         require(self.inner_steps >= 1, "inner_steps", "must be >= 1")
@@ -67,19 +71,18 @@ class SslSpec:
 
 
 def ssl_loss_grad(
-    kind: str,
+    spec: SslSpec,
     batch_inputs: np.ndarray,
     m: ModelParams,
     rng: np.random.Generator,
-    spec: SslSpec | None = None,
 ):
-    """Self-supervised loss and its gradient over the feature extractor and
-    the auxiliary head; the classification head's own entries are zeroed."""
-    spec = spec or SslSpec(kind=kind)
+    """Self-supervised loss ``spec.kind`` and its gradient over the feature
+    extractor and the auxiliary head; the classification head's own entries
+    are zeroed."""
     loss, g = backward(
         m,
         (batch_inputs, None),
-        kind,
+        spec.kind,
         rng=rng,
         infonce_temperature=spec.infonce_temperature,
         augment_noise=spec.augment_noise,
@@ -103,7 +106,7 @@ def feature_update(
     """
     if spec.kind == "none":
         raise ContractViolationError("feature_update called with ssl kind 'none'")
-    _, g = ssl_loss_grad(spec.kind, batch_inputs, m, rng, spec)
+    _, g = ssl_loss_grad(spec, batch_inputs, m, rng)
     return with_theta(m, m.theta - spec.ssl_lr * g)
 
 
@@ -160,8 +163,8 @@ class OfuRuntime:
     ssl: SslSpec
     reg_lambda: float
     rng: np.random.Generator
-    retrain_max_iter: int = 500
-    retrain_grad_tol: float = 1e-6
+    retrain_max_iter: int
+    retrain_grad_tol: float
 
 
 @dataclass

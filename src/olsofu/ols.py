@@ -131,6 +131,30 @@ def per_class_risk_jacobian(
     return jac
 
 
+@dataclass(frozen=True)
+class AlgoParams:
+    """Per-algorithm hyperparameters; None means the documented default.
+    The strategies read them from here as they are: their ranges are
+    checked here."""
+
+    eta: float | None = None  # rogd / uogd step size
+    window: int = 100  # ftfwh
+    flh_eta: float | None = None  # flhftl, default K/2
+    flh_max_experts: int = 200
+    meta_eps: float | None = None  # atlas, default sqrt(8/T)
+    radius: float = 100.0  # uogd / atlas domain
+    warmup: int = 50  # rogd L-hat estimation window
+
+    def __post_init__(self):
+        require(self.eta is None or self.eta >= 0, "eta", "must be >= 0")
+        require(self.window >= 1, "window", "must be >= 1")
+        require(self.flh_eta is None or self.flh_eta >= 0, "flh_eta", "must be >= 0")
+        require(self.flh_max_experts >= 1, "flh_max_experts", "must be >= 1")
+        require(self.meta_eps is None or self.meta_eps > 0, "meta_eps", "must be > 0")
+        require(self.radius > 0, "radius", "must be > 0")
+        require(self.warmup >= 1, "warmup", "must be >= 1")
+
+
 class BaseStrategy:
     """No adaptation: keeps the identity reweighting forever. Every
     reweighting strategy keeps its simplex vector in ``p``, from q0 on."""
@@ -174,9 +198,9 @@ class FtfwhStrategy(BaseStrategy):
 
     name = "ftfwh"
 
-    def __init__(self, q0: np.ndarray, window: int = 100):
+    def __init__(self, q0: np.ndarray, params: AlgoParams = AlgoParams()):
         super().__init__(q0)
-        self.window = window
+        self.window = params.window
         self.history: list[np.ndarray] = []
 
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
@@ -190,20 +214,19 @@ class RogdStrategy(BaseStrategy):
     """Projected gradient steps on the reweighting vector.
 
     The descent direction is J_p(p_t)^T s_t with the raw (unclipped)
-    estimate. The default step size is sqrt(2/T) / L_hat, where L_hat is
-    the largest gradient norm observed during the first ``warmup`` steps
-    and is frozen afterwards.
+    estimate. Unless ``params.eta`` fixes it, the step size is
+    sqrt(2/T) / L_hat, where L_hat is the largest gradient norm observed
+    during the first ``params.warmup`` steps and is frozen afterwards.
     """
 
     name = "rogd"
     reads = ("train_probs",)
 
-    def __init__(self, q0: np.ndarray, horizon: int, eta: float | None = None,
-                 warmup: int = 50):
+    def __init__(self, q0: np.ndarray, horizon: int, params: AlgoParams = AlgoParams()):
         super().__init__(q0)
         self.horizon = horizon
-        self.eta = eta
-        self.warmup = warmup
+        self.eta = params.eta
+        self.warmup = params.warmup
         self.lhat = 0.0
         self.t = 0
 
@@ -238,12 +261,11 @@ class FlhftlStrategy(BaseStrategy):
 
     name = "flhftl"
 
-    def __init__(self, q0: np.ndarray, eta: float | None = None,
-                 max_experts: int = 200):
+    def __init__(self, q0: np.ndarray, params: AlgoParams = AlgoParams()):
         super().__init__(q0)
         k = self.q0.shape[0]
-        self.eta = eta if eta is not None else k / 2.0
-        self.max_experts = max_experts
+        self.eta = params.flh_eta if params.flh_eta is not None else k / 2.0
+        self.max_experts = params.flh_max_experts
         self.sums = np.zeros((0, k))
         self.counts = np.zeros(0)
         self.weights = np.zeros(0)
@@ -290,9 +312,9 @@ class UogdStrategy:
     name = "uogd"
     reads = ("xt",)
 
-    def __init__(self, f0: ModelParams, eta: float, radius: float = 100.0):
+    def __init__(self, f0: ModelParams, eta: float, params: AlgoParams = AlgoParams()):
         self.eta = eta
-        self.radius = radius
+        self.radius = params.radius
         self.heads = np.column_stack([f0.linear_w, f0.linear_b])[None]
 
     @property
@@ -339,7 +361,8 @@ class AtlasStrategy:
     name = "atlas"
     reads = ("xt",)
 
-    def __init__(self, f0: ModelParams, etas, eps: float, radius: float = 100.0):
+    def __init__(self, f0: ModelParams, etas, eps: float,
+                 params: AlgoParams = AlgoParams()):
         etas = np.asarray(etas, dtype=float)
         if etas.size == 0:
             raise InvalidArgumentError("step-size pool must be nonempty")
@@ -347,7 +370,7 @@ class AtlasStrategy:
             raise InvalidArgumentError("eta must be >= 0")
         self.etas = etas
         self.eps = eps
-        self.radius = radius
+        self.radius = params.radius
         self.played = np.column_stack([f0.linear_w, f0.linear_b])
         self.heads = np.repeat(self.played[None], etas.size, axis=0)
         self.cum_risk = np.zeros(etas.size)
@@ -368,43 +391,19 @@ class AtlasStrategy:
         return np.concatenate([self.played[:, :-1].ravel(), self.played[:, -1]])
 
 
-@dataclass(frozen=True)
-class AlgoParams:
-    """Optional per-algorithm overrides; None means the documented default.
-    The strategies take the values as they are: their ranges are checked here."""
-
-    eta: float | None = None  # rogd / uogd step size
-    window: int = 100  # ftfwh
-    flh_eta: float | None = None  # flhftl, default K/2
-    flh_max_experts: int = 200
-    meta_eps: float | None = None  # atlas, default sqrt(8/T)
-    radius: float = 100.0  # uogd / atlas domain
-    warmup: int = 50  # rogd L-hat estimation window
-
-    def __post_init__(self):
-        require(self.eta is None or self.eta >= 0, "eta", "must be >= 0")
-        require(self.window >= 1, "window", "must be >= 1")
-        require(self.flh_eta is None or self.flh_eta >= 0, "flh_eta", "must be >= 0")
-        require(self.flh_max_experts >= 1, "flh_max_experts", "must be >= 1")
-        require(self.meta_eps is None or self.meta_eps > 0, "meta_eps", "must be > 0")
-        require(self.radius > 0, "radius", "must be > 0")
-        require(self.warmup >= 1, "warmup", "must be >= 1")
-
-
 def make_strategy(
     algorithm: str,
     q0: np.ndarray,
     horizon: int,
     f0: ModelParams,
     sigma_min: float,
-    params: AlgoParams | None = None,
+    params: AlgoParams = AlgoParams(),
 ):
-    """Instantiate a strategy with the documented defaults.
+    """Instantiate a strategy with the hyperparameters ``params`` holds.
 
     ``sigma_min`` is the minimum singular value of the pretrained model's
     confusion matrix; it sets the UOGD step size and the ATLAS pool base.
     """
-    params = params or AlgoParams()
     q0 = np.asarray(q0, dtype=float)
     k = q0.shape[0]
     if algorithm == "none":
@@ -412,16 +411,16 @@ def make_strategy(
     if algorithm == "fth":
         return FthStrategy(q0)
     if algorithm == "ftfwh":
-        return FtfwhStrategy(q0, params.window)
+        return FtfwhStrategy(q0, params)
     if algorithm == "rogd":
-        return RogdStrategy(q0, horizon, params.eta, params.warmup)
+        return RogdStrategy(q0, horizon, params)
     if algorithm == "flhftl":
-        return FlhftlStrategy(q0, params.flh_eta, params.flh_max_experts)
+        return FlhftlStrategy(q0, params)
     if algorithm == "uogd":
         eta = params.eta if params.eta is not None else sigma_min / math.sqrt(k * horizon)
-        return UogdStrategy(f0, eta, params.radius)
+        return UogdStrategy(f0, eta, params)
     if algorithm == "atlas":
         etas = atlas_step_pool(horizon, k, sigma_min)
         eps = params.meta_eps if params.meta_eps is not None else math.sqrt(8.0 / horizon)
-        return AtlasStrategy(f0, etas, eps, params.radius)
+        return AtlasStrategy(f0, etas, eps, params)
     raise InvalidArgumentError(f"unknown algorithm {algorithm!r}")

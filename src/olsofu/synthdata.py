@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataExhaustedError, InvalidArgumentError, require
-from .numkit import as_array, check_simplex
+from .numkit import as_array, check_simplex, make_rng
 
 SHIFT_KINDS = ("sinusoidal", "bernoulli", "constant", "monotone")
 CORRUPTION_KINDS = ("none", "rotate2d", "gaussian_noise", "affine")
@@ -250,11 +250,10 @@ def make_source_data(
     """Draw (train, val, test_pool, q0) from the spec's Gaussian classes.
 
     Train and validation labels are i.i.d. from the uniform source marginal
-    q0; the test pool is class-stratified so any test-time marginal can be
-    sampled from it with replacement.
+    q0, and each split must hold every class; the test pool is
+    class-stratified so any test-time marginal can be sampled from it with
+    replacement.
     """
-    from .numkit import make_rng
-
     means = spec.class_means
     if spec.class_cov_scale == 0.0:
         dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
@@ -265,27 +264,34 @@ def make_source_data(
             )
     rng = make_rng(seed)
     q0 = uniform_simplex(spec.k)
-    std = np.sqrt(spec.class_cov_scale)
 
-    def draw(n):
+    def draw(labels):
+        return LabeledSet(draw_class_inputs(means, spec.class_cov_scale, labels, rng), labels)
+
+    def draw_split(n, split, field):
         labels = rng.choice(spec.k, size=n, p=q0)
-        inputs = means[labels] + std * rng.standard_normal((n, spec.d))
-        return LabeledSet(inputs, labels)
+        missing = np.setdiff1d(np.arange(spec.k), labels).tolist()
+        require(not missing, field,
+                f"gives a {split} split without class(es) {missing}; increase it")
+        return draw(labels)
 
-    train = draw(spec.n_train)
-    if np.unique(train.labels).size != spec.k:
-        raise InvalidArgumentError(
-            "train split is missing a class; increase n_train"
-        )
-    val = draw(spec.val_count)
-
+    train = draw_split(spec.n_train, "train", "n_train")
+    val = draw_split(spec.val_count, "validation",
+                     "n_train" if spec.n_val is None else "n_val")
     per_class = max(1, spec.n_test_pool // spec.k)
-    pool_labels = np.repeat(np.arange(spec.k), per_class)
-    pool_inputs = means[pool_labels] + std * rng.standard_normal(
-        (pool_labels.size, spec.d)
-    )
-    pool = LabeledSet(pool_inputs, pool_labels)
+    pool = draw(np.repeat(np.arange(spec.k), per_class))
     return train, val, pool, q0
+
+
+def draw_class_inputs(
+    means: np.ndarray, cov_scale: float, labels: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Inputs for ``labels`` from the isotropic Gaussian classes: row i is
+    ``means[labels[i]]`` plus N(0, cov_scale I) noise, drawn in one
+    ``rng.standard_normal`` call."""
+    return means[labels] + np.sqrt(cov_scale) * rng.standard_normal(
+        (labels.size, means.shape[1])
+    )
 
 
 def sample_batch(
@@ -330,9 +336,7 @@ def bayes_error_mc(
     means = as_array(means, "means")
     q = check_simplex(q, "q")
     labels = rng.choice(q.shape[0], size=n_samples, p=q)
-    x = means[labels] + np.sqrt(cov_scale) * rng.standard_normal(
-        (n_samples, means.shape[1])
-    )
+    x = draw_class_inputs(means, cov_scale, labels, rng)
     if cov_scale <= 0:
         d2 = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         pred = np.argmin(d2, axis=1)

@@ -50,6 +50,7 @@ from .synthdata import (
     bayes_error_mc,
     default_means,
     default_pattern,
+    draw_class_inputs,
     marginal_path,
     realize_pattern,
 )
@@ -209,12 +210,11 @@ def check_p3() -> CheckResult:
     conf = regularize_confusion(confusion_matrix(pre.model, pre.val), sc.reg_lambda)
     q = np.array([0.4, 0.3, 0.2, 0.1])
     rng = make_rng(77)
-    std = np.sqrt(sc.data.class_cov_scale)
     n_batches, b = 5000, 10
     total = np.zeros(4)
     for _ in range(n_batches):
         labels = rng.choice(4, size=b, p=q)
-        x = sc.data.class_means[labels] + std * rng.standard_normal((b, 8))
+        x = draw_class_inputs(sc.data.class_means, sc.data.class_cov_scale, labels, rng)
         total += bbse_estimate(pre.model, conf, x).s
     dev = float(np.abs(total / n_batches - q).max())
     return CheckResult(
@@ -237,7 +237,7 @@ def check_p4() -> CheckResult:
     bias, stderr, violate_flag = ordering_bias_test(
         pre.model, q, sc.data, pre.train,
         n_trials=1000, batch_size=10, violate_order=True, rng=make_rng(56),
-        ssl_lr=0.5, retrain_max_iter=40,
+        retrain_max_iter=40,
     )
     zmax = float(np.abs(bias / stderr).max())
     return CheckResult(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,6 +13,9 @@ from olsofu.config import (
     scenario_from_config,
 )
 from olsofu.errors import ConfigError
+from olsofu.harness import Scenario
+from olsofu.ofu import SslSpec
+from olsofu.synthdata import DataSpec, default_means, default_pattern
 
 FAST_CONFIG = {
     "data": {"k": 3, "d": 6, "n_train": 600, "n_test_pool": 600},
@@ -27,6 +31,18 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+def assert_fields_equal(a, b, path):
+    """Dataclasses equal field by field, arrays element by element."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), path
+        for f in dataclasses.fields(a):
+            assert_fields_equal(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        np.testing.assert_array_equal(a, b, err_msg=path)
+    else:
+        assert a == b, f"{path}: {a!r} != {b!r}"
+
+
 class TestConfig:
     def test_defaults_resolve(self):
         cfg = resolve_config({})
@@ -40,6 +56,19 @@ class TestConfig:
     def test_infonce_gets_batch_accumulation_default(self):
         cfg = resolve_config({"ssl": {"kind": "infonce"}})
         assert cfg["ssl"]["ba"] == 50
+
+    @pytest.mark.parametrize("kind", ["none", "infonce"])
+    def test_default_config_is_the_library_default_scenario(self, kind):
+        # Every default has one home, the dataclass field, so a config of
+        # defaults and a Scenario of defaults agree field by field.
+        doc = {} if kind == "none" else {"ssl": {"kind": kind}}
+        from_config = scenario_from_config(resolve_config(doc))
+        library = Scenario(
+            data=DataSpec(k=4, d=8, class_means=default_means(4, 8, 2.0)),
+            shift=default_pattern("sinusoidal", 4, 1000),
+            ssl=SslSpec(kind=kind),
+        )
+        assert_fields_equal(from_config, library, "scenario")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):

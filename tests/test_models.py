@@ -22,6 +22,7 @@ from olsofu.models import (
     with_updates,
 )
 from olsofu.numkit import make_rng, softmax
+from olsofu.ofu import SslSpec
 from olsofu.synthdata import DataSpec, LabeledSet, default_means, make_source_data
 
 
@@ -73,22 +74,29 @@ class TestForward:
         assert probs.min() >= 0
 
 
+def backward_default_ssl(m, batch, kind):
+    """``backward`` with ``SslSpec``'s InfoNCE settings."""
+    spec = SslSpec()
+    return backward(m, batch, kind, infonce_temperature=spec.infonce_temperature,
+                    augment_noise=spec.augment_noise)
+
+
 class TestBackward:
     def test_rejects_unknown_kind_and_scope(self, rng):
         m = init_model(4, 2, rng=make_rng(0))
         x = rng.standard_normal((3, 4))
         with pytest.raises(InvalidArgumentError):
-            backward(m, (x, None), "hinge")
+            backward_default_ssl(m, (x, None), "hinge")
 
     def test_cross_entropy_requires_labels(self, rng):
         m = init_model(4, 2, rng=make_rng(0))
         with pytest.raises(InvalidArgumentError):
-            backward(m, (rng.standard_normal((3, 4)), None), "cross_entropy")
+            backward_default_ssl(m, (rng.standard_normal((3, 4)), None), "cross_entropy")
 
     def test_empty_batch_rejected(self):
         m = init_model(4, 2, rng=make_rng(0))
         with pytest.raises(InvalidArgumentError):
-            backward(m, (np.zeros((0, 4)), None), "entropy")
+            backward_default_ssl(m, (np.zeros((0, 4)), None), "entropy")
 
     def test_confident_correct_prediction_has_tiny_loss_and_gradient(self):
         m = identity_model(k=2, scale=200.0)

@@ -5,7 +5,7 @@ import pytest
 
 from olsofu.errors import ContractViolationError, InvalidArgumentError
 from olsofu.estimator import MarginalEstimate
-from olsofu.harness import run_online
+from olsofu.harness import Scenario, run_online
 from olsofu.models import forward, init_model, with_updates
 from olsofu.numkit import make_rng
 from olsofu.ofu import (
@@ -30,6 +30,7 @@ def make_runtime(pre, ssl, run_seed=99, retrain_max_iter=40):
         reg_lambda=0.01,
         rng=make_rng(run_seed),
         retrain_max_iter=retrain_max_iter,
+        retrain_grad_tol=Scenario.retrain_grad_tol,
     )
 
 
@@ -37,20 +38,21 @@ class TestSslLoss:
     def test_entropy_of_saturated_model_is_zero(self):
         m = init_model(4, 3, rng=make_rng(0))
         m = with_updates(m, linear_w=m.linear_w * 1e4)
-        loss, _ = ssl_loss_grad("entropy", np.eye(4)[:3] * 10, m, make_rng(1))
+        loss, _ = ssl_loss_grad(SslSpec(kind="entropy"), np.eye(4)[:3] * 10, m, make_rng(1))
         assert loss < 1e-6
 
     def test_entropy_of_uniform_model_is_log_k(self, rng):
         m = init_model(4, 5, rng=make_rng(0))
         m = with_updates(m, linear_w=np.zeros_like(m.linear_w),
                          linear_b=np.zeros_like(m.linear_b))
-        loss, _ = ssl_loss_grad("entropy", rng.standard_normal((6, 4)), m, make_rng(1))
+        x = rng.standard_normal((6, 4))
+        loss, _ = ssl_loss_grad(SslSpec(kind="entropy"), x, m, make_rng(1))
         assert loss == pytest.approx(np.log(5), abs=1e-9)
 
     def test_classification_head_gradient_zeroed(self, rng):
         m = init_model(4, 3, rng=make_rng(2))
         x = rng.standard_normal((6, 4))
-        _, grads = ssl_loss_grad("entropy", x, m, make_rng(3))
+        _, grads = ssl_loss_grad(SslSpec(kind="entropy"), x, m, make_rng(3))
         g = m.views(grads)
         assert np.abs(g.linear_w).max() == 0.0
         assert any(np.abs(w).max() > 0 for w in g.feat_weights)
@@ -58,7 +60,8 @@ class TestSslLoss:
     def test_infonce_requires_two_inputs(self, rng):
         m = init_model(4, 3, rng=make_rng(2))
         with pytest.raises(InvalidArgumentError):
-            ssl_loss_grad("infonce", rng.standard_normal((1, 4)), m, make_rng(3))
+            ssl_loss_grad(SslSpec(kind="infonce"), rng.standard_normal((1, 4)), m,
+                          make_rng(3))
 
 
 class TestFeatureUpdate:

@@ -9,6 +9,7 @@ from olsofu.models import forward, init_model
 from olsofu.numkit import is_simplex, make_rng, project_simplex
 from olsofu.ofu import build_context
 from olsofu.ols import (
+    AlgoParams,
     AtlasStrategy,
     FlhftlStrategy,
     FthStrategy,
@@ -142,7 +143,7 @@ class TestFth:
 
 class TestFtfwh:
     def test_wide_window_equals_fth(self, rng):
-        wide = FtfwhStrategy(UNIFORM4, window=50)
+        wide = FtfwhStrategy(UNIFORM4, AlgoParams(window=50))
         fth = FthStrategy(UNIFORM4)
         for e in random_estimates(rng, 20):
             wide.step(None, e)
@@ -152,13 +153,13 @@ class TestFtfwh:
         )
 
     def test_window_one_follows_latest(self, rng):
-        strat = FtfwhStrategy(UNIFORM4, window=1)
+        strat = FtfwhStrategy(UNIFORM4, AlgoParams(window=1))
         for e in random_estimates(rng, 5):
             strat.step(None, e)
             np.testing.assert_array_equal(strat.reweight_vector(), e.clipped)
 
     def test_window_three_over_five(self, rng):
-        strat = FtfwhStrategy(UNIFORM4, window=3)
+        strat = FtfwhStrategy(UNIFORM4, AlgoParams(window=3))
         estimates = random_estimates(rng, 5)
         for e in estimates:
             strat.step(None, e)
@@ -170,7 +171,7 @@ class TestRogd:
     def test_zero_step_size_keeps_weights(self, small_pretrained):
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0)
-        strat = RogdStrategy(pre.q0, horizon=100, eta=0.0)
+        strat = RogdStrategy(pre.q0, 100, AlgoParams(eta=0.0))
         before = strat.reweight_vector()
         strat.step(ctx, est([0.7, 0.1, 0.1, 0.1]))
         np.testing.assert_array_equal(strat.reweight_vector(), before)
@@ -245,11 +246,30 @@ class TestFlhftl:
         assert adaptive_err < ftl_err
 
     def test_expert_cap_bounds_state(self, rng):
-        strat = FlhftlStrategy(UNIFORM4, max_experts=20)
+        strat = FlhftlStrategy(UNIFORM4, AlgoParams(flh_max_experts=20))
         for e in random_estimates(rng, 100):
             strat.step(None, e)
         assert strat.weights.size == 20
         assert strat.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestCheckedParams:
+    # The strategies read their hyperparameters from a checked AlgoParams:
+    # a window of 0 would average nothing (NaN), and a cap of 0 experts
+    # would keep every expert.
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: FtfwhStrategy(UNIFORM4, AlgoParams(window=0)), "window"),
+            (lambda: FlhftlStrategy(UNIFORM4, AlgoParams(flh_max_experts=0)),
+             "flh_max_experts"),
+        ],
+        ids=["ftfwh-window", "flhftl-max-experts"],
+    )
+    def test_zero_rejected_naming_field(self, build, field):
+        with pytest.raises(InvalidArgumentError, match=f"^{field} ") as exc:
+            build()
+        assert exc.value.field == field
 
 
 class TestUogd:
@@ -326,7 +346,7 @@ class TestUogd:
 
     def test_norm_ball_projection(self, small_pretrained):
         pre = small_pretrained
-        strat = UogdStrategy(pre.model, eta=1.0, radius=0.5)
+        strat = UogdStrategy(pre.model, 1.0, AlgoParams(radius=0.5))
         ctx = build_context(pre.model, pre.train, pre.q0)
         strat.step(ctx, est([0.7, 0.1, 0.1, 0.1]))
         norm = np.sqrt((strat.w ** 2).sum() + (strat.b ** 2).sum())
@@ -382,7 +402,7 @@ class TestAtlas:
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0)
         etas = atlas_step_pool(1000, 4, pre.sigma_min)
-        atlas = AtlasStrategy(pre.model, etas, eps=0.3, radius=radius)
+        atlas = AtlasStrategy(pre.model, etas, 0.3, AlgoParams(radius=radius))
         ref = ReferenceAtlas(pre.model, etas, eps=0.3, radius=radius)
         rng = np.random.default_rng(11)
         for _ in range(60):
@@ -412,9 +432,9 @@ class TestHeadStrategyProperties:
                                                     estimates, radius):
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0)
-        uogd = UogdStrategy(pre.model, eta=0.05, radius=radius)
+        uogd = UogdStrategy(pre.model, 0.05, AlgoParams(radius=radius))
         atlas = AtlasStrategy(pre.model, atlas_step_pool(100, 4, pre.sigma_min),
-                              eps=0.3, radius=radius)
+                              0.3, AlgoParams(radius=radius))
         for s in estimates:
             e = est(s)
             uogd.step(ctx, e)
@@ -444,10 +464,10 @@ class TestReweightStrategyProperties:
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0, reads=RogdStrategy.reads)
         fth = FthStrategy(pre.q0)
-        ftfwh = FtfwhStrategy(pre.q0, window=3)
-        rogd = RogdStrategy(pre.q0, horizon=100, warmup=3)
-        rogd_fixed = RogdStrategy(pre.q0, horizon=100, eta=5.0)
-        flh = FlhftlStrategy(pre.q0, max_experts=4)
+        ftfwh = FtfwhStrategy(pre.q0, AlgoParams(window=3))
+        rogd = RogdStrategy(pre.q0, 100, AlgoParams(warmup=3))
+        rogd_fixed = RogdStrategy(pre.q0, 100, AlgoParams(eta=5.0))
+        flh = FlhftlStrategy(pre.q0, AlgoParams(flh_max_experts=4))
         for s in estimates:
             e = est(s)
             for strat in (fth, ftfwh, rogd, rogd_fixed, flh):

@@ -111,6 +111,24 @@ class TestSourceData:
                 DataSpec(k=3, d=4, class_means=means, class_cov_scale=0.0), seed=0
             )
 
+    # With n_val=4 these data seeds draw the validation label sets {0, 2},
+    # {2, 3} and {0, 2, 3}.
+    @pytest.mark.parametrize("seed, missing", [(1, [1, 3]), (2, [0, 1]), (3, [1])])
+    def test_validation_split_missing_a_class_names_n_val(self, seed, missing):
+        with pytest.raises(InvalidArgumentError) as exc:
+            make_source_data(spec(n_train=400, n_val=4, pool=400), seed)
+        assert exc.value.field == "n_val"
+        assert str(exc.value).startswith(
+            f"n_val gives a validation split without class(es) {missing}"
+        )
+
+    def test_derived_validation_split_missing_a_class_names_n_train(self):
+        # 16 train rows hold all four classes; their 4 validation rows miss class 0.
+        with pytest.raises(InvalidArgumentError) as exc:
+            make_source_data(spec(n_train=16, pool=400), 1)
+        assert exc.value.field == "n_train"
+        assert "validation split without class(es) [0]" in str(exc.value)
+
     def test_bayes_error_matches_analytic_two_class(self):
         # Means at (-1, 0) and (1, 0) with unit covariance: the Bayes error
         # is Phi(-1) = 0.158655.
