@@ -9,12 +9,13 @@ before it and on the commit after it, then compares the two files:
 
 ``--compare`` prints every key whose digest differs (or that only one file
 has) and exits 1 if there is any. The file also keeps each trace's raw
-estimates ``s`` and per-step error counts, so for a differing trace key
-``--compare`` adds the drift: the largest |change| of any ``s`` entry and
-the number of steps whose error count changed. Its last line sums the
-drift up over every differing trace: the largest |change| of ``s`` and
-the total of changed error counts. Recording takes about 20 s on two
-cores.
+estimates ``s``, strategy snapshots and per-step error counts, so for a
+differing trace key ``--compare`` adds the drift: the largest |change| of
+any ``s`` entry, the largest |change| of any snapshot entry (how far the
+reweighting vectors or heads moved) and the number of steps whose error
+count changed. Its last line sums the drift up over every differing
+trace: the largest |change| of ``s`` and of the snapshots, and the total
+of changed error counts. Recording takes about 20 s on two cores.
 
 The scenario is the test suite's ``small_scenario`` (K=4, d=8, 1200 train
 and pool rows, sinusoidal shift over T=150) with ``retrain_max_iter=20``.
@@ -68,7 +69,11 @@ def _trace_digests(key: str, trace, raw: dict) -> dict:
             csv_bytes = fh.read()
     finally:
         os.unlink(tmp)
-    raw[key] = {"s": trace.s.tolist(), "errors": trace.errors.tolist()}
+    raw[key] = {
+        "s": trace.s.tolist(),
+        "snapshots": np.asarray(trace.snapshots).tolist(),
+        "errors": trace.errors.tolist(),
+    }
     return {
         f"{key}/csv": _sha(csv_bytes),
         f"{key}/sigma_min": _arrays_digest([trace.sigma_min]),
@@ -130,11 +135,13 @@ def record() -> dict:
     return {"digests": out, "traces": raw}
 
 
-def _drift(a: dict, b: dict) -> tuple[float, int]:
-    """Max |change| of s and the number of changed per-step error counts."""
-    ds = float(np.max(np.abs(np.asarray(a["s"]) - np.asarray(b["s"]))))
+def _drift(a: dict, b: dict) -> tuple[float, float, int]:
+    """Max |change| of s and of the snapshots, and the number of changed
+    per-step error counts."""
+    ds, dsnap = (float(np.max(np.abs(np.asarray(a[f]) - np.asarray(b[f]))))
+                 for f in ("s", "snapshots"))
     flips = int(np.sum(np.asarray(a["errors"]) != np.asarray(b["errors"])))
-    return ds, flips
+    return ds, dsnap, flips
 
 
 def compare(a_path: str, b_path: str) -> int:
@@ -144,20 +151,22 @@ def compare(a_path: str, b_path: str) -> int:
         b_doc = json.load(fh)
     a, b = a_doc["digests"], b_doc["digests"]
     differing = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-    drifts = {}  # differing trace -> (max |ds|, changed error counts)
+    drifts = {}  # differing trace -> (max |ds|, max |dsnapshot|, changed error counts)
     for key in differing:
         run = key.rsplit("/", 1)[0]
         traces = [doc["traces"].get(run) for doc in (a_doc, b_doc)]
         if not all(traces):
             print(key)
             continue
-        drifts[run] = ds, flips = _drift(*traces)
-        print(f"{key}: max |ds| {ds:.2e}, {flips} error counts changed")
-    worst = max((ds for ds, _ in drifts.values()), default=0.0)
-    flips = sum(n for _, n in drifts.values())
+        drifts[run] = ds, dsnap, flips = _drift(*traces)
+        print(f"{key}: max |ds| {ds:.2e}, max |dsnapshot| {dsnap:.2e}, "
+              f"{flips} error counts changed")
+    worst_s = max((d[0] for d in drifts.values()), default=0.0)
+    worst_snap = max((d[1] for d in drifts.values()), default=0.0)
+    flips = sum(d[2] for d in drifts.values())
     print(f"{len(differing)} of {len(a.keys() | b.keys())} keys differ; over "
-          f"{len(drifts)} differing traces max |ds| {worst:.2e}, "
-          f"{flips} error counts changed")
+          f"{len(drifts)} differing traces max |ds| {worst_s:.2e}, max |dsnapshot| "
+          f"{worst_snap:.2e}, {flips} error counts changed")
     return 1 if differing else 0
 
 

@@ -112,6 +112,13 @@ def min_singular_value(A) -> float:
     return float(svals[-1])
 
 
+# Up to this many columns, a running ``np.maximum`` over the columns finds
+# a batch's row maxima several times faster than numpy's reduction along a
+# short last axis; a maximum is exact, so both give the same values. Wider
+# rows (InfoNCE's similarities) keep the reduction.
+COLUMN_MAX_WIDTH = 32
+
+
 def softmax(z, temperature: float = 1.0) -> np.ndarray:
     """Numerically stable softmax of ``z / temperature``.
 
@@ -121,7 +128,12 @@ def softmax(z, temperature: float = 1.0) -> np.ndarray:
     if temperature <= 0:
         raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
     z = as_array(z, "z") / float(temperature)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    if z.ndim > 1 and z.shape[-1] <= COLUMN_MAX_WIDTH:
+        top = z[..., :1].copy()
+        for j in range(1, z.shape[-1]):
+            np.maximum(top, z[..., j : j + 1], out=top)
+    else:
+        top = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - top)
     return e / e.sum(axis=-1, keepdims=True)
 

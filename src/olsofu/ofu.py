@@ -197,7 +197,7 @@ def build_context(
     feats: np.ndarray | None = None,
     reads: tuple = CONTEXT_FIELDS,
 ) -> OlsContext:
-    """The strategies' view of ``model`` on the train set.
+    """The strategies' view of ``model`` on the train set, in class order.
 
     Of the fields that cost a pass over the train set, only those named in
     ``reads`` (a strategy's ``reads``) are built. ``feats`` are ``model``'s
@@ -206,20 +206,20 @@ def build_context(
     """
     if reads and feats is None:
         feats = feat_activations(model, train.inputs)[-1]
-    k = q0.shape[0]
-    slices = train.class_indices(k)
-    xt = None
+    order, starts, sizes = train.class_order(q0.shape[0])
+    slices = tuple(slice(a, a + n) for a, n in zip(starts, sizes))
+    xt = class_sums = None
     if "xt" in reads:
         xt = np.empty((feats.shape[1] + 1, feats.shape[0]))
-        xt[:-1] = feats.T
+        xt[:-1] = feats[order].T
         xt[-1] = 1.0
+        class_sums = np.stack([xt[:, sl].sum(axis=1) for sl in slices])
     return OlsContext(
         q0=np.asarray(q0, dtype=float),
-        train_labels=train.labels,
         class_slices=slices,
-        class_counts=np.array([slices[c].size for c in range(k)], dtype=float),
-        train_probs=head_output(model, feats)[0] if "train_probs" in reads else None,
+        train_probs=head_output(model, feats)[0][order] if "train_probs" in reads else None,
         xt=xt,
+        class_sums=class_sums,
     )
 
 

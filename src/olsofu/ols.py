@@ -39,54 +39,65 @@ CONTEXT_FIELDS = ("train_probs", "xt")
 class OlsContext:
     """Artifacts of the current f_t'' that strategies read.
 
-    ``train_probs`` are f_t'' predictions on the train set, one row per
-    sample (ROGD risk surface). ``xt`` holds the train features under the
-    current extractor class-major, one column per sample, with a ones row
-    appended for the bias: shape (h+1, n). ``class_counts`` are the train
-    class sizes; with ``train_labels`` they give UOGD/ATLAS their
-    per-sample risk weights. The wrapper refreshes the context whenever
-    the model changes, building ``train_probs`` and ``xt`` only for a
-    strategy whose ``reads`` names them.
+    Every per-sample field holds the train set in class order, the stable
+    order of ``LabeledSet.class_order``: class k is the basic slice
+    ``class_slices[k]`` of it. ``train_probs`` are f_t'' predictions on the
+    train set, one row per sample (ROGD risk surface). ``xt`` holds the
+    train features under the current extractor, one column per sample,
+    with a ones row appended for the bias: shape (h+1, n); ``class_sums``
+    (K, h+1) are its column sums per class, the label part of the
+    UOGD/ATLAS risk and gradient. The wrapper refreshes the context
+    whenever the model changes, building ``train_probs`` and ``xt`` (with
+    ``class_sums``) only for a strategy whose ``reads`` names them.
     """
 
     q0: np.ndarray
-    train_labels: np.ndarray
-    class_slices: dict
-    class_counts: np.ndarray
+    class_slices: tuple
     train_probs: np.ndarray | None = None
     xt: np.ndarray | None = None
+    class_sums: np.ndarray | None = None
 
 
 def head_risks_and_grads(
     xt: np.ndarray,
-    labels: np.ndarray,
-    class_counts: np.ndarray,
+    class_slices: tuple,
+    class_sums: np.ndarray,
     heads: np.ndarray,
     s: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and gradients of sum_k s_k * R_k for N stacked heads.
 
     ``heads`` has shape (N, K, h+1), each head ``[w, b]``; R_k is the mean
-    CE of a head over the class-k train slice of the class-major features
-    ``xt`` (h+1, n). Returns the risks (N,) and their gradients
-    (N, K, h+1). All heads share one logits GEMM, a softmax along the
-    class axis and one gradient GEMM.
+    CE of a head over the class-k slice ``class_slices[k]`` of the
+    class-ordered features ``xt`` (h+1, n), whose column sums over that
+    slice are ``class_sums[k]``. Returns the risks (N,) and their
+    gradients (N, K, h+1).
+
+    All heads share one logits GEMM and one softmax along the class axis.
+    With m_i a sample's largest logit and w_k = s_k / n_k, the risk is
+    sum_i w_(y_i) (m_i + log sum_j e^(z_ji - m_i)) minus the label term
+    sum_k w_k <head_k, class_sums[k]>: no clamp, and finite whenever the
+    logits are. The pass that normalises the softmax also weights each
+    sample by w_(y_i), so the gradient is sum_k P_k X_k^T minus
+    w_k e_k class_sums[k]^T: one GEMM per class slice, whose short inner
+    dimension runs faster than one long product.
     """
-    n_heads, k, _ = heads.shape
-    n = xt.shape[1]
-    z = (heads.reshape(n_heads * k, -1) @ xt).reshape(n_heads, k, n)
+    n_heads, k, width = heads.shape
+    z = (heads.reshape(n_heads * k, width) @ xt).reshape(n_heads, k, -1)
     if not np.isfinite(z).all():
         raise InvalidArgumentError("head logits must be finite")
-    z -= z.max(axis=1, keepdims=True)
+    top = z.max(axis=1)
+    z -= top[:, None, :]
+    counts = np.array([sl.stop - sl.start for sl in class_slices])
+    w = np.divide(s, counts, out=np.zeros(k), where=counts > 0)
+    per_sample = np.repeat(w, counts)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    cols = np.arange(n)
-    per_sample = (s / class_counts)[labels]
-    picked = np.maximum(z[:, labels, cols], 1e-300)
-    risks = -np.log(picked) @ per_sample
-    z[:, labels, cols] -= 1.0
-    z *= per_sample
-    grads = (z.reshape(n_heads * k, n) @ xt.T).reshape(heads.shape)
+    total = z.sum(axis=1)
+    risks = (np.log(total) + top) @ per_sample - (heads * class_sums).sum(axis=2) @ w
+    z *= (per_sample / total)[:, None, :]
+    weighted = z.reshape(n_heads * k, -1)
+    grads = sum(weighted[:, sl] @ xt[:, sl].T for sl in class_slices).reshape(heads.shape)
+    grads -= w[:, None] * class_sums
     return risks, grads
 
 
@@ -96,9 +107,7 @@ def _descend(heads: np.ndarray, etas: np.ndarray, radius: float,
     risk; updates ``heads`` in place and returns the risks before it."""
     if ctx.xt is None:
         raise InvalidArgumentError("head strategies need train features in the context")
-    risks, grads = head_risks_and_grads(
-        ctx.xt, ctx.train_labels, ctx.class_counts, heads, s
-    )
+    risks, grads = head_risks_and_grads(ctx.xt, ctx.class_slices, ctx.class_sums, heads, s)
     heads -= etas[:, None, None] * grads
     norms = np.sqrt((heads * heads).sum(axis=(1, 2)))
     outside = norms > radius
@@ -114,7 +123,10 @@ def per_class_risk_jacobian(
     q0: np.ndarray,
 ) -> np.ndarray:
     """Jacobian J[k, m] = d/dp_m of the class-k surrogate risk
-    1 - mean_{x in class k} g(x; f, p/q0)[k] of the reweighted model."""
+    1 - mean_{x in class k} g(x; f, p/q0)[k] of the reweighted model.
+
+    ``class_slices[k]`` selects class k's rows of ``train_probs``; the
+    context's basic slices read them as views."""
     k_classes = p.shape[0]
     ratio = p / q0
     jac = np.zeros((k_classes, k_classes))
@@ -351,10 +363,12 @@ class AtlasStrategy:
 
     The experts are one (N, K, h+1) array ``heads`` with step sizes
     ``etas``; each step moves all of them with one
-    :func:`head_risks_and_grads` call. Expert risks are the same
-    s_t-weighted per-class risks the gradients use; meta weights ``meta``
-    are exponential in the cumulative estimated risk ``cum_risk``, and the
-    played head is the meta-weighted average of the experts.
+    :func:`head_risks_and_grads` call over the context's class-ordered
+    features and class sums. Expert risks are the same s_t-weighted
+    per-class risks the gradients use, computed without a clamp from the
+    max-shifted logits; meta weights ``meta`` are exponential in the
+    cumulative estimated risk ``cum_risk``, and the played head is the
+    meta-weighted average of the experts.
     """
 
     kind = "head"

@@ -79,7 +79,6 @@ class LabeledSet:
 
     inputs: np.ndarray
     labels: np.ndarray
-    _class_idx: dict | None = field(default=None, repr=False, compare=False)
     _class_order: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,20 +92,13 @@ class LabeledSet:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def class_indices(self, k: int) -> dict[int, np.ndarray]:
-        if self._class_idx is None or len(self._class_idx) != k:
-            self._class_idx = {
-                c: np.flatnonzero(self.labels == c) for c in range(k)
-            }
-        return self._class_idx
-
     def class_order(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row indices sorted by class (the ``class_indices`` concatenated),
-        with each class's start offset in that order and its size."""
+        """Row indices sorted by class, stably (each class keeps its rows in
+        their order), with each class's start offset in that order and its
+        size."""
         if self._class_order is None or self._class_order[2].size != k:
-            idx = self.class_indices(k)
-            sizes = np.array([idx[c].size for c in range(k)])
-            order = np.concatenate([idx[c] for c in range(k)])
+            order = np.argsort(self.labels, kind="stable")
+            sizes = np.bincount(self.labels, minlength=k)[:k]
             self._class_order = (order, np.cumsum(sizes) - sizes, sizes)
         return self._class_order
 

@@ -142,7 +142,7 @@ class TestBbseEstimate:
         pre = small_pretrained
         conf = confusion_matrix(pre.model, pre.val)
         q = np.array([0.5, 0.25, 0.15, 0.10])
-        idx = pre.pool.class_indices(4)
+        idx = [np.flatnonzero(pre.pool.labels == c) for c in range(4)]
         labels = rng.choice(4, size=20_000, p=q)
         rows = np.array([idx[int(c)][rng.integers(idx[int(c)].size)] for c in labels])
         from olsofu.models import forward

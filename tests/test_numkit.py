@@ -193,6 +193,14 @@ class TestSoftmax:
         out = softmax([1000.0, 999.0])
         assert np.all(np.isfinite(out)) and is_simplex(out)
 
+    @pytest.mark.parametrize("shape", [(300, 4), (5, 3, 2), (40, 32), (40, 33), (1, 4)])
+    def test_batches_match_the_row_max_reduction_exactly(self, shape):
+        # Narrow batches take their row maxima column by column; the result
+        # must equal the plain reduction's bit for bit.
+        z = 30.0 * np.random.default_rng(7).standard_normal(shape)
+        e = np.exp(z / 0.5 - (z / 0.5).max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(softmax(z, 0.5), e / e.sum(axis=-1, keepdims=True))
+
 
 class TestRng:
     def test_equal_seeds_equal_streams(self):

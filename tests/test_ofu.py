@@ -141,11 +141,14 @@ class TestOlsOfuStep:
         ols_ofu_step(state, pre.pool.inputs[:10], runtime)
         assert state.feature_updates_done == 1
         fresh = build_context(state.model, pre.train, pre.q0)
-        for name in ("xt", "train_probs", "class_counts"):
-            if name in CONTEXT_FIELDS and name not in strategy.reads:
+        # class_sums are built with xt.
+        for name, read in (("xt", "xt"), ("class_sums", "xt"), ("train_probs", "train_probs")):
+            assert read in CONTEXT_FIELDS
+            if read not in strategy.reads:
                 assert getattr(state.ctx, name) is None
                 continue
             np.testing.assert_array_equal(getattr(state.ctx, name), getattr(fresh, name))
+        assert state.ctx.class_slices == fresh.class_slices
         conf = regularize_confusion(confusion_matrix(state.model, pre.val), 0.01)
         np.testing.assert_array_equal(state.confusion.matrix, conf.matrix)
         assert state.confusion.sigma_min == conf.sigma_min

@@ -23,6 +23,7 @@ from olsofu.ols import (
     reweight_probs,
 )
 from olsofu.numkit import softmax
+from olsofu.synthdata import LabeledSet
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -41,9 +42,16 @@ def stacked(*heads):
     return np.stack([np.column_stack([w, b]) for w, b in heads])
 
 
-def reference_risk_grad(feats, labels, class_counts, w, b, s):
+def class_labels(ctx):
+    """The label of each column of the class-ordered ``ctx.xt``."""
+    return np.concatenate([np.full(sl.stop - sl.start, k)
+                           for k, sl in enumerate(ctx.class_slices)])
+
+
+def reference_risk_grad(feats, labels, w, b, s):
     """Row-major, one-head value and gradient of sum_k s_k * R_k(w, b)."""
     n = feats.shape[0]
+    class_counts = np.bincount(labels, minlength=s.size)
     probs = softmax(feats @ w.T + b)
     picked = np.maximum(probs[np.arange(n), labels], 1e-300)
     per_sample = s[labels] / class_counts[labels]
@@ -70,7 +78,7 @@ class ReferenceAtlas:
         feats = ctx.xt[:-1].T
         for i, (w, b, eta) in enumerate(self.experts):
             risk, gw, gb = reference_risk_grad(
-                feats, ctx.train_labels, ctx.class_counts, w, b, s
+                feats, class_labels(ctx), w, b, s
             )
             self.cum_risk[i] += risk
             w, b = w - eta * gw, b - eta * gb
@@ -288,15 +296,14 @@ class TestUogd:
         ctx = build_context(pre.model, pre.train, pre.q0)
         s = np.eye(4)[2]
         _, grads = head_risks_and_grads(
-            ctx.xt, ctx.train_labels, ctx.class_counts,
+            ctx.xt, ctx.class_slices, ctx.class_sums,
             stacked((pre.model.linear_w, pre.model.linear_b)), s,
         )
-        rows = ctx.class_slices[2]
-        feats_k = ctx.xt[:-1, rows].T
+        feats_k = ctx.xt[:-1, ctx.class_slices[2]].T
         probs = softmax(feats_k @ pre.model.linear_w.T + pre.model.linear_b)
         d = probs.copy()
         d[:, 2] -= 1.0
-        d /= rows.size
+        d /= feats_k.shape[0]
         np.testing.assert_allclose(grads[0, :, :-1], d.T @ feats_k, atol=1e-12)
         np.testing.assert_allclose(grads[0, :, -1], d.sum(axis=0), atol=1e-12)
 
@@ -315,11 +322,11 @@ class TestUogd:
 
         def risks(hs):
             return head_risks_and_grads(
-                ctx.xt, ctx.train_labels, ctx.class_counts, hs, s
+                ctx.xt, ctx.class_slices, ctx.class_sums, hs, s
             )[0]
 
         _, grads = head_risks_and_grads(
-            ctx.xt, ctx.train_labels, ctx.class_counts, heads, s
+            ctx.xt, ctx.class_slices, ctx.class_sums, heads, s
         )
         eps = 1e-6
         # (class, column): three w entries and every class's bias (column h).
@@ -341,8 +348,46 @@ class TestUogd:
         heads[0, 1, 0] = np.nan
         with pytest.raises(InvalidArgumentError):
             head_risks_and_grads(
-                ctx.xt, ctx.train_labels, ctx.class_counts, heads, UNIFORM4
+                ctx.xt, ctx.class_slices, ctx.class_sums, heads, UNIFORM4
             )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_feature_rejected(self, small_pretrained, bad):
+        # An infinite feature makes its column's logits infinite or NaN;
+        # the unclamped risk must not turn that into a silent value.
+        pre = small_pretrained
+        ctx = build_context(pre.model, pre.train, pre.q0)
+        xt = ctx.xt.copy()
+        xt[5, ctx.class_slices[1].start + 3] = bad
+        heads = stacked((pre.model.linear_w, pre.model.linear_b))
+        with pytest.raises(InvalidArgumentError, match="logits must be finite"):
+            head_risks_and_grads(xt, ctx.class_slices, ctx.class_sums, heads, UNIFORM4)
+
+    def test_matches_row_major_reference_for_distinct_heads(self, small_pretrained):
+        # Seven heads as ATLAS holds them: the pretrained one, perturbed and
+        # random ones, and two on the radius-0.5 ball; s has a negative entry,
+        # as a raw estimate may.
+        pre = small_pretrained
+        ctx = build_context(pre.model, pre.train, pre.q0)
+        w0, b0 = pre.model.linear_w, pre.model.linear_b
+        rng = np.random.default_rng(17)
+        pairs = [(w0, b0), (0.5 * w0, -b0), (2.0 * w0, b0 + 1.0)]
+        pairs += [(rng.standard_normal(w0.shape), rng.standard_normal(b0.shape))
+                  for _ in range(2)]
+        for _ in range(2):
+            w, b = rng.standard_normal(w0.shape), rng.standard_normal(b0.shape)
+            scale = 0.5 / np.sqrt((w * w).sum() + (b * b).sum())
+            pairs.append((scale * w, scale * b))
+        s = np.array([0.6, -0.1, 0.3, 0.2])
+        risks, grads = head_risks_and_grads(
+            ctx.xt, ctx.class_slices, ctx.class_sums, stacked(*pairs), s
+        )
+        feats = ctx.xt[:-1].T
+        for i, (w, b) in enumerate(pairs):
+            risk, gw, gb = reference_risk_grad(feats, class_labels(ctx), w, b, s)
+            assert abs(risks[i] - risk) <= 1e-12 * abs(risk)
+            ref = np.column_stack([gw, gb])
+            assert np.abs(grads[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_norm_ball_projection(self, small_pretrained):
         pre = small_pretrained
@@ -417,6 +462,34 @@ class TestAtlas:
             np.testing.assert_allclose(atlas.heads[i, :, -1], b, rtol=0, atol=1e-12)
         for got, want in zip(atlas.head(), ref.head()):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_train_row_order_does_not_matter(self, small_pretrained):
+        # Interleaving the classes' train rows differently, each class
+        # keeping its rows' relative order, leaves the class-ordered context
+        # and so the whole trajectory unchanged, bit for bit.
+        pre = small_pretrained
+        labels = pre.train.labels
+        mixed = np.random.default_rng(23).permutation(labels)
+        perm = np.empty(labels.size, dtype=int)
+        for c in range(4):
+            perm[mixed == c] = np.flatnonzero(labels == c)
+        shuffled = LabeledSet(pre.train.inputs[perm], labels[perm])
+        assert not np.array_equal(shuffled.labels, labels)
+        ctxs = [build_context(pre.model, train, pre.q0)
+                for train in (pre.train, shuffled)]
+        assert ctxs[0].class_slices == ctxs[1].class_slices
+        for name in ("xt", "class_sums", "train_probs"):
+            np.testing.assert_array_equal(getattr(ctxs[0], name), getattr(ctxs[1], name))
+        etas = atlas_step_pool(1000, 4, pre.sigma_min)
+        runs = [AtlasStrategy(pre.model, etas, 0.3) for _ in ctxs]
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            e = est(rng.normal(0.25, 0.5, size=4))
+            for atlas, ctx in zip(runs, ctxs):
+                atlas.step(ctx, e)
+            np.testing.assert_array_equal(runs[0].cum_risk, runs[1].cum_risk)
+            np.testing.assert_array_equal(runs[0].heads, runs[1].heads)
+            np.testing.assert_array_equal(runs[0].played, runs[1].played)
 
 
 class TestHeadStrategyProperties:

@@ -149,7 +149,7 @@ class TestSourceData:
 def reference_sample_batch(q_t, batch_size, pool, corruption, rng):
     """The per-row draw: rng.choice for the labels, then one rng.integers
     call per row for its member of the label's class."""
-    idx = pool.class_indices(q_t.shape[0])
+    idx = [np.flatnonzero(pool.labels == c) for c in range(q_t.shape[0])]
     labels = rng.choice(q_t.shape[0], size=batch_size, p=q_t)
     rows = np.empty(batch_size, dtype=int)
     for i, c in enumerate(labels):
