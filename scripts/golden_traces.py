@@ -15,7 +15,7 @@ any ``s`` entry, the largest |change| of any snapshot entry (how far the
 reweighting vectors or heads moved) and the number of steps whose error
 count changed. Its last line sums the drift up over every differing
 trace: the largest |change| of ``s`` and of the snapshots, and the total
-of changed error counts. Recording takes about 20 s on two cores.
+of changed error counts. Recording takes about 7 s on two cores.
 
 The scenario is the test suite's ``small_scenario`` (K=4, d=8, 1200 train
 and pool rows, sinusoidal shift over T=150) with ``retrain_max_iter=20``.
@@ -27,6 +27,8 @@ writes, its per-step sigma_min and its strategy snapshots. The set:
 - ``oracle_trace`` frozen and updated with rotation, x both orders;
 - ``run_bare_ols`` x both orders;
 - atlas with entropy (ba=5) and with InfoNCE (ba=5, inner_steps=2);
+- flhftl with rotation (ba=5) on batches rotated by 30 degrees
+  (``CorruptionSpec(kind="rotate2d", angle=30.0)``);
 - the pretrained model's arrays for ``pretrain_ssl`` none, rotation and
   infonce (the momentum path and the supervised + SSL gradient sum);
 - the value acceptance check P2 prints.
@@ -93,7 +95,7 @@ def record() -> dict:
     from olsofu.models import TrainConfig
     from olsofu.ofu import SslSpec
     from olsofu.ols import ALGORITHMS
-    from olsofu.synthdata import DataSpec, default_means, default_pattern
+    from olsofu.synthdata import CorruptionSpec, DataSpec, default_means, default_pattern
 
     data = DataSpec(
         k=4, d=8, class_means=default_means(4, 8, 2.0), class_cov_scale=1.0,
@@ -128,6 +130,12 @@ def record() -> dict:
         run = dataclasses.replace(sc, algorithm="atlas", ssl=ssl)
         trace = harness.run_online(run, pre)
         out.update(_trace_digests(f"run_online/atlas/ssl={name}", trace, raw))
+    rotated = dataclasses.replace(
+        sc, algorithm="flhftl", ssl=rotation,
+        corruption=CorruptionSpec(kind="rotate2d", angle=30.0),
+    )
+    trace = harness.run_online(rotated, pre)
+    out.update(_trace_digests("run_online/flhftl/ssl=rotation/rotate2d", trace, raw))
     for kind in ("none", "rotation", "infonce"):
         p = harness.pretrain(dataclasses.replace(sc, pretrain_ssl=kind))
         out[f"pretrain/ssl={kind}/model"] = _model_digest(p.model)

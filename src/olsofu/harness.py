@@ -321,20 +321,21 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
             q_t, inputs, est = stream.step(
                 t, state.model, state.confusion, steps_before_refresh(state, runtime)
             )
+            sigma_min = state.confusion.sigma_min
             if sc.order == "update_first":
-                predictor, rec = ols_ofu_step(state, inputs, runtime, est)
+                predictor = ols_ofu_step(state, inputs, runtime, est)
             deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
             errs = stream.errors(t, deployed)
             if sc.order == "predict_first":
-                predictor, rec = ols_ofu_step(state, inputs, runtime, est)
+                predictor = ols_ofu_step(state, inputs, runtime, est)
         except Exception as exc:  # noqa: BLE001 - annotate with the step index
             raise RunError(f"step {t}: {exc}", t) from exc
         trace.q[t - 1] = q_t
-        trace.s[t - 1] = rec.s_raw
+        trace.s[t - 1] = est.s
         trace.errors[t - 1] = errs
-        trace.sigma_min[t - 1] = rec.sigma_min
-        trace.snapshots.append(rec.snapshot)
-        trace.end_model_uids.append(rec.end_model_uid)
+        trace.sigma_min[t - 1] = sigma_min
+        trace.snapshots.append(state.strategy.snapshot())
+        trace.end_model_uids.append(state.model.uid)
     return trace
 
 

@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidArgumentError, TrainingDivergedError, require
-from .numkit import as_array, make_rng, softmax
+from .numkit import as_array, make_rng, rotate2d, softmax
 
-LOSS_KINDS = ("cross_entropy", "entropy", "rotation", "infonce")
+LOSS_KINDS = ("entropy", "rotation", "infonce")
 ROTATION_DEGREES = (0.0, 90.0, 180.0, 270.0)
 
 _uid_counter = itertools.count(1)
@@ -284,16 +284,6 @@ def entropy_loss_grad(m: ModelParams, x: np.ndarray) -> tuple[float, np.ndarray]
     return loss, _head_grad(m, acts, dlogits, "linear")
 
 
-def rotate_first_two(x: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Rotate each row's first two coordinates by its own angle."""
-    theta = np.deg2rad(degrees)
-    c, s = np.cos(theta), np.sin(theta)
-    out = x.copy()
-    out[:, 0] = c * x[:, 0] - s * x[:, 1]
-    out[:, 1] = s * x[:, 0] + c * x[:, 1]
-    return out
-
-
 def rotation_loss_grad(
     m: ModelParams, x: np.ndarray, degree_idx: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -304,7 +294,7 @@ def rotation_loss_grad(
     degree_idx = np.asarray(degree_idx, dtype=int)
     n = x.shape[0]
     degrees = np.asarray(ROTATION_DEGREES)[degree_idx]
-    x_rot = rotate_first_two(x, degrees)
+    x_rot = rotate2d(x, degrees)
     acts = feat_activations(m, x_rot)
     feats = acts[-1]
     logits = feats @ m.ssl_w.T + m.ssl_b
@@ -361,34 +351,27 @@ def infonce_loss_grad(
 
 def backward(
     m: ModelParams,
-    batch,
+    x: np.ndarray,
     loss_kind: str,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
     infonce_temperature: float,
     augment_noise: float,
 ) -> tuple[float, np.ndarray]:
-    """Batch-mean loss and its analytic gradient, laid out like ``m.theta``.
+    """Batch-mean self-supervised loss on inputs ``x`` and its analytic
+    gradient, laid out like ``m.theta``.
 
-    ``batch`` is ``(inputs, labels)``; labels may be None except for
-    cross_entropy. Rotation and InfoNCE draw their degrees / augmentations
-    from ``rng`` and delegate to the explicit-argument variants above;
+    Rotation and InfoNCE draw their degrees / augmentations from ``rng`` and
+    delegate to the explicit-argument variants above;
     ``infonce_temperature`` and ``augment_noise`` are InfoNCE's.
     """
     if loss_kind not in LOSS_KINDS:
         raise InvalidArgumentError(f"unknown loss kind {loss_kind!r}")
-    x, y = batch
     x = as_array(x, "inputs")
     if x.ndim != 2 or x.shape[0] == 0:
         raise InvalidArgumentError("batch inputs must be a nonempty n x d matrix")
-    if loss_kind == "cross_entropy":
-        if y is None:
-            raise InvalidArgumentError("cross_entropy requires labels")
-        return cross_entropy_loss_grad(m, x, y)
     if loss_kind == "entropy":
         return entropy_loss_grad(m, x)
-    if rng is None:
-        raise InvalidArgumentError(f"{loss_kind} requires an rng")
     if loss_kind == "rotation":
         degree_idx = rng.integers(len(ROTATION_DEGREES), size=x.shape[0])
         return rotation_loss_grad(m, x, degree_idx)
@@ -452,9 +435,9 @@ def train_supervised(
                 if ssl_kind != "none":
                     ssl_loss, ssl_g = backward(
                         m,
-                        (x[idx], None),
+                        x[idx],
                         ssl_kind,
-                        rng=rng,
+                        rng,
                         infonce_temperature=infonce_temperature,
                         augment_noise=augment_noise,
                     )

@@ -103,6 +103,17 @@ def solve_linear(A, b) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
+def rotate2d(x: np.ndarray, degrees) -> np.ndarray:
+    """Rotate the first two coordinates of ``x``, a vector or a batch of row
+    vectors, by ``degrees``: one angle, or one angle per row."""
+    theta = np.deg2rad(degrees)
+    c, s = np.cos(theta), np.sin(theta)
+    out = x.copy()
+    out[..., 0] = c * x[..., 0] - s * x[..., 1]
+    out[..., 1] = s * x[..., 0] + c * x[..., 1]
+    return out
+
+
 def min_singular_value(A) -> float:
     """Smallest singular value of A (0.0 for rank-deficient input)."""
     A = as_array(A, "A")

@@ -1,16 +1,18 @@
 """The online feature-update wrapper around an adaptation strategy.
 
-Per time step the wrapper (1) estimates the label marginal from the
-current calibrated model and steps the OLS strategy, (2) applies a
-self-supervised gradient step to the feature extractor (optionally
-buffering batches and updating only every ``ba`` steps), and (3) re-trains
-the classification head on the source train set and re-calibrates on the
-validation set. The ordering is normative: the estimate consumed in (1)
-is always computed from a model with no data-flow dependence on the
-current batch.
+Per time step the wrapper (1) steps the OLS strategy on the label-marginal
+estimate the caller supplies, computed from the calibrated model finalised
+before the batch, (2) buffers the batch and, every ``ba`` steps, applies
+self-supervised gradient steps to the feature extractor, and (3) then
+re-trains the classification head on the source train set and
+re-calibrates on the validation set. ``ols_ofu_step`` does (1) and the
+buffering; ``refresh`` does the rest of (2) and all of (3), and is the one
+place a run's model, confusion and context change. The ordering is
+normative: the estimate consumed in (1) never has a data-flow dependence
+on the current batch.
 
-A refresh (step 3) forwards each source set once. The train features of
-the updated extractor feed both the head retrain and the strategies'
+A refresh forwards each source set once. The train features of the
+updated extractor feed both the head retrain and the strategies'
 ``OlsContext`` (the retrain leaves the extractor frozen, so they are the
 same features); the validation logits feed both the temperature
 calibration and the soft confusion of the calibrated model.
@@ -26,7 +28,7 @@ from .errors import ContractViolationError, require
 from .estimator import (
     ConfusionMatrix,
     MarginalEstimate,
-    bbse_estimate,
+    bbse_estimate,  # noqa: F401 - perfbench's tracer wraps it here
     confusion_matrix,
     regularize_confusion,
 )
@@ -81,9 +83,9 @@ def ssl_loss_grad(
     are zeroed."""
     loss, g = backward(
         m,
-        (batch_inputs, None),
+        batch_inputs,
         spec.kind,
-        rng=rng,
+        rng,
         infonce_temperature=spec.infonce_temperature,
         augment_noise=spec.augment_noise,
     )
@@ -168,16 +170,6 @@ class OfuRuntime:
 
 
 @dataclass
-class StepRecord:
-    """Per-step bookkeeping the harness stores into the trace."""
-
-    s_raw: np.ndarray
-    sigma_min: float
-    snapshot: np.ndarray
-    end_model_uid: int
-
-
-@dataclass
 class OfuState:
     """Mutable single-owner state of one online run."""
 
@@ -186,7 +178,6 @@ class OfuState:
     confusion: ConfusionMatrix
     ctx: OlsContext
     buffer: list = field(default_factory=list)
-    t: int = 0
     feature_updates_done: int = 0
 
 
@@ -250,82 +241,66 @@ def steps_before_refresh(state: OfuState, runtime: OfuRuntime) -> int | None:
     return runtime.ssl.ba - len(state.buffer)
 
 
+def refresh(state: OfuState, runtime: OfuRuntime, inputs: np.ndarray) -> None:
+    """Steps (2)-(3) on the buffered ``inputs``: feature-update the model,
+    re-train its head, re-calibrate it, and rebuild the confusion and the
+    strategy's context from the result."""
+    carrier = state.model
+    if state.strategy.kind == "head":
+        w, b = state.strategy.head()
+        carrier = with_updates(carrier, linear_w=w, linear_b=b)
+    for _ in range(runtime.ssl.inner_steps):
+        carrier = feature_update(carrier, inputs, runtime.ssl, runtime.rng)
+    # The solve is warm-started from the previous refresh's optimum, which a
+    # head strategy's carrier does not hold.
+    if state.strategy.kind == "head":
+        carrier = with_updates(
+            carrier, linear_w=state.model.linear_w, linear_b=state.model.linear_b
+        )
+    feats = feat_activations(carrier, runtime.train.inputs)[-1]
+    retrained = retrain_linear(
+        carrier,
+        runtime.train,
+        max_iter=runtime.retrain_max_iter,
+        grad_tol=runtime.retrain_grad_tol,
+        feats=feats,
+    )
+    state.model, conf = calibrate(retrained, runtime.val)
+    state.confusion = regularize_confusion(conf, runtime.reg_lambda)
+    state.ctx = build_context(
+        state.model, runtime.train, runtime.q0, feats, state.strategy.reads
+    )
+    state.feature_updates_done += 1
+
+
 def ols_ofu_step(
     state: OfuState,
     batch_inputs: np.ndarray,
     runtime: OfuRuntime,
-    est: MarginalEstimate | None = None,
-) -> tuple[Predictor, StepRecord]:
+    est: MarginalEstimate,
+) -> Predictor:
     """Advance one time step; mutates ``state`` and returns the model to
-    deploy next plus the step record.
+    deploy next.
 
     ``batch_inputs`` must be unlabeled; passing a (inputs, labels) pair is
     rejected so hidden labels cannot leak into adaptation. ``est`` is this
-    batch's marginal estimate if the caller computed it ahead (the harness
-    does, a chunk of batches at a time); it must come from ``state.model``,
-    the model finalized before this batch, and is rejected otherwise.
-    Without it the step estimates here.
+    batch's marginal estimate; it must come from ``state.model``, the model
+    finalized before this batch, and is rejected otherwise.
     """
     if isinstance(batch_inputs, (tuple, list)):
         raise ContractViolationError(
             "adaptation receives unlabeled inputs only; labels must stay on "
             "the evaluation path"
         )
-    if est is not None and est.model_uid != state.model.uid:
+    if est.model_uid != state.model.uid:
         raise ContractViolationError(
             "the estimate must come from the model finalized before this batch"
         )
-    batch_inputs = np.asarray(batch_inputs, dtype=float)
-    state.t += 1
-
-    # (1) Estimate from the pre-update model, then step the OLS strategy.
-    if est is None:
-        est = bbse_estimate(state.model, state.confusion, batch_inputs)
-    sigma_used = state.confusion.sigma_min
     state.strategy.step(state.ctx, est)
-
-    # (2) Feature update on the buffered batches, every ``ba`` steps.
-    ssl = runtime.ssl
-    if ssl.kind != "none":
-        state.buffer.append(batch_inputs)
-        if len(state.buffer) >= ssl.ba:
+    if runtime.ssl.kind != "none":
+        state.buffer.append(np.asarray(batch_inputs, dtype=float))
+        if len(state.buffer) >= runtime.ssl.ba:
             inputs = np.vstack(state.buffer)
             state.buffer.clear()
-            carrier = state.model
-            if state.strategy.kind == "head":
-                w, b = state.strategy.head()
-                carrier = with_updates(carrier, linear_w=w, linear_b=b)
-            for _ in range(ssl.inner_steps):
-                carrier = feature_update(carrier, inputs, ssl, runtime.rng)
-            # (3) Re-train the head on source data and re-calibrate. The
-            # solve is warm-started from the previous refresh's optimum,
-            # which a head strategy's carrier does not hold.
-            if state.strategy.kind == "head":
-                carrier = with_updates(
-                    carrier,
-                    linear_w=state.model.linear_w,
-                    linear_b=state.model.linear_b,
-                )
-            feats = feat_activations(carrier, runtime.train.inputs)[-1]
-            retrained = retrain_linear(
-                carrier,
-                runtime.train,
-                max_iter=runtime.retrain_max_iter,
-                grad_tol=runtime.retrain_grad_tol,
-                feats=feats,
-            )
-            state.model, conf = calibrate(retrained, runtime.val)
-            state.confusion = regularize_confusion(conf, runtime.reg_lambda)
-            state.ctx = build_context(
-                state.model, runtime.train, runtime.q0, feats, state.strategy.reads
-            )
-            state.feature_updates_done += 1
-
-    predictor = compose_output(state.model, state.strategy, state.ctx.q0)
-    record = StepRecord(
-        s_raw=est.s.copy(),
-        sigma_min=sigma_used,
-        snapshot=state.strategy.snapshot(),
-        end_model_uid=state.model.uid,
-    )
-    return predictor, record
+            refresh(state, runtime, inputs)
+    return compose_output(state.model, state.strategy, state.ctx.q0)

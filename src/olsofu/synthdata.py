@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataExhaustedError, InvalidArgumentError, require
-from .numkit import as_array, check_simplex, make_rng
+from .numkit import as_array, check_simplex, make_rng, rotate2d
 
 SHIFT_KINDS = ("sinusoidal", "bernoulli", "constant", "monotone")
 CORRUPTION_KINDS = ("none", "rotate2d", "gaussian_noise", "affine")
@@ -222,14 +222,7 @@ def corrupt(x: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator) -> np
     if spec.kind == "none":
         return x.copy()
     if spec.kind == "rotate2d":
-        theta = np.deg2rad(spec.angle)
-        c, s = np.cos(theta), np.sin(theta)
-        out = x.copy()
-        x0 = x[..., 0].copy()
-        x1 = x[..., 1].copy()
-        out[..., 0] = c * x0 - s * x1
-        out[..., 1] = s * x0 + c * x1
-        return out
+        return rotate2d(x, spec.angle)
     if spec.kind == "gaussian_noise":
         return x + spec.severity * rng.standard_normal(x.shape)
     # affine

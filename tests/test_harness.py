@@ -8,6 +8,7 @@ from olsofu.errors import (
     RunError,
     UndefinedCorrelationError,
 )
+from olsofu.estimator import bbse_estimate
 from olsofu.harness import (
     CHUNK_STEPS,
     Scenario,
@@ -186,9 +187,9 @@ class TestWrapperDegeneracy:
 
 
 def per_step_reference(sc, pre, true_marginal=False):
-    """The online protocol one batch at a time: draw, ``ols_ofu_step``
-    (which estimates from its own forward) and ``Predictor.predict``.
-    Returns (s, errors, snapshots)."""
+    """The online protocol one batch at a time: draw, ``bbse_estimate``,
+    ``ols_ofu_step`` and ``Predictor.predict``. Returns (s, errors,
+    snapshots)."""
     shift_rng = make_rng(sc.shift_seed)
     pattern = realize_pattern(sc.shift, shift_rng)
     runtime = OfuRuntime(
@@ -205,14 +206,15 @@ def per_step_reference(sc, pre, true_marginal=False):
         q_t = marginal_at(pattern, t)
         inputs, labels = sample_batch(q_t, sc.batch_size, pre.pool, sc.corruption,
                                       shift_rng)
+        est = bbse_estimate(state.model, state.confusion, inputs)
         if sc.order == "update_first":
-            predictor, rec = ols_ofu_step(state, inputs, runtime)
+            predictor = ols_ofu_step(state, inputs, runtime, est)
         deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
         errors.append(int(np.sum(deployed.predict(inputs) != labels)))
         if sc.order == "predict_first":
-            predictor, rec = ols_ofu_step(state, inputs, runtime)
-        s.append(rec.s_raw)
-        snapshots.append(rec.snapshot)
+            predictor = ols_ofu_step(state, inputs, runtime, est)
+        s.append(est.s)
+        snapshots.append(state.strategy.snapshot())
     return np.array(s), np.array(errors), snapshots
 
 
@@ -249,6 +251,34 @@ class TestSegmentPath:
             assert len(trace.snapshots) == len(snapshots)
             for a, b in zip(trace.snapshots, snapshots):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("order", ["predict_first", "update_first"])
+    def test_estimates_come_from_pre_batch_model(self, small_scenario, small_pretrained,
+                                                 monkeypatch, order):
+        # Ordering audit of the loop: each step's estimate is computed from
+        # the model the previous step ended with, never one adapted on its
+        # own batch.
+        from olsofu import harness
+
+        est_uids = []
+        original = harness.bbse_estimates
+
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            est_uids.extend(e.model_uid for e in out)
+            return out
+
+        monkeypatch.setattr(harness, "bbse_estimates", recording)
+        pre = small_pretrained
+        sc = dataclasses.replace(
+            small_scenario, algorithm="fth", order=order,
+            ssl=SslSpec(kind="rotation", ssl_lr=0.02, ba=2),
+            shift=dataclasses.replace(small_scenario.shift, horizon=60),
+            retrain_max_iter=40,
+        )
+        trace = run_online(sc, pre)
+        assert est_uids == [pre.model.uid] + trace.end_model_uids[:-1]
+        assert len(set(trace.end_model_uids)) == 31  # 30 refreshes and f0
 
 
 class TestProp1:

@@ -74,10 +74,10 @@ class TestForward:
         assert probs.min() >= 0
 
 
-def backward_default_ssl(m, batch, kind):
+def backward_default_ssl(m, x, kind):
     """``backward`` with ``SslSpec``'s InfoNCE settings."""
     spec = SslSpec()
-    return backward(m, batch, kind, infonce_temperature=spec.infonce_temperature,
+    return backward(m, x, kind, make_rng(1), infonce_temperature=spec.infonce_temperature,
                     augment_noise=spec.augment_noise)
 
 
@@ -86,17 +86,12 @@ class TestBackward:
         m = init_model(4, 2, rng=make_rng(0))
         x = rng.standard_normal((3, 4))
         with pytest.raises(InvalidArgumentError):
-            backward_default_ssl(m, (x, None), "hinge")
-
-    def test_cross_entropy_requires_labels(self, rng):
-        m = init_model(4, 2, rng=make_rng(0))
-        with pytest.raises(InvalidArgumentError):
-            backward_default_ssl(m, (rng.standard_normal((3, 4)), None), "cross_entropy")
+            backward_default_ssl(m, x, "hinge")
 
     def test_empty_batch_rejected(self):
         m = init_model(4, 2, rng=make_rng(0))
         with pytest.raises(InvalidArgumentError):
-            backward_default_ssl(m, (np.zeros((0, 4)), None), "entropy")
+            backward_default_ssl(m, np.zeros((0, 4)), "entropy")
 
     def test_confident_correct_prediction_has_tiny_loss_and_gradient(self):
         m = identity_model(k=2, scale=200.0)

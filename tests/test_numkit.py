@@ -9,6 +9,7 @@ from olsofu.numkit import (
     make_rng,
     min_singular_value,
     project_simplex,
+    rotate2d,
     softmax,
     solve_linear,
 )
@@ -200,6 +201,22 @@ class TestSoftmax:
         z = 30.0 * np.random.default_rng(7).standard_normal(shape)
         e = np.exp(z / 0.5 - (z / 0.5).max(axis=-1, keepdims=True))
         np.testing.assert_array_equal(softmax(z, 0.5), e / e.sum(axis=-1, keepdims=True))
+
+
+class TestRotate2d:
+    def test_rows_take_their_own_angle(self):
+        x = np.array([[1.0, 0.0, 5.0], [1.0, 0.0, 6.0], [0.0, 2.0, 7.0]])
+        out = rotate2d(x, np.array([90.0, 180.0, 90.0]))
+        np.testing.assert_allclose(out, [[0, 1, 5], [-1, 0, 6], [-2, 0, 7]], atol=1e-15)
+
+    def test_one_angle_for_a_vector_and_a_batch(self, rng):
+        x = rng.standard_normal((6, 3))
+        batch = rotate2d(x, 37.0)
+        for row, rotated in zip(x, batch):
+            np.testing.assert_array_equal(rotate2d(row, 37.0), rotated)
+        np.testing.assert_allclose(np.linalg.norm(batch[:, :2], axis=1),
+                                   np.linalg.norm(x[:, :2], axis=1), rtol=1e-14)
+        np.testing.assert_array_equal(batch[:, 2], x[:, 2])
 
 
 class TestRng:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from olsofu.errors import ContractViolationError, InvalidArgumentError
-from olsofu.estimator import MarginalEstimate
+from olsofu.estimator import MarginalEstimate, bbse_estimate
 from olsofu.harness import Scenario, run_online
 from olsofu.models import forward, init_model, with_updates
 from olsofu.numkit import make_rng
@@ -32,6 +32,11 @@ def make_runtime(pre, ssl, run_seed=99, retrain_max_iter=40):
         retrain_max_iter=retrain_max_iter,
         retrain_grad_tol=Scenario.retrain_grad_tol,
     )
+
+
+def step(state, x, runtime):
+    """``ols_ofu_step`` on the estimate from the model before the batch."""
+    return ols_ofu_step(state, x, runtime, bbse_estimate(state.model, state.confusion, x))
 
 
 class TestSslLoss:
@@ -109,8 +114,9 @@ class TestOlsOfuStep:
         strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.sigma_min)
         state = init_ofu_state(pre.model, strategy, runtime)
         batch = pre.pool.inputs[:10]
+        est = bbse_estimate(state.model, state.confusion, batch)
         with pytest.raises(ContractViolationError):
-            ols_ofu_step(state, (batch, np.zeros(10, dtype=int)), runtime)
+            ols_ofu_step(state, (batch, np.zeros(10, dtype=int)), runtime, est)
 
     def test_batch_accumulation_schedule(self, small_pretrained):
         pre = small_pretrained
@@ -119,7 +125,7 @@ class TestOlsOfuStep:
         strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.sigma_min)
         state = init_ofu_state(pre.model, strategy, runtime)
         for t in range(1, 24):
-            ols_ofu_step(state, pre.pool.inputs[10 * t : 10 * (t + 1)], runtime)
+            step(state, pre.pool.inputs[10 * t : 10 * (t + 1)], runtime)
             assert len(state.buffer) < 5
             if t % 5 == 0:
                 assert len(state.buffer) == 0
@@ -138,7 +144,7 @@ class TestOlsOfuStep:
         runtime = make_runtime(pre, SslSpec(kind="rotation", ssl_lr=0.05))
         strategy = make_strategy(algorithm, pre.q0, 100, pre.model, pre.sigma_min)
         state = init_ofu_state(pre.model, strategy, runtime)
-        ols_ofu_step(state, pre.pool.inputs[:10], runtime)
+        step(state, pre.pool.inputs[:10], runtime)
         assert state.feature_updates_done == 1
         fresh = build_context(state.model, pre.train, pre.q0)
         # class_sums are built with xt.
@@ -155,8 +161,6 @@ class TestOlsOfuStep:
         assert state.confusion.model_uid == state.model.uid
 
     def test_estimate_from_another_model_rejected(self, small_pretrained):
-        from olsofu.estimator import bbse_estimate
-
         pre = small_pretrained
         runtime = make_runtime(pre, SslSpec(kind="rotation", ssl_lr=0.05))
         strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.sigma_min)
@@ -176,34 +180,8 @@ class TestOlsOfuStep:
         strategy = make_strategy("flhftl", pre.q0, 50, pre.model, pre.sigma_min)
         state = init_ofu_state(pre.model, strategy, runtime)
         for t in range(10):
-            ols_ofu_step(state, pre.pool.inputs[10 * t : 10 * (t + 1)], runtime)
+            step(state, pre.pool.inputs[10 * t : 10 * (t + 1)], runtime)
         assert state.model.uid == pre.model.uid
-
-    def test_estimate_uses_pre_batch_model(self, small_pretrained, monkeypatch):
-        # Ordering audit: every estimate is computed from the model
-        # finalized before the current batch was revealed.
-        import olsofu.ofu as ofu_mod
-
-        est_uids, end_uids = [], []
-        original = ofu_mod.bbse_estimate
-
-        def recording(model, *args, **kwargs):
-            est_uids.append(model.uid)
-            return original(model, *args, **kwargs)
-
-        monkeypatch.setattr(ofu_mod, "bbse_estimate", recording)
-        pre = small_pretrained
-        ssl = SslSpec(kind="rotation", ssl_lr=0.02, ba=2)
-        runtime = make_runtime(pre, ssl)
-        strategy = make_strategy("fth", pre.q0, 60, pre.model, pre.sigma_min)
-        state = init_ofu_state(pre.model, strategy, runtime)
-        for t in range(12):
-            _, rec = ols_ofu_step(state, pre.pool.inputs[10 * t : 10 * (t + 1)], runtime)
-            end_uids.append(rec.end_model_uid)
-        assert est_uids[0] == pre.model.uid
-        for t in range(1, 12):
-            assert est_uids[t] == end_uids[t - 1]
-        assert len(set(end_uids)) == 7  # six updates plus the initial model
 
 
 class TestComposeOutput:
@@ -228,7 +206,6 @@ class TestComposeOutput:
         np.testing.assert_array_equal(predictor.predict_proba(x), expected)
 
     def test_reweights_base_by_p_over_q0(self, small_pretrained, rng):
-        from olsofu.estimator import MarginalEstimate
         from olsofu.numkit import project_simplex
 
         pre = small_pretrained
@@ -261,7 +238,7 @@ class TestFeatureDriftGuardrail:
         rng = make_rng(11)
         for t in range(300):
             rows = rng.integers(len(pre.pool), size=10)
-            ols_ofu_step(state, pre.pool.inputs[rows], runtime)
+            step(state, pre.pool.inputs[rows], runtime)
         base_acc = accuracy(pre.model, pre.pool)
         final_acc = accuracy(state.model, pre.pool)
         assert final_acc >= base_acc - 0.05
