@@ -1,10 +1,11 @@
 """From pretrained model to label-marginal estimates.
 
 Pipeline: draw Gaussian-class source data, pretrain a small dense network,
-calibrate its temperature on validation data, measure the soft confusion
-matrix, and recover shifted label marginals from unlabeled batches by
-solving C s = mean prediction. The estimates are noisy per batch but
-unbiased, which is what the online algorithms rely on.
+calibrate its temperature on validation data and measure the soft
+confusion matrix there (``pretrain`` does all three), then recover shifted
+label marginals from unlabeled batches by solving C s = mean prediction.
+The estimates are noisy per batch but unbiased, which is what the online
+algorithms rely on.
 """
 
 import numpy as np
@@ -13,12 +14,10 @@ from olsofu import (
     Scenario,
     TrainConfig,
     bbse_estimate,
-    confusion_matrix,
     default_means,
     default_pattern,
     make_rng,
     pretrain,
-    regularize_confusion,
 )
 from olsofu.models import accuracy
 from olsofu.synthdata import DataSpec, draw_class_inputs
@@ -35,7 +34,7 @@ pre = pretrain(sc)
 print(f"  held-out accuracy {accuracy(pre.model, pre.pool):.3f}, "
       f"calibrated temperature {pre.model.temperature:.3f}")
 
-conf = regularize_confusion(confusion_matrix(pre.model, pre.val), sc.reg_lambda)
+conf = pre.confusion  # pretraining measured it, regularized by sc.reg_lambda
 print(f"\nSoft confusion matrix (columns sum to 1, sigma_min={conf.sigma_min:.3f}):")
 print(np.round(conf.matrix, 3))
 

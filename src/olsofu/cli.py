@@ -86,7 +86,7 @@ def cmd_pretrain(args) -> int:
     sidecar = {
         "train_accuracy": accuracy(pre.model, pre.train),
         "val_accuracy": accuracy(pre.model, pre.val),
-        "sigma_min": pre.sigma_min,
+        "sigma_min": pre.confusion.sigma_min,
         "temperature": pre.model.temperature,
         "config": cfg,
     }
@@ -218,6 +218,8 @@ SWEEP_COLUMNS = [
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     out = _out_dir(args)
     # Every cell's Scenario is built, and so checked, before any cell runs.
@@ -225,8 +227,11 @@ def cmd_sweep(args) -> int:
         (_cell_scenario(cfg, combo, args.seed, args.order), combo, cfg["sweep"])
         for combo in _sweep_combos(cfg)
     ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers at the first submit, so one per cell
+    # at most.
+    jobs = min(args.jobs, len(payloads))
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, payloads))
     else:
         rows = [_sweep_cell(p) for p in payloads]
@@ -308,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     p_sweep = sub.add_parser("sweep", help="run a grid of scenarios; write a summary CSV")
     add_common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel workers, at most one per cell (>= 1)")
     p_val = sub.add_parser("validate", help="run the acceptance checks")
     p_val.add_argument("--only", default=None,
                        help="comma-separated subset, e.g. P1,P2 (default: all)")

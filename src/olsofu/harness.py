@@ -182,7 +182,7 @@ class Pretrained:
     val: LabeledSet
     pool: LabeledSet
     q0: np.ndarray
-    sigma_min: float  # of the regularized confusion of the calibrated f_0
+    confusion: ConfusionMatrix  # regularized, of the calibrated f_0 on val
 
 
 def pretrain(sc: Scenario, model: ModelParams | None = None) -> Pretrained:
@@ -205,8 +205,8 @@ def pretrain(sc: Scenario, model: ModelParams | None = None) -> Pretrained:
             augment_noise=sc.ssl.augment_noise,
         )
     calibrated, conf = calibrate(model, val)
-    sigma_min = regularize_confusion(conf, sc.reg_lambda).sigma_min
-    return Pretrained(calibrated, train, val, pool, q0, sigma_min)
+    return Pretrained(calibrated, train, val, pool, q0,
+                      regularize_confusion(conf, sc.reg_lambda))
 
 
 class _BatchStream:
@@ -220,11 +220,13 @@ class _BatchStream:
     its batch is adapted on, from the model finalized before the batch was
     revealed; ``ols_ofu_step`` rejects an estimate from any other model.
     Steps must be asked for in order. A draw that fails is re-raised when
-    its step is reached.
+    its step is reached. The shift seed alone fixes the realized marginal
+    pattern and the batch draws.
     """
 
-    def __init__(self, sc: Scenario, pre: Pretrained, pattern, rng):
-        self.sc, self.pre, self.pattern, self.rng = sc, pre, pattern, rng
+    def __init__(self, sc: Scenario, pre: Pretrained):
+        self.sc, self.pre, self.rng = sc, pre, make_rng(sc.shift_seed)
+        self.pattern = realize_pattern(sc.shift, self.rng)
         self.start = self.stop = 1  # the chunk holds steps [start, stop)
         self.failure = None  # what drawing step ``stop`` raised
 
@@ -297,8 +299,6 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
     reweighted by q_t / q0. The batches, their forwards and their estimates
     come a chunk at a time from a ``_BatchStream``.
     """
-    shift_rng = make_rng(sc.shift_seed)
-    pattern = realize_pattern(sc.shift, shift_rng)
     runtime = OfuRuntime(
         train=pre.train,
         val=pre.val,
@@ -309,12 +309,11 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
         retrain_max_iter=sc.retrain_max_iter,
         retrain_grad_tol=sc.retrain_grad_tol,
     )
-    strategy = make_strategy(
-        sc.algorithm, pre.q0, sc.horizon, pre.model, pre.sigma_min, sc.algo_params
-    )
-    state = init_ofu_state(pre.model, strategy, runtime)
+    strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
+                             pre.confusion.sigma_min, sc.algo_params)
+    state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
     predictor = None if true_marginal else compose_output(state.model, strategy, pre.q0)
-    stream = _BatchStream(sc, pre, pattern, shift_rng)
+    stream = _BatchStream(sc, pre)
     trace = _empty_trace(sc)
     for t in range(1, sc.horizon + 1):
         try:
@@ -354,15 +353,12 @@ def run_bare_ols(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTr
     estimates.
     """
     pre = pretrained if pretrained is not None else pretrain(sc)
-    shift_rng = make_rng(sc.shift_seed)
-    pattern = realize_pattern(sc.shift, shift_rng)
-    strategy = make_strategy(
-        sc.algorithm, pre.q0, sc.horizon, pre.model, pre.sigma_min, sc.algo_params
-    )
-    conf = regularize_confusion(confusion_matrix(pre.model, pre.val), sc.reg_lambda)
+    conf = pre.confusion
+    strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model, conf.sigma_min,
+                             sc.algo_params)
     ctx = build_context(pre.model, pre.train, pre.q0, reads=strategy.reads)
     predictor = compose_output(pre.model, strategy, pre.q0)
-    stream = _BatchStream(sc, pre, pattern, shift_rng)
+    stream = _BatchStream(sc, pre)
     trace = _empty_trace(sc)
     for t in range(1, sc.horizon + 1):
         try:

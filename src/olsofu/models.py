@@ -250,22 +250,34 @@ def _head_grad(m: ModelParams, acts: list, dlogits: np.ndarray, head: str) -> np
     return g
 
 
+def mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-probability of each row's label; a probability
+    below 1e-300 counts as 1e-300, so the result is finite."""
+    picked = probs[np.arange(len(labels)), labels]
+    return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+
+
+def _labelled_ce_grad(
+    m: ModelParams, x: np.ndarray, labels: np.ndarray, head: str, temperature: float
+) -> tuple[float, np.ndarray]:
+    """Mean CE of ``head``'s softmax at ``temperature`` against ``labels``
+    on inputs ``x``, and its gradient laid out like ``m.theta``."""
+    n = x.shape[0]
+    acts = feat_activations(m, x)
+    logits = acts[-1] @ getattr(m, f"{head}_w").T + getattr(m, f"{head}_b")
+    probs = softmax(logits, temperature)
+    loss = mean_nll(probs, labels)
+    probs[np.arange(n), labels] -= 1.0
+    probs /= n * temperature
+    return loss, _head_grad(m, acts, probs, head)
+
+
 def cross_entropy_loss_grad(
     m: ModelParams, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    x = as_array(x, "x")
-    y = np.asarray(y, dtype=int)
-    n = x.shape[0]
-    acts = feat_activations(m, x)
-    feats = acts[-1]
-    logits = feats @ m.linear_w.T + m.linear_b
-    probs = softmax(logits, m.temperature)
-    eps_p = np.maximum(probs[np.arange(n), y], 1e-300)
-    loss = float(-np.mean(np.log(eps_p)))
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n * m.temperature
-    return loss, _head_grad(m, acts, dlogits, "linear")
+    return _labelled_ce_grad(
+        m, as_array(x, "x"), np.asarray(y, dtype=int), "linear", m.temperature
+    )
 
 
 def entropy_loss_grad(m: ModelParams, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -290,22 +302,10 @@ def rotation_loss_grad(
     """Rotation prediction: the auxiliary head classifies which of
     {0, 90, 180, 270} degrees was applied. ``degree_idx`` fixes the draw so
     gradients can be checked against finite differences."""
-    x = as_array(x, "x")
     degree_idx = np.asarray(degree_idx, dtype=int)
-    n = x.shape[0]
     degrees = np.asarray(ROTATION_DEGREES)[degree_idx]
-    x_rot = rotate2d(x, degrees)
-    acts = feat_activations(m, x_rot)
-    feats = acts[-1]
-    logits = feats @ m.ssl_w.T + m.ssl_b
-    probs = softmax(logits)
-    loss = float(
-        -np.mean(np.log(np.maximum(probs[np.arange(n), degree_idx], 1e-300)))
-    )
-    dlogits = probs.copy()
-    dlogits[np.arange(n), degree_idx] -= 1.0
-    dlogits /= n
-    return loss, _head_grad(m, acts, dlogits, "ssl")
+    x_rot = rotate2d(as_array(x, "x"), degrees)
+    return _labelled_ce_grad(m, x_rot, degree_idx, "ssl", 1.0)
 
 
 def infonce_loss_grad(
@@ -332,9 +332,7 @@ def infonce_loss_grad(
     u, v = za / ra, zb / rb
     sims = (u @ v.T) / temperature
     p = softmax(sims)
-    loss = float(
-        -np.mean(np.log(np.maximum(p[np.arange(n), np.arange(n)], 1e-300)))
-    )
+    loss = mean_nll(p, np.arange(n))
     dsims = p.copy()
     dsims[np.arange(n), np.arange(n)] -= 1.0
     dsims /= n * temperature
@@ -518,8 +516,7 @@ def retrain_linear(
 
     def objective(wt):
         probs = softmax(xt @ wt.T)
-        ce = -np.mean(np.log(np.maximum(probs[rows, y], 1e-300)))
-        return float(ce + 0.5 * RETRAIN_RIDGE * (wt * wt).sum()), probs
+        return mean_nll(probs, y) + 0.5 * RETRAIN_RIDGE * float((wt * wt).sum()), probs
 
     loss, probs = objective(wt)
     r = k - 1
@@ -564,8 +561,7 @@ def retrain_linear(
 
 
 def nll_at_temperature(logits: np.ndarray, y: np.ndarray, temperature: float) -> float:
-    probs = softmax(logits, temperature)
-    return float(-np.mean(np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300))))
+    return mean_nll(softmax(logits, temperature), y)
 
 
 # Calibration searches temperatures in [e^-3, e^3], i.e. beta = 1/T in the
@@ -582,10 +578,9 @@ def _nll_derivatives(logits: np.ndarray, y: np.ndarray, beta: float):
     """Validation NLL at temperature 1/beta and its first two derivatives
     in beta: mean(E_p[z] - z_y) and mean(Var_p[z]), from one softmax."""
     probs = softmax(logits, 1.0 / beta)
-    rows = np.arange(len(y))
-    nll = float(-np.mean(np.log(np.maximum(probs[rows, y], 1e-300))))
+    nll = mean_nll(probs, y)
     mean_z = (probs * logits).sum(axis=1)
-    grad = float(np.mean(mean_z - logits[rows, y]))
+    grad = float(np.mean(mean_z - logits[np.arange(len(y)), y]))
     curv = float(np.mean((probs * (logits - mean_z[:, None]) ** 2).sum(axis=1)))
     return nll, grad, curv
 

@@ -223,13 +223,11 @@ def calibrate(model: ModelParams, val) -> tuple[ModelParams, ConfusionMatrix]:
 
 
 def init_ofu_state(
-    f0_calibrated: ModelParams, strategy, runtime: OfuRuntime
+    f0_calibrated: ModelParams, confusion: ConfusionMatrix, strategy, runtime: OfuRuntime
 ) -> OfuState:
-    conf = regularize_confusion(
-        confusion_matrix(f0_calibrated, runtime.val), runtime.reg_lambda
-    )
+    """A run's state at step 1; ``confusion`` is pretraining's, of ``f0_calibrated``."""
     ctx = build_context(f0_calibrated, runtime.train, runtime.q0, reads=strategy.reads)
-    return OfuState(model=f0_calibrated, strategy=strategy, confusion=conf, ctx=ctx)
+    return OfuState(model=f0_calibrated, strategy=strategy, confusion=confusion, ctx=ctx)
 
 
 def steps_before_refresh(state: OfuState, runtime: OfuRuntime) -> int | None:

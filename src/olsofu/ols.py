@@ -3,9 +3,9 @@
 Each strategy is a small stateful object stepped once per time step with
 the latest marginal estimate. Reweighting strategies (FTH, FTFWH, ROGD,
 FLHFTL) maintain a simplex vector used to reweight the current base model;
-last-layer strategies (UOGD, ATLAS) maintain their own classification head
-on top of the current feature extractor. Strategies consume no randomness,
-so trajectories are bit-reproducible.
+last-layer strategies (ATLAS, and UOGD as its one-expert case) maintain
+their own classification head on top of the current feature extractor.
+Strategies consume no randomness, so trajectories are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ def head_risks_and_grads(
     CE of a head over the class-k slice ``class_slices[k]`` of the
     class-ordered features ``xt`` (h+1, n), whose column sums over that
     slice are ``class_sums[k]``. Returns the risks (N,) and their
-    gradients (N, K, h+1).
+    gradients (N, K, h+1). ATLAS passes its N experts; UOGD is the N=1
+    case.
 
     All heads share one logits GEMM and one softmax along the class axis.
     With m_i a sample's largest logit and w_k = s_k / n_k, the risk is
@@ -101,24 +102,9 @@ def head_risks_and_grads(
     return risks, grads
 
 
-def _descend(heads: np.ndarray, etas: np.ndarray, radius: float,
-             ctx: OlsContext, s: np.ndarray) -> np.ndarray:
-    """One projected gradient step of every head on the s-weighted class
-    risk; updates ``heads`` in place and returns the risks before it."""
-    if ctx.xt is None:
-        raise InvalidArgumentError("head strategies need train features in the context")
-    risks, grads = head_risks_and_grads(ctx.xt, ctx.class_slices, ctx.class_sums, heads, s)
-    heads -= etas[:, None, None] * grads
-    norms = np.sqrt((heads * heads).sum(axis=(1, 2)))
-    outside = norms > radius
-    if outside.any():
-        heads[outside] *= (radius / norms[outside])[:, None, None]
-    return risks
-
-
 def per_class_risk_jacobian(
     train_probs: np.ndarray,
-    class_slices: dict,
+    class_slices: tuple,
     p: np.ndarray,
     q0: np.ndarray,
 ) -> np.ndarray:
@@ -172,7 +158,6 @@ class BaseStrategy:
     reweighting strategy keeps its simplex vector in ``p``, from q0 on."""
 
     kind = "reweight"
-    name = "none"
     reads = ()
 
     def __init__(self, q0: np.ndarray):
@@ -192,8 +177,6 @@ class BaseStrategy:
 class FthStrategy(BaseStrategy):
     """Running mean of the clipped marginal estimates."""
 
-    name = "fth"
-
     def __init__(self, q0: np.ndarray):
         super().__init__(q0)
         self.running_sum = np.zeros_like(self.q0)
@@ -207,8 +190,6 @@ class FthStrategy(BaseStrategy):
 
 class FtfwhStrategy(BaseStrategy):
     """Mean of the clipped estimates over a fixed trailing window."""
-
-    name = "ftfwh"
 
     def __init__(self, q0: np.ndarray, params: AlgoParams = AlgoParams()):
         super().__init__(q0)
@@ -231,7 +212,6 @@ class RogdStrategy(BaseStrategy):
     during the first ``params.warmup`` steps and is frozen afterwards.
     """
 
-    name = "rogd"
     reads = ("train_probs",)
 
     def __init__(self, q0: np.ndarray, horizon: int, params: AlgoParams = AlgoParams()):
@@ -271,8 +251,6 @@ class FlhftlStrategy(BaseStrategy):
     forecast projected to the simplex.
     """
 
-    name = "flhftl"
-
     def __init__(self, q0: np.ndarray, params: AlgoParams = AlgoParams()):
         super().__init__(q0)
         k = self.q0.shape[0]
@@ -309,44 +287,6 @@ class FlhftlStrategy(BaseStrategy):
         self.p = project_simplex(self.weights @ preds)
 
 
-class UogdStrategy:
-    """Unbiased gradient descent on the classification head weights.
-
-    Per-class empirical risks use the *current* feature extractor; the
-    gradient is the s_t-weighted combination of per-class risk gradients,
-    the N=1 case of :func:`head_risks_and_grads`. The head ``[w, b]`` is
-    stored as one (1, K, h+1) array, read through the ``w`` and ``b``
-    views; it lives in a Frobenius-norm ball and is only projected back
-    when it leaves it.
-    """
-
-    kind = "head"
-    name = "uogd"
-    reads = ("xt",)
-
-    def __init__(self, f0: ModelParams, eta: float, params: AlgoParams = AlgoParams()):
-        self.eta = eta
-        self.radius = params.radius
-        self.heads = np.column_stack([f0.linear_w, f0.linear_b])[None]
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.heads[0, :, :-1]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.heads[0, :, -1]
-
-    def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
-        _descend(self.heads, np.array([self.eta]), self.radius, ctx, est.s)
-
-    def head(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.w.copy(), self.b.copy()
-
-    def snapshot(self) -> np.ndarray:
-        return np.concatenate([self.w.ravel(), self.b])
-
-
 def atlas_pool_size(horizon: int) -> int:
     return 1 + math.ceil(0.5 * math.log2(1 + 2 * horizon))
 
@@ -359,20 +299,19 @@ def atlas_step_pool(horizon: int, k: int, sigma_min: float) -> np.ndarray:
 
 
 class AtlasStrategy:
-    """Meta-ensemble of UOGD experts over a geometric step-size pool.
+    """Meta-ensemble of UOGD experts over a step-size pool.
 
-    The experts are one (N, K, h+1) array ``heads`` with step sizes
-    ``etas``; each step moves all of them with one
-    :func:`head_risks_and_grads` call over the context's class-ordered
-    features and class sums. Expert risks are the same s_t-weighted
-    per-class risks the gradients use, computed without a clamp from the
-    max-shifted logits; meta weights ``meta`` are exponential in the
-    cumulative estimated risk ``cum_risk``, and the played head is the
-    meta-weighted average of the experts.
+    Each expert descends on the classification head ``[w, b]`` along the
+    s_t-weighted per-class risk gradient under the *current* features,
+    and is projected back into the Frobenius-norm ball of ``params.radius``
+    when it leaves it. The experts are one (N, K, h+1) array ``heads``
+    with step sizes ``etas``, moved together by one
+    :func:`head_risks_and_grads` call. Meta weights ``meta`` are
+    exponential, at rate ``eps``, in the experts' cumulative risk
+    ``cum_risk``; the played head is their meta-weighted average.
     """
 
     kind = "head"
-    name = "atlas"
     reads = ("xt",)
 
     def __init__(self, f0: ModelParams, etas, eps: float,
@@ -391,18 +330,36 @@ class AtlasStrategy:
         self.meta = np.full(etas.size, 1.0 / etas.size)
 
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
-        self.cum_risk += _descend(self.heads, self.etas, self.radius, ctx, est.s)
+        if ctx.xt is None:
+            raise InvalidArgumentError("head strategies need train features in the context")
+        heads = self.heads
+        risks, grads = head_risks_and_grads(ctx.xt, ctx.class_slices, ctx.class_sums, heads, est.s)
+        heads -= self.etas[:, None, None] * grads
+        norms = np.sqrt((heads * heads).sum(axis=(1, 2)))
+        outside = norms > self.radius
+        if outside.any():
+            heads[outside] *= (self.radius / norms[outside])[:, None, None]
+        self.cum_risk += risks
         logits = -self.eps * self.cum_risk
         logits -= logits.max()
         w = np.exp(logits)
         self.meta = w / w.sum()
-        self.played = (self.meta[:, None, None] * self.heads).sum(axis=0)
+        self.played = (self.meta[:, None, None] * heads).sum(axis=0)
 
     def head(self) -> tuple[np.ndarray, np.ndarray]:
         return self.played[:, :-1].copy(), self.played[:, -1].copy()
 
     def snapshot(self) -> np.ndarray:
         return np.concatenate([self.played[:, :-1].ravel(), self.played[:, -1]])
+
+
+class UogdStrategy(AtlasStrategy):
+    """UOGD: ATLAS with the single step size ``eta``. Its one meta weight
+    stays 1, so the meta rate is irrelevant and the played head is the
+    expert's."""
+
+    def __init__(self, f0: ModelParams, eta: float, params: AlgoParams = AlgoParams()):
+        super().__init__(f0, [eta], 0.0, params)
 
 
 def make_strategy(

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .harness import (
     Scenario,
     improvement_check,
@@ -203,11 +204,10 @@ def check_p2() -> CheckResult:
 
 def check_p3() -> CheckResult:
     """Mean of the marginal estimator over 5000 fresh batches."""
-    from .estimator import bbse_estimate, confusion_matrix, regularize_confusion
+    from .estimator import bbse_estimate
 
     sc = _scenario("p3")
     pre = _pretrained("p3")
-    conf = regularize_confusion(confusion_matrix(pre.model, pre.val), sc.reg_lambda)
     q = np.array([0.4, 0.3, 0.2, 0.1])
     rng = make_rng(77)
     n_batches, b = 5000, 10
@@ -215,7 +215,7 @@ def check_p3() -> CheckResult:
     for _ in range(n_batches):
         labels = rng.choice(4, size=b, p=q)
         x = draw_class_inputs(sc.data.class_means, sc.data.class_cov_scale, labels, rng)
-        total += bbse_estimate(pre.model, conf, x).s
+        total += bbse_estimate(pre.model, pre.confusion, x).s
     dev = float(np.abs(total / n_batches - q).max())
     return CheckResult(
         "P3 estimator unbiasedness (5000 batches)",
@@ -478,10 +478,12 @@ def run_single(name: str) -> CheckResult:
 
 def run_checks(only: str | None = None) -> list[CheckResult]:
     names = list(ALL_CHECKS)
-    if only:
+    if only is not None:
         wanted = [n.strip().upper() for n in only.split(",") if n.strip()]
         unknown = [n for n in wanted if n not in ALL_CHECKS]
         if unknown:
-            raise KeyError(f"unknown checks: {unknown}")
+            raise ConfigError(f"--only names unknown checks {unknown}; known: {names}")
+        if not wanted:
+            raise ConfigError(f"--only {only!r} selects no checks")
         names = [n for n in names if n in wanted]
     return [run_single(n) for n in names]

@@ -377,6 +377,42 @@ class TestSweepCommand:
                      "--jobs", "2"]) == 0
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
+    def test_workers_capped_at_cell_count(self, tmp_path, capsys, monkeypatch):
+        import olsofu.cli as cli_mod
+
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_mod.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        doc = {**FAST_CONFIG, "sweep": {"algorithm": ["fth", "flhftl"], "ssl": ["none"],
+                                        "shift": ["sinusoidal"], "corruption": ["none"],
+                                        "replicates": 1}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "5000"]) == 0
+        assert seen == [2]
+        assert (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pearson_column_with_improvement_check(self, tmp_path, capsys):
         doc = {
             **FAST_CONFIG,
@@ -432,6 +468,16 @@ class TestValidateCommand:
         assert main(["validate", "--only", "P10"]) == 0
         out = capsys.readouterr().out
         assert "P10" in out and "PASS" in out
+
+    def test_unknown_check_exits_2(self, capsys):
+        assert main(["validate", "--only", "P1,P99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "['P99']" in err
+
+    def test_empty_selection_exits_2(self, capsys):
+        assert main(["validate", "--only", " , "]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "' , ' selects no checks" in err
 
     def test_injected_projection_bug_fails_the_gate(self, capsys, monkeypatch):
         # Mutation sanity: a projection that skips the sort-and-threshold

@@ -8,7 +8,7 @@ from olsofu.errors import (
     RunError,
     UndefinedCorrelationError,
 )
-from olsofu.estimator import bbse_estimate
+from olsofu.estimator import bbse_estimate, confusion_matrix, regularize_confusion
 from olsofu.harness import (
     CHUNK_STEPS,
     Scenario,
@@ -120,6 +120,18 @@ class TestRunOnline:
         assert int(rows[-1][-1]) == int(trace.cum_errors[-1])
 
 
+class TestPretrain:
+    def test_confusion_is_the_loops_measurement(self, small_scenario, small_pretrained):
+        # The loops read the confusion pretraining measured from the
+        # calibration's validation logits; it must equal measuring it anew.
+        pre = small_pretrained
+        fresh = regularize_confusion(confusion_matrix(pre.model, pre.val),
+                                     small_scenario.reg_lambda)
+        np.testing.assert_array_equal(pre.confusion.matrix, fresh.matrix)
+        assert pre.confusion.sigma_min == fresh.sigma_min
+        assert pre.confusion.model_uid == fresh.model_uid == pre.model.uid
+
+
 class TestOracle:
     def test_no_shift_oracle_equals_base(self, small_scenario, small_pretrained):
         sc = dataclasses.replace(
@@ -198,8 +210,8 @@ def per_step_reference(sc, pre, true_marginal=False):
         retrain_max_iter=sc.retrain_max_iter, retrain_grad_tol=sc.retrain_grad_tol,
     )
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
-                             pre.sigma_min, sc.algo_params)
-    state = init_ofu_state(pre.model, strategy, runtime)
+                             pre.confusion.sigma_min, sc.algo_params)
+    state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
     predictor = compose_output(state.model, strategy, pre.q0)
     s, errors, snapshots = [], [], []
     for t in range(1, sc.horizon + 1):

@@ -15,6 +15,7 @@ from olsofu.models import (
     forward,
     init_model,
     load_model,
+    mean_nll,
     nll_at_temperature,
     retrain_linear,
     save_model,
@@ -99,6 +100,11 @@ class TestBackward:
         loss, grads = cross_entropy_loss_grad(m, x, np.array([0]))
         assert loss < 1e-12
         assert np.abs(m.views(grads).linear_w).max() < 1e-12
+
+    def test_mean_nll_of_a_zero_probability_label_is_finite(self):
+        probs = np.array([[1.0, 0.0], [0.5, 0.5]])
+        assert mean_nll(probs, np.array([1, 0])) == -(np.log(1e-300) + np.log(0.5)) / 2
+        assert mean_nll(probs[:1], np.array([1])) == -np.log(1e-300)
 
     def test_gradients_match_finite_differences(self, rng):
         # Every coordinate of a small model, biases included, for every

@@ -111,8 +111,8 @@ class TestOlsOfuStep:
     def test_labels_cannot_reach_adaptation(self, small_pretrained, rng):
         pre = small_pretrained
         runtime = make_runtime(pre, SslSpec(kind="none"))
-        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.sigma_min)
-        state = init_ofu_state(pre.model, strategy, runtime)
+        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.confusion.sigma_min)
+        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
         batch = pre.pool.inputs[:10]
         est = bbse_estimate(state.model, state.confusion, batch)
         with pytest.raises(ContractViolationError):
@@ -122,8 +122,8 @@ class TestOlsOfuStep:
         pre = small_pretrained
         ssl = SslSpec(kind="entropy", ssl_lr=0.01, ba=5)
         runtime = make_runtime(pre, ssl)
-        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.sigma_min)
-        state = init_ofu_state(pre.model, strategy, runtime)
+        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.confusion.sigma_min)
+        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
         for t in range(1, 24):
             step(state, pre.pool.inputs[10 * t : 10 * (t + 1)], runtime)
             assert len(state.buffer) < 5
@@ -142,8 +142,8 @@ class TestOlsOfuStep:
 
         pre = small_pretrained
         runtime = make_runtime(pre, SslSpec(kind="rotation", ssl_lr=0.05))
-        strategy = make_strategy(algorithm, pre.q0, 100, pre.model, pre.sigma_min)
-        state = init_ofu_state(pre.model, strategy, runtime)
+        strategy = make_strategy(algorithm, pre.q0, 100, pre.model, pre.confusion.sigma_min)
+        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
         step(state, pre.pool.inputs[:10], runtime)
         assert state.feature_updates_done == 1
         fresh = build_context(state.model, pre.train, pre.q0)
@@ -163,8 +163,8 @@ class TestOlsOfuStep:
     def test_estimate_from_another_model_rejected(self, small_pretrained):
         pre = small_pretrained
         runtime = make_runtime(pre, SslSpec(kind="rotation", ssl_lr=0.05))
-        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.sigma_min)
-        state = init_ofu_state(pre.model, strategy, runtime)
+        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.confusion.sigma_min)
+        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
         batch = pre.pool.inputs[:10]
         est = bbse_estimate(state.model, state.confusion, batch)
         ols_ofu_step(state, batch, runtime, est)  # refreshes the model
@@ -177,8 +177,8 @@ class TestOlsOfuStep:
     def test_ssl_none_keeps_model_fixed(self, small_pretrained):
         pre = small_pretrained
         runtime = make_runtime(pre, SslSpec(kind="none"))
-        strategy = make_strategy("flhftl", pre.q0, 50, pre.model, pre.sigma_min)
-        state = init_ofu_state(pre.model, strategy, runtime)
+        strategy = make_strategy("flhftl", pre.q0, 50, pre.model, pre.confusion.sigma_min)
+        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
         for t in range(10):
             step(state, pre.pool.inputs[10 * t : 10 * (t + 1)], runtime)
         assert state.model.uid == pre.model.uid
@@ -187,7 +187,7 @@ class TestOlsOfuStep:
 class TestComposeOutput:
     def test_identity_reweight_equals_base(self, small_pretrained, rng):
         pre = small_pretrained
-        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.sigma_min)
+        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.confusion.sigma_min)
         predictor = compose_output(pre.model, strategy, pre.q0)
         x = rng.standard_normal((10, 8))
         base_probs, _, _ = forward(pre.model, x)
@@ -195,7 +195,7 @@ class TestComposeOutput:
 
     def test_head_strategy_ignores_reweighting(self, small_pretrained, rng):
         pre = small_pretrained
-        strategy = make_strategy("uogd", pre.q0, 100, pre.model, pre.sigma_min)
+        strategy = make_strategy("uogd", pre.q0, 100, pre.model, pre.confusion.sigma_min)
         predictor = compose_output(pre.model, strategy, pre.q0)
         assert predictor.ratio is None
         w, b = strategy.head()
@@ -209,7 +209,7 @@ class TestComposeOutput:
         from olsofu.numkit import project_simplex
 
         pre = small_pretrained
-        strategy = make_strategy("flhftl", pre.q0, 100, pre.model, pre.sigma_min)
+        strategy = make_strategy("flhftl", pre.q0, 100, pre.model, pre.confusion.sigma_min)
         s = project_simplex(np.array([0.5, 0.3, 0.4, -0.1]))
         strategy.step(None, MarginalEstimate(s, s))
         predictor = compose_output(pre.model, strategy, pre.q0)
@@ -233,8 +233,8 @@ class TestFeatureDriftGuardrail:
             retrain_max_iter=60,
         )
         runtime = make_runtime(pre, sc.ssl)
-        strategy = make_strategy("fth", pre.q0, 300, pre.model, pre.sigma_min)
-        state = init_ofu_state(pre.model, strategy, runtime)
+        strategy = make_strategy("fth", pre.q0, 300, pre.model, pre.confusion.sigma_min)
+        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
         rng = make_rng(11)
         for t in range(300):
             rows = rng.integers(len(pre.pool), size=10)

@@ -394,7 +394,8 @@ class TestUogd:
         strat = UogdStrategy(pre.model, 1.0, AlgoParams(radius=0.5))
         ctx = build_context(pre.model, pre.train, pre.q0)
         strat.step(ctx, est([0.7, 0.1, 0.1, 0.1]))
-        norm = np.sqrt((strat.w ** 2).sum() + (strat.b ** 2).sum())
+        w, b = strat.head()
+        norm = np.sqrt((w ** 2).sum() + (b ** 2).sum())
         assert norm <= 0.5 + 1e-12
 
 
@@ -413,6 +414,8 @@ class TestAtlas:
     def test_singleton_pool_equals_uogd(self, small_pretrained, rng):
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0)
+        # UogdStrategy is this pool at meta rate 0: with one expert the rate
+        # is irrelevant.
         atlas = AtlasStrategy(pre.model, [0.05], eps=0.1)
         uogd = UogdStrategy(pre.model, eta=0.05)
         for e in random_estimates(rng, 10):
@@ -435,7 +438,7 @@ class TestAtlas:
     def test_meta_weights_favor_smaller_risk(self, small_pretrained, rng):
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0)
-        atlas = AtlasStrategy(pre.model, atlas_step_pool(200, 4, pre.sigma_min),
+        atlas = AtlasStrategy(pre.model, atlas_step_pool(200, 4, pre.confusion.sigma_min),
                               eps=1.0)
         for e in random_estimates(rng, 30):
             atlas.step(ctx, e)
@@ -446,7 +449,7 @@ class TestAtlas:
     def test_batched_experts_match_per_expert_loop(self, small_pretrained, radius):
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0)
-        etas = atlas_step_pool(1000, 4, pre.sigma_min)
+        etas = atlas_step_pool(1000, 4, pre.confusion.sigma_min)
         atlas = AtlasStrategy(pre.model, etas, 0.3, AlgoParams(radius=radius))
         ref = ReferenceAtlas(pre.model, etas, eps=0.3, radius=radius)
         rng = np.random.default_rng(11)
@@ -480,7 +483,7 @@ class TestAtlas:
         assert ctxs[0].class_slices == ctxs[1].class_slices
         for name in ("xt", "class_sums", "train_probs"):
             np.testing.assert_array_equal(getattr(ctxs[0], name), getattr(ctxs[1], name))
-        etas = atlas_step_pool(1000, 4, pre.sigma_min)
+        etas = atlas_step_pool(1000, 4, pre.confusion.sigma_min)
         runs = [AtlasStrategy(pre.model, etas, 0.3) for _ in ctxs]
         rng = np.random.default_rng(29)
         for _ in range(60):
@@ -506,7 +509,7 @@ class TestHeadStrategyProperties:
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0)
         uogd = UogdStrategy(pre.model, 0.05, AlgoParams(radius=radius))
-        atlas = AtlasStrategy(pre.model, atlas_step_pool(100, 4, pre.sigma_min),
+        atlas = AtlasStrategy(pre.model, atlas_step_pool(100, 4, pre.confusion.sigma_min),
                               0.3, AlgoParams(radius=radius))
         for s in estimates:
             e = est(s)
