@@ -56,13 +56,11 @@ from .numkit import (
     solve_linear,
 )
 from .ofu import (
-    OfuRuntime,
     OfuState,
     Predictor,
     SslSpec,
     compose_output,
     feature_update,
-    init_ofu_state,
     ols_ofu_step,
     ssl_loss_grad,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import iter_schema_keys, load_config, scenario_from_config
+from .config import config_keys, iter_schema_keys, load_config, scenario_from_config
 from .errors import (
     ConfigError,
     InvalidArgumentError,
@@ -76,10 +77,23 @@ def _config_epilog() -> str:
     return "\n".join(lines)
 
 
+def _pretrain(sc, model):
+    """``pretrain(sc, model)``, with a data config whose source draw leaves
+    a split without a class reported as the config error it is, under
+    ``data.``."""
+    try:
+        return pretrain(sc, model=model)
+    except InvalidArgumentError as exc:
+        if exc.field is None:
+            raise
+        with config_keys("data."):
+            raise
+
+
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
-    pre = pretrain(scenario_from_config(cfg))
+    pre = _pretrain(scenario_from_config(cfg), None)
     # Calibration changes only the temperature, so this is the trained model.
     model = with_updates(pre.model, temperature=1.0)
     _replace_atomic(out / "checkpoint.npz", lambda tmp: save_model(model, tmp))
@@ -98,27 +112,29 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _load_scenario(args):
-    cfg = load_config(args.config)
-    sc = scenario_from_config(cfg, run_seed=args.seed, order=args.order)
-    model = None
-    if cfg["checkpoint"] is not None:
-        path = Path(cfg["checkpoint"])
-        if not path.exists():
-            raise ConfigError(f"checkpoint not found: {path}")
-        model = load_model(path)
-        if (model.input_dim, model.n_classes) != (sc.data.d, sc.data.k):
-            raise InvalidArgumentError(
-                f"checkpoint {path} has input_dim={model.input_dim}, "
-                f"n_classes={model.n_classes}; the config has d={sc.data.d}, k={sc.data.k}"
-            )
-    return cfg, sc, model
+def _load_checkpoint(cfg, data):
+    """The uncalibrated model the config's ``checkpoint`` holds, checked
+    against the ``data`` spec; None when the config names none."""
+    if cfg["checkpoint"] is None:
+        return None
+    path = Path(cfg["checkpoint"])
+    if not path.exists():
+        raise ConfigError(f"checkpoint not found: {path}")
+    model = load_model(path)
+    if (model.input_dim, model.n_classes) != (data.d, data.k):
+        raise InvalidArgumentError(
+            f"checkpoint {path} has input_dim={model.input_dim}, "
+            f"n_classes={model.n_classes}; the config has d={data.d}, k={data.k}"
+        )
+    return model
 
 
 def cmd_run(args) -> int:
-    cfg, sc, model = _load_scenario(args)
+    cfg = load_config(args.config)
+    sc = scenario_from_config(cfg, run_seed=args.seed, order=args.order)
+    model = _load_checkpoint(cfg, sc.data)
     out = _out_dir(args)
-    pre = pretrain(sc, model=model)
+    pre = _pretrain(sc, model)
     trace = run_online(sc, pre)
     summary = {
         "algorithm": sc.algorithm,
@@ -136,25 +152,16 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+SWEEP_AXES = ("algorithm", "ssl", "shift", "corruption")
+
+
 def _sweep_combos(cfg) -> list[dict]:
-    axes = cfg["sweep"]
-    combos = []
-    for algo in axes["algorithm"]:
-        for ssl in axes["ssl"]:
-            for shift in axes["shift"]:
-                for corr in axes["corruption"]:
-                    combos.append(
-                        {"algorithm": algo, "ssl": ssl, "shift": shift,
-                         "corruption": corr}
-                    )
-    combos.sort(key=lambda c: (c["algorithm"], c["ssl"], c["shift"], c["corruption"]))
-    return combos
+    values = sorted(itertools.product(*(cfg["sweep"][axis] for axis in SWEEP_AXES)))
+    return [dict(zip(SWEEP_AXES, v)) for v in values]
 
 
 def _combo_key(combo: dict) -> str:
-    return "|".join(
-        f"{k}={combo[k]}" for k in ("algorithm", "ssl", "shift", "corruption")
-    )
+    return "|".join(f"{axis}={combo[axis]}" for axis in SWEEP_AXES)
 
 
 def _cell_scenario(cfg: dict, combo: dict, run_seed, order):
@@ -174,11 +181,12 @@ def _cell_scenario(cfg: dict, combo: dict, run_seed, order):
 
 
 def _sweep_cell(payload):
-    """Run one sweep cell; executed in a worker process."""
-    sc, combo, sweep = payload
+    """Run one sweep cell, pretrained from ``model`` when it is not None;
+    executed in a worker process."""
+    sc, model, combo, sweep = payload
     key = _combo_key(combo)
     try:
-        pre = pretrain(sc)
+        pre = pretrain(sc, model=model)
         errors, vts = [], []
         oracle_pair = None
         for i in range(sweep["replicates"]):
@@ -222,11 +230,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     out = _out_dir(args)
-    # Every cell's Scenario is built, and so checked, before any cell runs.
-    payloads = [
-        (_cell_scenario(cfg, combo, args.seed, args.order), combo, cfg["sweep"])
-        for combo in _sweep_combos(cfg)
-    ]
+    # Every cell's Scenario is built, and so checked, before any cell runs;
+    # so is the checkpoint. The cells share the config's data spec.
+    scenarios = [(_cell_scenario(cfg, combo, args.seed, args.order), combo)
+                 for combo in _sweep_combos(cfg)]
+    model = _load_checkpoint(cfg, scenarios[0][0].data)
+    payloads = [(sc, model, combo, cfg["sweep"]) for sc, combo in scenarios]
     # The pool starts all its workers at the first submit, so one per cell
     # at most.
     jobs = min(args.jobs, len(payloads))
@@ -238,15 +247,13 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: r["key"])
 
     # Improvement columns: plain OLS minus its OLS-OFU counterpart.
-    by_combo = {
-        (r["algorithm"], r["ssl"], r["shift"], r["corruption"]): r for r in rows
-    }
+    by_key = {r["key"]: r for r in rows}
     deltas, oracle_gains = [], []
     for row in rows:
         row["delta_error"] = ""
         if row["status"] != "ok" or row["ssl"] == "none":
             continue
-        base = by_combo.get((row["algorithm"], "none", row["shift"], row["corruption"]))
+        base = by_key.get(_combo_key({**row, "ssl": "none"}))
         if base is None or base["status"] != "ok":
             continue
         delta = base["avg_error_mean"] - row["avg_error_mean"]
@@ -296,9 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config path")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory (env OLSOFU_OUT overrides)")
+
+    def add_run_options(p):
+        add_common(p)
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
         p.add_argument(
             "--order",
@@ -307,12 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="override prediction/update order",
         )
 
+    # Pretraining reads neither the run seed nor the order.
     p_pre = sub.add_parser("pretrain", help="train the offline model and write a checkpoint")
     add_common(p_pre)
     p_run = sub.add_parser("run", help="run one online scenario; write trace and summary")
-    add_common(p_run)
+    add_run_options(p_run)
     p_sweep = sub.add_parser("sweep", help="run a grid of scenarios; write a summary CSV")
-    add_common(p_sweep)
+    add_run_options(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="parallel workers, at most one per cell (>= 1)")
     p_val = sub.add_parser("validate", help="run the acceptance checks")

@@ -229,7 +229,7 @@ def load_config(path) -> dict:
 
 
 @contextmanager
-def _keys(prefix: str, **renames):
+def config_keys(prefix: str, **renames):
     """Re-raise an InvalidArgumentError as a ConfigError naming the config key
     of its field: ``prefix`` plus the field name or its entry in ``renames``."""
     try:
@@ -246,7 +246,7 @@ def scenario_from_config(cfg: dict, run_seed: int | None = None,
     """Build the Scenario a resolved config describes; ``run_seed`` and
     ``order`` override ``seeds.run`` and ``order``."""
     d = cfg["data"]
-    with _keys("data.", sep="class_sep", layout="mean_layout",
+    with config_keys("data.", sep="class_sep", layout="mean_layout",
                class_cov_scale="cov_scale"):
         data = DataSpec(
             k=d["k"],
@@ -260,18 +260,18 @@ def scenario_from_config(cfg: dict, run_seed: int | None = None,
     s = cfg["shift"]
     q = s["q"] if s["q"] is not None else uniform_simplex(d["k"])
     q_prime = s["q_prime"] if s["q_prime"] is not None else one_hot(d["k"], 0)
-    with _keys("shift."):
+    with config_keys("shift."):
         shift = ShiftPattern(s["kind"], q, q_prime, s["horizon"], s["switch_prob"])
     # These sections' keys are their dataclass's field names.
-    with _keys("corruption."):
+    with config_keys("corruption."):
         corruption = CorruptionSpec(**cfg["corruption"])
-    with _keys("ssl."):
+    with config_keys("ssl."):
         ssl = SslSpec(**cfg["ssl"])
-    with _keys("train."):
+    with config_keys("train."):
         train_cfg = TrainConfig(**cfg["train"])
-    with _keys("algo."):
+    with config_keys("algo."):
         algo_params = AlgoParams(**cfg["algo"])
-    with _keys("", data_seed="seeds.data", shift_seed="seeds.shift",
+    with config_keys("", data_seed="seeds.data", shift_seed="seeds.shift",
                run_seed="seeds.run"):
         return Scenario(
             data=data,

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, RunError, UndefinedCorrelationError, require
-from .estimator import (
-    ConfusionMatrix,
-    bbse_estimate,
-    bbse_estimates,
-    confusion_matrix,
-    regularize_confusion,
-)
+from .estimator import ConfusionMatrix, bbse_estimate, bbse_estimates, confusion_matrix
 from .models import (
     ModelParams,
     TrainConfig,
@@ -34,14 +28,13 @@ from .models import (
 from .numkit import make_rng, min_singular_value
 from .ofu import (
     SSL_KINDS,
-    OfuRuntime,
+    OfuState,
     Predictor,
     SslSpec,
     build_context,
     calibrate,
     compose_output,
     feature_update,
-    init_ofu_state,
     ols_ofu_step,
     steps_before_refresh,
 )
@@ -90,7 +83,6 @@ class Scenario:
     hidden: tuple = (32, 32)
     activation: str = "tanh"
     retrain_max_iter: int = 500
-    retrain_grad_tol: float = 1e-6
 
     def __post_init__(self):
         require(self.algorithm in ALGORITHMS, "algorithm",
@@ -204,9 +196,8 @@ def pretrain(sc: Scenario, model: ModelParams | None = None) -> Pretrained:
             infonce_temperature=sc.ssl.infonce_temperature,
             augment_noise=sc.ssl.augment_noise,
         )
-    calibrated, conf = calibrate(model, val)
-    return Pretrained(calibrated, train, val, pool, q0,
-                      regularize_confusion(conf, sc.reg_lambda))
+    calibrated, conf = calibrate(model, val, sc.reg_lambda)
+    return Pretrained(calibrated, train, val, pool, q0, conf)
 
 
 class _BatchStream:
@@ -299,34 +290,28 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
     reweighted by q_t / q0. The batches, their forwards and their estimates
     come a chunk at a time from a ``_BatchStream``.
     """
-    runtime = OfuRuntime(
-        train=pre.train,
-        val=pre.val,
-        q0=pre.q0,
-        ssl=sc.ssl,
-        reg_lambda=sc.reg_lambda,
-        rng=make_rng(sc.run_seed),
-        retrain_max_iter=sc.retrain_max_iter,
-        retrain_grad_tol=sc.retrain_grad_tol,
-    )
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
                              pre.confusion.sigma_min, sc.algo_params)
-    state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
+    state = OfuState(
+        model=pre.model, confusion=pre.confusion, strategy=strategy, train=pre.train,
+        val=pre.val, q0=pre.q0, ssl=sc.ssl, reg_lambda=sc.reg_lambda,
+        rng=make_rng(sc.run_seed), retrain_max_iter=sc.retrain_max_iter,
+    )
     predictor = None if true_marginal else compose_output(state.model, strategy, pre.q0)
     stream = _BatchStream(sc, pre)
     trace = _empty_trace(sc)
     for t in range(1, sc.horizon + 1):
         try:
             q_t, inputs, est = stream.step(
-                t, state.model, state.confusion, steps_before_refresh(state, runtime)
+                t, state.model, state.confusion, steps_before_refresh(state)
             )
             sigma_min = state.confusion.sigma_min
             if sc.order == "update_first":
-                predictor = ols_ofu_step(state, inputs, runtime, est)
+                predictor = ols_ofu_step(state, inputs, est)
             deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
             errs = stream.errors(t, deployed)
             if sc.order == "predict_first":
-                predictor = ols_ofu_step(state, inputs, runtime, est)
+                predictor = ols_ofu_step(state, inputs, est)
         except Exception as exc:  # noqa: BLE001 - annotate with the step index
             raise RunError(f"step {t}: {exc}", t) from exc
         trace.q[t - 1] = q_t
@@ -338,13 +323,12 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
     return trace
 
 
-def run_online(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTrace:
+def run_online(sc: Scenario, pretrained: Pretrained) -> OnlineTrace:
     """Run the full online protocol, deploying the strategy's output."""
-    pre = pretrained if pretrained is not None else pretrain(sc)
-    return _online_loop(sc, pre, true_marginal=False)
+    return _online_loop(sc, pretrained, true_marginal=False)
 
 
-def run_bare_ols(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTrace:
+def run_bare_ols(sc: Scenario, pretrained: Pretrained) -> OnlineTrace:
     """The adaptation loop without the feature-update wrapper.
 
     Used to check that the wrapper with ssl='none' degenerates to exactly
@@ -352,7 +336,7 @@ def run_bare_ols(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTr
     shares only the batch stream, so both see the same forwards and
     estimates.
     """
-    pre = pretrained if pretrained is not None else pretrain(sc)
+    pre = pretrained
     conf = pre.confusion
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model, conf.sigma_min,
                              sc.algo_params)
@@ -380,28 +364,22 @@ def run_bare_ols(sc: Scenario, pretrained: Pretrained | None = None) -> OnlineTr
     return trace
 
 
-def oracle_trace(
-    sc: Scenario, frozen: bool, pretrained: Pretrained | None = None
-) -> OnlineTrace:
+def oracle_trace(sc: Scenario, frozen: bool, pretrained: Pretrained) -> OnlineTrace:
     """Comparator run that reweights by the TRUE marginal q_t.
 
     frozen=True predicts with the pretrained calibrated model throughout;
     frozen=False lets the feature-update machinery (steps 2-3) run, so the
     base model evolves while the reweighting stays exact.
     """
-    pre = pretrained if pretrained is not None else pretrain(sc)
     oracle = replace(sc, algorithm="none", ssl=SslSpec() if frozen else sc.ssl)
-    return _online_loop(oracle, pre, true_marginal=True)
+    return _online_loop(oracle, pretrained, true_marginal=True)
 
 
-def improvement_check(
-    sc: Scenario, pretrained: Pretrained | None = None
-) -> tuple[float, float, bool]:
+def improvement_check(sc: Scenario, pretrained: Pretrained) -> tuple[float, float, bool]:
     """Compare the true-marginal oracle with updated features (lhs) against
     the frozen-feature oracle (rhs); feature updates help when lhs < rhs."""
-    pre = pretrained if pretrained is not None else pretrain(sc)
-    lhs = oracle_trace(sc, frozen=False, pretrained=pre).avg_error
-    rhs = oracle_trace(sc, frozen=True, pretrained=pre).avg_error
+    lhs = oracle_trace(sc, frozen=False, pretrained=pretrained).avg_error
+    rhs = oracle_trace(sc, frozen=True, pretrained=pretrained).avg_error
     return lhs, rhs, lhs < rhs
 
 

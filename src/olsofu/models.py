@@ -470,13 +470,15 @@ def train_supervised(
 # minimiser's mean row at 0 and gives linearly separable features a finite
 # optimum.
 RETRAIN_RIDGE = 1e-6
+# Gradient-norm tolerance that ends the retrain's Newton solve.
+RETRAIN_GRAD_TOL = 1e-6
 
 
 def retrain_linear(
     m: ModelParams,
     train,
     max_iter: int = 500,
-    grad_tol: float = 1e-6,
+    grad_tol: float = RETRAIN_GRAD_TOL,
     feats: np.ndarray | None = None,
 ) -> ModelParams:
     """Re-train the classification head on frozen features.

@@ -153,34 +153,6 @@ def compose_output(base_model: ModelParams, strategy, q0: np.ndarray) -> Predict
     return Predictor(base_model, head=strategy.head())
 
 
-@dataclass
-class OfuRuntime:
-    """Fixed per-run resources: source data, estimator settings, the
-    run-level rng that feeds SSL draws, and the head retrain's iteration
-    cap and gradient tolerance."""
-
-    train: object
-    val: object
-    q0: np.ndarray
-    ssl: SslSpec
-    reg_lambda: float
-    rng: np.random.Generator
-    retrain_max_iter: int
-    retrain_grad_tol: float
-
-
-@dataclass
-class OfuState:
-    """Mutable single-owner state of one online run."""
-
-    model: ModelParams  # f_t'': calibrated, independent of the current batch
-    strategy: object
-    confusion: ConfusionMatrix
-    ctx: OlsContext
-    buffer: list = field(default_factory=list)
-    feature_updates_done: int = 0
-
-
 def build_context(
     model: ModelParams,
     train,
@@ -214,32 +186,50 @@ def build_context(
     )
 
 
-def calibrate(model: ModelParams, val) -> tuple[ModelParams, ConfusionMatrix]:
+def calibrate(model: ModelParams, val, reg_lambda: float) -> tuple[ModelParams, ConfusionMatrix]:
     """Calibrate ``model``'s temperature on ``val`` and measure the soft
-    confusion of the calibrated model there, from one forward of ``val``."""
+    confusion of the calibrated model there, regularized by ``reg_lambda``,
+    from one forward of ``val``."""
     _, _, logits = forward(model, val.inputs)
     calibrated = calibrate_temperature(model, val, logits)
-    return calibrated, confusion_matrix(calibrated, val, logits)
+    return calibrated, regularize_confusion(confusion_matrix(calibrated, val, logits), reg_lambda)
 
 
-def init_ofu_state(
-    f0_calibrated: ModelParams, confusion: ConfusionMatrix, strategy, runtime: OfuRuntime
-) -> OfuState:
-    """A run's state at step 1; ``confusion`` is pretraining's, of ``f0_calibrated``."""
-    ctx = build_context(f0_calibrated, runtime.train, runtime.q0, reads=strategy.reads)
-    return OfuState(model=f0_calibrated, strategy=strategy, confusion=confusion, ctx=ctx)
+@dataclass
+class OfuState:
+    """Mutable single-owner state of one online run, with the run's fixed
+    resources: the source data, the estimator's regularization, the
+    run-level rng that feeds SSL draws and the head retrain's iteration
+    cap. ``confusion`` is of ``model``, and ``ctx`` is built from it."""
+
+    model: ModelParams  # f_t'': calibrated, independent of the current batch
+    confusion: ConfusionMatrix
+    strategy: object
+    train: object
+    val: object
+    q0: np.ndarray
+    ssl: SslSpec
+    reg_lambda: float
+    rng: np.random.Generator
+    retrain_max_iter: int
+    ctx: OlsContext = field(init=False)
+    buffer: list = field(default_factory=list)
+    feature_updates_done: int = 0
+
+    def __post_init__(self):
+        self.ctx = build_context(self.model, self.train, self.q0, reads=self.strategy.reads)
 
 
-def steps_before_refresh(state: OfuState, runtime: OfuRuntime) -> int | None:
+def steps_before_refresh(state: OfuState) -> int | None:
     """How many steps, the next one included, estimate from ``state.model``;
     the model refreshes at the end of the last of them. None when no step
     refreshes it (ssl kind 'none')."""
-    if runtime.ssl.kind == "none":
+    if state.ssl.kind == "none":
         return None
-    return runtime.ssl.ba - len(state.buffer)
+    return state.ssl.ba - len(state.buffer)
 
 
-def refresh(state: OfuState, runtime: OfuRuntime, inputs: np.ndarray) -> None:
+def refresh(state: OfuState, inputs: np.ndarray) -> None:
     """Steps (2)-(3) on the buffered ``inputs``: feature-update the model,
     re-train its head, re-calibrate it, and rebuild the confusion and the
     strategy's context from the result."""
@@ -247,35 +237,25 @@ def refresh(state: OfuState, runtime: OfuRuntime, inputs: np.ndarray) -> None:
     if state.strategy.kind == "head":
         w, b = state.strategy.head()
         carrier = with_updates(carrier, linear_w=w, linear_b=b)
-    for _ in range(runtime.ssl.inner_steps):
-        carrier = feature_update(carrier, inputs, runtime.ssl, runtime.rng)
+    for _ in range(state.ssl.inner_steps):
+        carrier = feature_update(carrier, inputs, state.ssl, state.rng)
     # The solve is warm-started from the previous refresh's optimum, which a
     # head strategy's carrier does not hold.
     if state.strategy.kind == "head":
         carrier = with_updates(
             carrier, linear_w=state.model.linear_w, linear_b=state.model.linear_b
         )
-    feats = feat_activations(carrier, runtime.train.inputs)[-1]
+    feats = feat_activations(carrier, state.train.inputs)[-1]
     retrained = retrain_linear(
-        carrier,
-        runtime.train,
-        max_iter=runtime.retrain_max_iter,
-        grad_tol=runtime.retrain_grad_tol,
-        feats=feats,
+        carrier, state.train, max_iter=state.retrain_max_iter, feats=feats
     )
-    state.model, conf = calibrate(retrained, runtime.val)
-    state.confusion = regularize_confusion(conf, runtime.reg_lambda)
-    state.ctx = build_context(
-        state.model, runtime.train, runtime.q0, feats, state.strategy.reads
-    )
+    state.model, state.confusion = calibrate(retrained, state.val, state.reg_lambda)
+    state.ctx = build_context(state.model, state.train, state.q0, feats, state.strategy.reads)
     state.feature_updates_done += 1
 
 
 def ols_ofu_step(
-    state: OfuState,
-    batch_inputs: np.ndarray,
-    runtime: OfuRuntime,
-    est: MarginalEstimate,
+    state: OfuState, batch_inputs: np.ndarray, est: MarginalEstimate
 ) -> Predictor:
     """Advance one time step; mutates ``state`` and returns the model to
     deploy next.
@@ -295,10 +275,10 @@ def ols_ofu_step(
             "the estimate must come from the model finalized before this batch"
         )
     state.strategy.step(state.ctx, est)
-    if runtime.ssl.kind != "none":
+    if state.ssl.kind != "none":
         state.buffer.append(np.asarray(batch_inputs, dtype=float))
-        if len(state.buffer) >= runtime.ssl.ba:
+        if len(state.buffer) >= state.ssl.ba:
             inputs = np.vstack(state.buffer)
             state.buffer.clear()
-            refresh(state, runtime, inputs)
-    return compose_output(state.model, state.strategy, state.ctx.q0)
+            refresh(state, inputs)
+    return compose_output(state.model, state.strategy, state.q0)

@@ -172,9 +172,16 @@ class TestConfigRanges:
             ("run", {}, ["--seed", "-1"], "seeds.run"),
             ("sweep", {"sweep": {"algorithm": ["fth", "flhftll"]}}, [], "sweep.algorithm"),
             ("sweep", {}, ["--seed", "-1"], "seeds.run"),
+            # Four validation rows pass the range checks, but their draw
+            # misses classes; the source draw finds that, before training.
+            ("run", {"data": {"n_train": 400, "n_val": 4, "n_test_pool": 400}}, [],
+             "data.n_val gives a validation split without class(es)"),
+            ("pretrain", {"data": {"n_train": 400, "n_val": 4, "n_test_pool": 400}}, [],
+             "data.n_val gives a validation split without class(es)"),
         ],
         ids=["val-rows-below-k", "negative-k", "hidden-width", "run-seed-flag", "sweep-axis",
-             "sweep-seed-flag"],
+             "sweep-seed-flag", "run-val-split-misses-class",
+             "pretrain-val-split-misses-class"],
     )
     def test_boundary_cases_exit_2_naming_key(self, tmp_path, capsys, command, doc,
                                               extra, key):
@@ -245,6 +252,15 @@ class TestPretrainCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "infonce" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_options_rejected(self, tmp_path, capsys):
+        # Pretraining reads neither the run seed nor the order.
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        for option in (["--seed", "123"], ["--order", "update_first"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["pretrain", "--config", str(cfg), "--out", str(tmp_path), *option])
+            assert exc.value.code == 2
+        assert not (tmp_path / "checkpoint.npz").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exits_3(self, tmp_path, capsys):
@@ -336,6 +352,33 @@ class TestSweepCommand:
         assert float(rows[0]["avg_error_mean"]) == pytest.approx(
             summary["avg_error"], abs=1e-12
         )
+
+    def test_single_cell_from_checkpoint_matches_run(self, tmp_path, capsys):
+        # The checkpoint is trained for fewer epochs than the config asks,
+        # so a cell that trained from scratch would not match.
+        pre_doc = {**FAST_CONFIG, "train": {"epochs": 2}}
+        assert main(["pretrain", "--config", str(write_config(tmp_path, pre_doc, "pre.json")),
+                     "--out", str(tmp_path / "pre")]) == 0
+        doc = {**FAST_CONFIG, "checkpoint": str(tmp_path / "pre" / "checkpoint.npz"),
+               "sweep": {"algorithm": ["fth"], "ssl": ["none"], "shift": ["sinusoidal"],
+                         "corruption": ["none"], "replicates": 1}}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        import csv
+
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[0]["avg_error_mean"]) == summary["avg_error"]
+
+    def test_missing_checkpoint_exits_2_without_csv(self, tmp_path, capsys):
+        doc = {**FAST_CONFIG, "checkpoint": str(tmp_path / "nope.npz")}
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: checkpoint not found")
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_twelve_cell_grid_with_delta_columns(self, tmp_path, capsys):
         doc = {

@@ -23,11 +23,10 @@ from olsofu.harness import (
 from olsofu.models import ModelParams, TrainConfig, accuracy
 from olsofu.numkit import make_rng
 from olsofu.ofu import (
-    OfuRuntime,
+    OfuState,
     Predictor,
     SslSpec,
     compose_output,
-    init_ofu_state,
     ols_ofu_step,
 )
 from olsofu.ols import make_strategy
@@ -204,14 +203,13 @@ def per_step_reference(sc, pre, true_marginal=False):
     snapshots)."""
     shift_rng = make_rng(sc.shift_seed)
     pattern = realize_pattern(sc.shift, shift_rng)
-    runtime = OfuRuntime(
-        train=pre.train, val=pre.val, q0=pre.q0, ssl=sc.ssl,
-        reg_lambda=sc.reg_lambda, rng=make_rng(sc.run_seed),
-        retrain_max_iter=sc.retrain_max_iter, retrain_grad_tol=sc.retrain_grad_tol,
-    )
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
                              pre.confusion.sigma_min, sc.algo_params)
-    state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
+    state = OfuState(
+        model=pre.model, confusion=pre.confusion, strategy=strategy, train=pre.train,
+        val=pre.val, q0=pre.q0, ssl=sc.ssl, reg_lambda=sc.reg_lambda,
+        rng=make_rng(sc.run_seed), retrain_max_iter=sc.retrain_max_iter,
+    )
     predictor = compose_output(state.model, strategy, pre.q0)
     s, errors, snapshots = [], [], []
     for t in range(1, sc.horizon + 1):
@@ -220,11 +218,11 @@ def per_step_reference(sc, pre, true_marginal=False):
                                       shift_rng)
         est = bbse_estimate(state.model, state.confusion, inputs)
         if sc.order == "update_first":
-            predictor = ols_ofu_step(state, inputs, runtime, est)
+            predictor = ols_ofu_step(state, inputs, est)
         deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
         errors.append(int(np.sum(deployed.predict(inputs) != labels)))
         if sc.order == "predict_first":
-            predictor = ols_ofu_step(state, inputs, runtime, est)
+            predictor = ols_ofu_step(state, inputs, est)
         s.append(est.s)
         snapshots.append(state.strategy.snapshot())
     return np.array(s), np.array(errors), snapshots

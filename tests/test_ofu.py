@@ -5,24 +5,26 @@ import pytest
 
 from olsofu.errors import ContractViolationError, InvalidArgumentError
 from olsofu.estimator import MarginalEstimate, bbse_estimate
-from olsofu.harness import Scenario, run_online
 from olsofu.models import forward, init_model, with_updates
 from olsofu.numkit import make_rng
 from olsofu.ofu import (
-    OfuRuntime,
+    OfuState,
     Predictor,
     SslSpec,
     compose_output,
     feature_update,
-    init_ofu_state,
     ols_ofu_step,
     ssl_loss_grad,
 )
 from olsofu.ols import make_strategy
 
 
-def make_runtime(pre, ssl, run_seed=99, retrain_max_iter=40):
-    return OfuRuntime(
+def make_state(pre, ssl, algorithm="fth", horizon=100, run_seed=99, retrain_max_iter=40):
+    strategy = make_strategy(algorithm, pre.q0, horizon, pre.model, pre.confusion.sigma_min)
+    return OfuState(
+        model=pre.model,
+        confusion=pre.confusion,
+        strategy=strategy,
         train=pre.train,
         val=pre.val,
         q0=pre.q0,
@@ -30,13 +32,12 @@ def make_runtime(pre, ssl, run_seed=99, retrain_max_iter=40):
         reg_lambda=0.01,
         rng=make_rng(run_seed),
         retrain_max_iter=retrain_max_iter,
-        retrain_grad_tol=Scenario.retrain_grad_tol,
     )
 
 
-def step(state, x, runtime):
+def step(state, x):
     """``ols_ofu_step`` on the estimate from the model before the batch."""
-    return ols_ofu_step(state, x, runtime, bbse_estimate(state.model, state.confusion, x))
+    return ols_ofu_step(state, x, bbse_estimate(state.model, state.confusion, x))
 
 
 class TestSslLoss:
@@ -110,47 +111,47 @@ class TestFeatureUpdate:
 class TestOlsOfuStep:
     def test_labels_cannot_reach_adaptation(self, small_pretrained, rng):
         pre = small_pretrained
-        runtime = make_runtime(pre, SslSpec(kind="none"))
-        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.confusion.sigma_min)
-        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
+        state = make_state(pre, SslSpec(kind="none"))
         batch = pre.pool.inputs[:10]
         est = bbse_estimate(state.model, state.confusion, batch)
         with pytest.raises(ContractViolationError):
-            ols_ofu_step(state, (batch, np.zeros(10, dtype=int)), runtime, est)
+            ols_ofu_step(state, (batch, np.zeros(10, dtype=int)), est)
 
     def test_batch_accumulation_schedule(self, small_pretrained):
         pre = small_pretrained
-        ssl = SslSpec(kind="entropy", ssl_lr=0.01, ba=5)
-        runtime = make_runtime(pre, ssl)
-        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.confusion.sigma_min)
-        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
+        state = make_state(pre, SslSpec(kind="entropy", ssl_lr=0.01, ba=5))
         for t in range(1, 24):
-            step(state, pre.pool.inputs[10 * t : 10 * (t + 1)], runtime)
+            step(state, pre.pool.inputs[10 * t : 10 * (t + 1)])
             assert len(state.buffer) < 5
             if t % 5 == 0:
                 assert len(state.buffer) == 0
         assert state.feature_updates_done == 23 // 5
 
-    @pytest.mark.parametrize("algorithm", ["fth", "rogd", "uogd"])
-    def test_refresh_reuses_forwards_exactly(self, small_pretrained, algorithm):
+    @pytest.mark.parametrize(
+        "algorithm, refreshes",
+        [(a, 1) for a in ("fth", "rogd", "uogd")] + [(a, 0) for a in ("fth", "rogd", "uogd")],
+        ids=["fth", "rogd", "uogd", "fth-constructed", "rogd-constructed", "uogd-constructed"],
+    )
+    def test_refresh_reuses_forwards_exactly(self, small_pretrained, algorithm, refreshes):
         # A refresh reuses the retrain's train features and the
         # calibration's validation logits; that must equal recomputing both.
-        # It builds only the context fields the strategy reads.
+        # The state's construction and each refresh build only the context
+        # fields the strategy reads.
         from olsofu.estimator import confusion_matrix, regularize_confusion
         from olsofu.ofu import build_context
         from olsofu.ols import CONTEXT_FIELDS
 
         pre = small_pretrained
-        runtime = make_runtime(pre, SslSpec(kind="rotation", ssl_lr=0.05))
-        strategy = make_strategy(algorithm, pre.q0, 100, pre.model, pre.confusion.sigma_min)
-        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
-        step(state, pre.pool.inputs[:10], runtime)
-        assert state.feature_updates_done == 1
+        state = make_state(pre, SslSpec(kind="rotation", ssl_lr=0.05), algorithm)
+        if refreshes:
+            step(state, pre.pool.inputs[:10])
+        assert state.feature_updates_done == refreshes
+        assert (state.model.uid == pre.model.uid) == (refreshes == 0)
         fresh = build_context(state.model, pre.train, pre.q0)
         # class_sums are built with xt.
         for name, read in (("xt", "xt"), ("class_sums", "xt"), ("train_probs", "train_probs")):
             assert read in CONTEXT_FIELDS
-            if read not in strategy.reads:
+            if read not in state.strategy.reads:
                 assert getattr(state.ctx, name) is None
                 continue
             np.testing.assert_array_equal(getattr(state.ctx, name), getattr(fresh, name))
@@ -162,25 +163,21 @@ class TestOlsOfuStep:
 
     def test_estimate_from_another_model_rejected(self, small_pretrained):
         pre = small_pretrained
-        runtime = make_runtime(pre, SslSpec(kind="rotation", ssl_lr=0.05))
-        strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.confusion.sigma_min)
-        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
+        state = make_state(pre, SslSpec(kind="rotation", ssl_lr=0.05))
         batch = pre.pool.inputs[:10]
         est = bbse_estimate(state.model, state.confusion, batch)
-        ols_ofu_step(state, batch, runtime, est)  # refreshes the model
+        ols_ofu_step(state, batch, est)  # refreshes the model
         with pytest.raises(ContractViolationError):
-            ols_ofu_step(state, pre.pool.inputs[10:20], runtime, est)
+            ols_ofu_step(state, pre.pool.inputs[10:20], est)
         s = np.full(4, 0.25)
         with pytest.raises(ContractViolationError):
-            ols_ofu_step(state, batch, runtime, MarginalEstimate(s, s))
+            ols_ofu_step(state, batch, MarginalEstimate(s, s))
 
     def test_ssl_none_keeps_model_fixed(self, small_pretrained):
         pre = small_pretrained
-        runtime = make_runtime(pre, SslSpec(kind="none"))
-        strategy = make_strategy("flhftl", pre.q0, 50, pre.model, pre.confusion.sigma_min)
-        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
+        state = make_state(pre, SslSpec(kind="none"), "flhftl", horizon=50)
         for t in range(10):
-            step(state, pre.pool.inputs[10 * t : 10 * (t + 1)], runtime)
+            step(state, pre.pool.inputs[10 * t : 10 * (t + 1)])
         assert state.model.uid == pre.model.uid
 
 
@@ -232,13 +229,11 @@ class TestFeatureDriftGuardrail:
             ssl=SslSpec(kind="entropy", ssl_lr=0.01, ba=5),
             retrain_max_iter=60,
         )
-        runtime = make_runtime(pre, sc.ssl)
-        strategy = make_strategy("fth", pre.q0, 300, pre.model, pre.confusion.sigma_min)
-        state = init_ofu_state(pre.model, pre.confusion, strategy, runtime)
+        state = make_state(pre, sc.ssl, horizon=300)
         rng = make_rng(11)
         for t in range(300):
             rows = rng.integers(len(pre.pool), size=10)
-            step(state, pre.pool.inputs[rows], runtime)
+            step(state, pre.pool.inputs[rows])
         base_acc = accuracy(pre.model, pre.pool)
         final_acc = accuracy(state.model, pre.pool)
         assert final_acc >= base_acc - 0.05
