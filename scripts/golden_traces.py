@@ -7,8 +7,15 @@ before it and on the commit after it, then compares the two files:
     PYTHONPATH=src python scripts/golden_traces.py after.json
     python scripts/golden_traces.py --compare before.json after.json
 
-``--compare`` prints every key whose digest differs (or that only one file
-has) and exits 1 if there is any. The file also keeps each trace's raw
+BLAS results depend on the thread count (a record made with one thread
+and one made with two differ in about half the keys), so the script pins
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before it imports numpy, and writes that setting and the numpy version to
+the file's ``manifest``.
+
+``--compare`` first names any manifest mismatch, or a file without a
+manifest, then prints every key whose digest differs (or that only one
+file has) and exits 1 if there is any. The file also keeps each trace's raw
 estimates ``s``, strategy snapshots and per-step error counts, so for a
 differing trace key ``--compare`` adds the drift: the largest |change| of
 any ``s`` entry, the largest |change| of any snapshot entry (how far the
@@ -44,7 +51,12 @@ import os
 import sys
 import tempfile
 
-import numpy as np
+BLAS_THREADS = {
+    var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+}
+os.environ.update(BLAS_THREADS)  # before numpy loads its BLAS
+
+import numpy as np  # noqa: E402
 
 ORDERS = ("predict_first", "update_first")
 
@@ -140,7 +152,8 @@ def record() -> dict:
         p = harness.pretrain(dataclasses.replace(sc, pretrain_ssl=kind))
         out[f"pretrain/ssl={kind}/model"] = _model_digest(p.model)
     out["validate/P2"] = _sha(validate.check_p2().value.encode())
-    return {"digests": out, "traces": raw}
+    manifest = {"blas_threads": BLAS_THREADS, "numpy": np.__version__}
+    return {"manifest": manifest, "digests": out, "traces": raw}
 
 
 def _drift(a: dict, b: dict) -> tuple[float, float, int]:
@@ -157,6 +170,12 @@ def compare(a_path: str, b_path: str) -> int:
         a_doc = json.load(fh)
     with open(b_path) as fh:
         b_doc = json.load(fh)
+    manifests = a_doc.get("manifest"), b_doc.get("manifest")
+    if None in manifests:
+        missing = [p for p, m in zip((a_path, b_path), manifests) if m is None]
+        print(f"manifest missing in {', '.join(missing)}")
+    elif manifests[0] != manifests[1]:
+        print(f"manifests differ: {manifests[0]} vs {manifests[1]}")
     a, b = a_doc["digests"], b_doc["digests"]
     differing = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     drifts = {}  # differing trace -> (max |ds|, max |dsnapshot|, changed error counts)

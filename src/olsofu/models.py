@@ -50,7 +50,7 @@ class _Views(NamedTuple):
 def _check_layout(shapes: tuple, n_layers: int) -> tuple:
     """Check a model's parameter shapes, given in field order, and return
     each array's (start, stop, shape) in ``theta``. Cached per architecture:
-    every SGD step builds a model."""
+    every retrain and calibration builds a model."""
     weights, biases, heads = shapes[:n_layers], shapes[n_layers:-4], shapes[-4:]
     two_d = all(len(s) == 2 for s in (*weights, heads[0]))
     if not weights or len(biases) != n_layers or not two_d:
@@ -141,7 +141,7 @@ def with_theta(m: ModelParams, theta: np.ndarray) -> ModelParams:
     if np.shape(theta) != m.theta.shape:
         raise InvalidArgumentError(f"theta must have shape {m.theta.shape}")
     # The layout is m's, so skip the constructor's shape checks and packing:
-    # every SGD step builds a model.
+    # every online feature update builds a model.
     new = copy.copy(m)
     object.__setattr__(new, "uid", next(_uid_counter))
     new._bind(np.array(theta, dtype=float))
@@ -180,7 +180,8 @@ def init_model(
 
 
 def _act(m: ModelParams, z: np.ndarray) -> np.ndarray:
-    return np.tanh(z) if m.activation == "tanh" else np.maximum(z, 0.0)
+    """The activation of pre-activations ``z``, computed in place."""
+    return np.tanh(z, out=z) if m.activation == "tanh" else np.maximum(z, 0.0, out=z)
 
 
 def _act_deriv_from_output(m: ModelParams, a: np.ndarray) -> np.ndarray:
@@ -190,10 +191,10 @@ def _act_deriv_from_output(m: ModelParams, a: np.ndarray) -> np.ndarray:
 def feat_activations(m: ModelParams, x: np.ndarray) -> list:
     """Forward through the feature stack; returns [input, a_1, ..., features]."""
     acts = [x]
-    a = x
     for w, b in zip(m.feat_weights, m.feat_biases):
-        a = _act(m, a @ w.T + b)
-        acts.append(a)
+        z = acts[-1] @ w.T
+        z += b
+        acts.append(_act(m, z))
     return acts
 
 
@@ -231,21 +232,34 @@ def forward(
 
 
 def _backprop_features(m: ModelParams, acts: list, dfeats: np.ndarray, gv: _Views):
+    """Write into ``gv``'s feature-layer entries the gradient of a loss whose
+    derivative with respect to the features ``acts[-1]`` is ``dfeats``, which
+    serves as scratch."""
     delta = dfeats
     for layer in reversed(range(len(m.feat_weights))):
-        dz = delta * _act_deriv_from_output(m, acts[layer + 1])
-        gv.feat_weights[layer][...] += dz.T @ acts[layer]
-        gv.feat_biases[layer][...] += dz.sum(axis=0)
-        delta = dz @ m.feat_weights[layer]
+        delta *= _act_deriv_from_output(m, acts[layer + 1])
+        np.matmul(delta.T, acts[layer], out=gv.feat_weights[layer])
+        delta.sum(axis=0, out=gv.feat_biases[layer])
+        if layer:  # no caller reads the gradient of the input
+            delta = delta @ m.feat_weights[layer]
 
 
-def _head_grad(m: ModelParams, acts: list, dlogits: np.ndarray, head: str) -> np.ndarray:
-    """Gradient, laid out like ``m.theta``, of a loss whose derivative with
-    respect to the logits ``acts[-1] @ w.T + b`` of ``head`` is ``dlogits``."""
+def _zero_grad(m: ModelParams) -> tuple[np.ndarray, _Views]:
+    """A zero vector laid out like ``m.theta`` and its views."""
     g = np.zeros_like(m.theta)
-    gv = m.views(g)
-    getattr(gv, f"{head}_w")[...] += dlogits.T @ acts[-1]
-    getattr(gv, f"{head}_b")[...] += dlogits.sum(axis=0)
+    return g, m.views(g)
+
+
+def _head_grad(
+    m: ModelParams, acts: list, dlogits: np.ndarray, head: str, out: tuple | None = None
+) -> np.ndarray:
+    """Gradient, laid out like ``m.theta``, of a loss whose derivative with
+    respect to the logits ``acts[-1] @ w.T + b`` of ``head`` is ``dlogits``.
+    It is written into ``out``, a ``(vector, views)`` pair whose other
+    head's entries are zero, or into a new vector."""
+    g, gv = _zero_grad(m) if out is None else out
+    np.matmul(dlogits.T, acts[-1], out=getattr(gv, f"{head}_w"))
+    dlogits.sum(axis=0, out=getattr(gv, f"{head}_b"))
     _backprop_features(m, acts, dlogits @ getattr(m, f"{head}_w"), gv)
     return g
 
@@ -254,22 +268,26 @@ def mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of each row's label; a probability
     below 1e-300 counts as 1e-300, so the result is finite."""
     picked = probs[np.arange(len(labels)), labels]
-    return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    # The sum over the count is np.mean's arithmetic, without its overhead.
+    return float(-np.log(np.maximum(picked, 1e-300)).sum() / len(labels))
 
 
 def _labelled_ce_grad(
-    m: ModelParams, x: np.ndarray, labels: np.ndarray, head: str, temperature: float
+    m: ModelParams, x: np.ndarray, labels: np.ndarray, head: str, temperature: float,
+    out: tuple | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean CE of ``head``'s softmax at ``temperature`` against ``labels``
-    on inputs ``x``, and its gradient laid out like ``m.theta``."""
+    on inputs ``x``, and its gradient laid out like ``m.theta``, written
+    into ``out`` as ``_head_grad`` describes."""
     n = x.shape[0]
     acts = feat_activations(m, x)
-    logits = acts[-1] @ getattr(m, f"{head}_w").T + getattr(m, f"{head}_b")
-    probs = softmax(logits, temperature)
+    logits = acts[-1] @ getattr(m, f"{head}_w").T
+    logits += getattr(m, f"{head}_b")
+    probs = softmax(logits, temperature, out=logits)
     loss = mean_nll(probs, labels)
     probs[np.arange(n), labels] -= 1.0
     probs /= n * temperature
-    return loss, _head_grad(m, acts, probs, head)
+    return loss, _head_grad(m, acts, probs, head, out)
 
 
 def cross_entropy_loss_grad(
@@ -340,10 +358,10 @@ def infonce_loss_grad(
     dv = dsims.T @ u
     dza = (du - (du * u).sum(axis=1, keepdims=True) * u) / ra
     dzb = (dv - (dv * v).sum(axis=1, keepdims=True) * v) / rb
-    g = np.zeros_like(m.theta)
-    gv = m.views(g)
+    (g, gv), (g_b, gv_b) = _zero_grad(m), _zero_grad(m)
     _backprop_features(m, acts_a, dza, gv)
-    _backprop_features(m, acts_b, dzb, gv)
+    _backprop_features(m, acts_b, dzb, gv_b)
+    g += g_b  # branch a's gradient plus branch b's
     return loss, g
 
 
@@ -408,41 +426,51 @@ def train_supervised(
 ) -> ModelParams:
     """Mini-batch SGD with momentum and weight decay on CE plus, when an SSL
     kind is set, ssl_weight times the self-supervised loss on the same batch.
+
+    The loop owns the model ``init_model`` returns and updates its ``theta``
+    in place; the returned model is a copy with a fresh uid.
     """
-    x, y = train.inputs, train.labels
+    x, y = as_array(train.inputs, "x"), np.asarray(train.labels, dtype=int)
     if k is None:
         k = int(y.max()) + 1
     if np.unique(y).size != k:
         raise InvalidArgumentError("train set must cover all classes")
     rng = make_rng(cfg.seed)
     m = init_model(x.shape[1], k, hidden=hidden, rng=rng, activation=activation)
-    velocity = np.zeros_like(m.theta)
+    theta, velocity, scratch = m.theta, np.zeros_like(m.theta), np.empty_like(m.theta)
+    ce_grad = _zero_grad(m)  # its ssl head entries stay zero
     n = x.shape[0]
     if ssl_weight == 0.0:
         ssl_kind = "none"  # weight 0 is pure supervised training
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        x_epoch, y_epoch = x[order], y[order]
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            if ssl_kind == "infonce" and idx.size < 2:
+            xb = x_epoch[start : start + cfg.batch_size]
+            yb = y_epoch[start : start + cfg.batch_size]
+            if ssl_kind == "infonce" and yb.size < 2:
                 continue
             try:
-                loss, g = cross_entropy_loss_grad(m, x[idx], y[idx])
+                loss, g = _labelled_ce_grad(m, xb, yb, "linear", m.temperature, ce_grad)
                 if ssl_kind != "none":
                     ssl_loss, ssl_g = backward(
                         m,
-                        x[idx],
+                        xb,
                         ssl_kind,
                         rng,
                         infonce_temperature=infonce_temperature,
                         augment_noise=augment_noise,
                     )
                     loss += ssl_weight * ssl_loss
-                    g += ssl_weight * ssl_g
+                    ssl_g *= ssl_weight
+                    # Summed into ssl_g, so the CE buffer's ssl head stays
+                    # zero; addition commutes, so this is g + w * ssl_g.
+                    ssl_g += g
+                    g = ssl_g
             except InvalidArgumentError as exc:
-                if np.isfinite(m.theta).all():
+                if np.isfinite(theta).all():
                     raise
                 raise TrainingDivergedError(
                     f"training diverged (non-finite parameters) in epoch {epoch}",
@@ -455,13 +483,15 @@ def train_supervised(
             epoch_loss += loss
             n_batches += 1
             # SGD with momentum: v = mu*v + g + wd*p, then p -= lr*v.
-            velocity = cfg.momentum * velocity + g + cfg.weight_decay * m.theta
-            m = with_theta(m, m.theta - cfg.learning_rate * velocity)
+            velocity *= cfg.momentum
+            velocity += g
+            velocity += np.multiply(theta, cfg.weight_decay, out=scratch)
+            theta -= np.multiply(velocity, cfg.learning_rate, out=scratch)
         if n_batches and not np.isfinite(epoch_loss):
             raise TrainingDivergedError(
                 f"training loss became non-finite in epoch {epoch}", epoch
             )
-    return m
+    return with_theta(m, theta)
 
 
 # Ridge on the head in the retrain objective. Adding one vector to every

@@ -130,21 +130,24 @@ def min_singular_value(A) -> float:
 COLUMN_MAX_WIDTH = 32
 
 
-def softmax(z, temperature: float = 1.0) -> np.ndarray:
+def softmax(z, temperature: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable softmax of ``z / temperature``.
 
     Accepts a vector or a batch of row vectors; rows of the output lie on
-    the simplex.
+    the simplex. ``out``, a float array shaped like ``z`` (``z`` itself
+    included), receives the result in place of a new array.
     """
     if temperature <= 0:
         raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
-    z = as_array(z, "z") / float(temperature)
+    z = np.divide(as_array(z, "z"), float(temperature), out=out)
     if z.ndim > 1 and z.shape[-1] <= COLUMN_MAX_WIDTH:
         top = z[..., :1].copy()
         for j in range(1, z.shape[-1]):
             np.maximum(top, z[..., j : j + 1], out=top)
     else:
         top = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - top)
-    return e / e.sum(axis=-1, keepdims=True)
+    z -= top
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 

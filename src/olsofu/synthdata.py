@@ -62,6 +62,10 @@ class DataSpec:
                 f"must be ({self.k}, {self.d}), got {means.shape}")
         object.__setattr__(self, "class_means", means)
         require(self.class_cov_scale >= 0, "class_cov_scale", "must be >= 0")
+        if self.class_cov_scale == 0.0:
+            gaps = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
+            require(gaps[np.triu_indices(self.k, 1)].min() > 0.0, "class_cov_scale",
+                    "must be > 0 when two class means are identical")
         require(self.n_train >= self.k, "n_train", f"must be >= k={self.k}")
         require(self.val_count >= self.k, "n_train" if self.n_val is None else "n_val",
                 f"gives {self.val_count} validation rows, fewer than the k={self.k} "
@@ -240,13 +244,6 @@ def make_source_data(
     replacement.
     """
     means = spec.class_means
-    if spec.class_cov_scale == 0.0:
-        dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() == 0.0:
-            raise InvalidArgumentError(
-                "identical class means with zero covariance are degenerate"
-            )
     rng = make_rng(seed)
     q0 = uniform_simplex(spec.k)
 

@@ -178,10 +178,14 @@ class TestConfigRanges:
              "data.n_val gives a validation split without class(es)"),
             ("pretrain", {"data": {"n_train": 400, "n_val": 4, "n_test_pool": 400}}, [],
              "data.n_val gives a validation split without class(es)"),
+            # Identical class means with no noise: every class draws one point.
+            ("run", {"data": {"class_sep": 0, "cov_scale": 0}}, [], "data.cov_scale "),
+            ("pretrain", {"data": {"class_sep": 0, "cov_scale": 0}}, [], "data.cov_scale "),
         ],
         ids=["val-rows-below-k", "negative-k", "hidden-width", "run-seed-flag", "sweep-axis",
              "sweep-seed-flag", "run-val-split-misses-class",
-             "pretrain-val-split-misses-class"],
+             "pretrain-val-split-misses-class", "run-degenerate-data",
+             "pretrain-degenerate-data"],
     )
     def test_boundary_cases_exit_2_naming_key(self, tmp_path, capsys, command, doc,
                                               extra, key):

@@ -20,6 +20,7 @@ from olsofu.models import (
     retrain_linear,
     save_model,
     train_supervised,
+    with_theta,
     with_updates,
 )
 from olsofu.numkit import make_rng, softmax
@@ -195,6 +196,8 @@ class TestTraining:
         np.testing.assert_array_equal(a.linear_w, b.linear_w)
         for wa, wb in zip(a.feat_weights, b.feat_weights):
             np.testing.assert_array_equal(wa, wb)
+        assert not np.shares_memory(a.theta, b.theta)
+        assert a.uid != b.uid
 
     def test_loss_decreases_over_training(self):
         data = DataSpec(
@@ -206,6 +209,48 @@ class TestTraining:
         long = train_supervised(train, TrainConfig(epochs=20), k=3)
         ce = lambda m: cross_entropy_loss_grad(m, train.inputs, train.labels)[0]
         assert ce(long) < ce(short)
+
+
+def reference_train(train, cfg, k, ssl_kind, ssl_weight):
+    """``train_supervised``'s SGD written with one new model per step: the
+    CE gradient plus ``ssl_weight`` times ``backward``'s, then
+    ``v = mu*v + g + wd*p`` and ``p - lr*v`` through ``with_theta``."""
+    spec = SslSpec()
+    x, y = train.inputs, train.labels
+    rng = make_rng(cfg.seed)
+    m = init_model(x.shape[1], k, rng=rng)
+    velocity = np.zeros_like(m.theta)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            if ssl_kind == "infonce" and idx.size < 2:
+                continue
+            _, g = cross_entropy_loss_grad(m, x[idx], y[idx])
+            if ssl_kind != "none":
+                _, ssl_g = backward(m, x[idx], ssl_kind, rng,
+                                    infonce_temperature=spec.infonce_temperature,
+                                    augment_noise=spec.augment_noise)
+                g += ssl_weight * ssl_g
+            velocity = cfg.momentum * velocity + g + cfg.weight_decay * m.theta
+            m = with_theta(m, m.theta - cfg.learning_rate * velocity)
+    return m
+
+
+class TestTrainingMatchesReference:
+    # 2 * 16 + 5 rows leave a last batch of 5; 2 * 16 + 1 leave InfoNCE a
+    # single-row last batch, which both loops skip.
+    @pytest.mark.parametrize("ssl_kind, n_train", [
+        ("none", 37), ("rotation", 37), ("entropy", 37), ("infonce", 37), ("infonce", 33),
+    ])
+    def test_theta_is_bit_identical(self, ssl_kind, n_train):
+        rng = make_rng(5)
+        y = np.arange(n_train) % 3
+        train = LabeledSet(rng.standard_normal((n_train, 4)) + y[:, None], y)
+        cfg = TrainConfig(epochs=3, batch_size=16)
+        got = train_supervised(train, cfg, k=3, ssl_kind=ssl_kind, ssl_weight=0.5)
+        want = reference_train(train, cfg, 3, ssl_kind, 0.5)
+        np.testing.assert_array_equal(got.theta, want.theta)
 
 
 def head_grad(m, train):

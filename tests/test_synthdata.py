@@ -111,6 +111,14 @@ class TestSourceData:
                 DataSpec(k=3, d=4, class_means=means, class_cov_scale=0.0), seed=0
             )
 
+    def test_coinciding_means_without_noise_name_class_cov_scale(self):
+        means = np.eye(3, 4)
+        means[2] = means[0]
+        with pytest.raises(InvalidArgumentError) as exc:
+            DataSpec(k=3, d=4, class_means=means, class_cov_scale=0.0)
+        assert exc.value.field == "class_cov_scale"
+        DataSpec(k=3, d=4, class_means=means, class_cov_scale=0.5)  # noise separates them
+
     # With n_val=4 these data seeds draw the validation label sets {0, 2},
     # {2, 3} and {0, 2, 3}.
     @pytest.mark.parametrize("seed, missing", [(1, [1, 3]), (2, [0, 1]), (3, [1])])
