@@ -10,17 +10,19 @@ before it and on the commit after it, then compares the two files:
 BLAS results depend on the thread count (a record made with one thread
 and one made with two differ in about half the keys), so the script pins
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
-before it imports numpy, and writes that setting and the numpy version to
-the file's ``manifest``.
+before it imports numpy. It writes that setting, the numpy version, the
+BLAS build (name, version and OpenBLAS configuration string) and the CPU
+model to the file's ``manifest``: a ``DYNAMIC_ARCH`` OpenBLAS picks its
+kernels by CPU, so records from two machines may differ with the same code.
 
-``--compare`` first names any manifest mismatch, or a file without a
-manifest, then prints every key whose digest differs (or that only one
-file has) and exits 1 if there is any. The file also keeps each trace's raw
-estimates ``s``, strategy snapshots and per-step error counts, so for a
-differing trace key ``--compare`` adds the drift: the largest |change| of
-any ``s`` entry, the largest |change| of any snapshot entry (how far the
-reweighting vectors or heads moved) and the number of steps whose error
-count changed. Its last line sums the drift up over every differing
+``--compare`` first names each manifest field that differs, or a file
+without a manifest, then prints every key whose digest differs (or that
+only one file has) and exits 1 if there is any. The file also keeps each
+trace's raw estimates ``s``, strategy snapshots and per-step error counts,
+so for a differing trace key ``--compare`` adds the drift: the largest
+|change| of any ``s`` entry, the largest |change| of any snapshot entry
+(how far the reweighting vectors or heads moved) and the number of steps
+whose error count changed. Its last line sums the drift up over every differing
 trace: the largest |change| of ``s`` and of the snapshots, and the total
 of changed error counts. Recording takes about 7 s on two cores.
 
@@ -48,6 +50,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 
@@ -102,6 +105,22 @@ def _model_digest(m) -> str:
     )
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _blas_build() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+
+
 def record() -> dict:
     from olsofu import harness, validate
     from olsofu.models import TrainConfig
@@ -152,7 +171,8 @@ def record() -> dict:
         p = harness.pretrain(dataclasses.replace(sc, pretrain_ssl=kind))
         out[f"pretrain/ssl={kind}/model"] = _model_digest(p.model)
     out["validate/P2"] = _sha(validate.check_p2().value.encode())
-    manifest = {"blas_threads": BLAS_THREADS, "numpy": np.__version__}
+    manifest = {"blas_threads": BLAS_THREADS, "numpy": np.__version__,
+                "blas": _blas_build(), "cpu": _cpu_model()}
     return {"manifest": manifest, "digests": out, "traces": raw}
 
 
@@ -174,8 +194,11 @@ def compare(a_path: str, b_path: str) -> int:
     if None in manifests:
         missing = [p for p, m in zip((a_path, b_path), manifests) if m is None]
         print(f"manifest missing in {', '.join(missing)}")
-    elif manifests[0] != manifests[1]:
-        print(f"manifests differ: {manifests[0]} vs {manifests[1]}")
+    else:
+        for field in sorted(manifests[0].keys() | manifests[1].keys()):
+            if manifests[0].get(field) != manifests[1].get(field):
+                print(f"manifests differ in {field}: {manifests[0].get(field)} vs "
+                      f"{manifests[1].get(field)}")
     a, b = a_doc["digests"], b_doc["digests"]
     differing = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     drifts = {}  # differing trace -> (max |ds|, max |dsnapshot|, changed error counts)

@@ -38,6 +38,7 @@ from .harness import (
 )
 from .models import (
     ModelParams,
+    SslSpec,
     TrainConfig,
     backward,
     calibrate_temperature,
@@ -58,11 +59,9 @@ from .numkit import (
 from .ofu import (
     OfuState,
     Predictor,
-    SslSpec,
     compose_output,
     feature_update,
     ols_ofu_step,
-    ssl_loss_grad,
 )
 from .ols import (
     ALGORITHMS,

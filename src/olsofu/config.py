@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
 from .harness import ORDERS, Scenario
-from .models import TrainConfig
-from .ofu import SSL_KINDS, SslSpec
+from .models import SSL_KINDS, SslSpec, TrainConfig
 from .ols import ALGORITHMS, AlgoParams
 from .synthdata import (
     CORRUPTION_KINDS,

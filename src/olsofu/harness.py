@@ -18,7 +18,9 @@ import numpy as np
 from .errors import InvalidArgumentError, RunError, UndefinedCorrelationError, require
 from .estimator import ConfusionMatrix, bbse_estimate, bbse_estimates, confusion_matrix
 from .models import (
+    SSL_KINDS,
     ModelParams,
+    SslSpec,
     TrainConfig,
     calibrate_temperature,  # noqa: F401 - perfbench's tracer wraps it here too
     forward,
@@ -27,10 +29,8 @@ from .models import (
 )
 from .numkit import make_rng, min_singular_value
 from .ofu import (
-    SSL_KINDS,
     OfuState,
     Predictor,
-    SslSpec,
     build_context,
     calibrate,
     compose_output,
@@ -94,6 +94,9 @@ class Scenario:
         require(self.pretrain_ssl in SSL_KINDS, "pretrain_ssl",
                 f"{self.pretrain_ssl!r} is not one of {SSL_KINDS}")
         require(self.pretrain_ssl_weight >= 0, "pretrain_ssl_weight", "must be >= 0")
+        require(self.pretrain_ssl != "infonce" or self.pretrain_ssl_weight == 0
+                or self.train_cfg.batch_size >= 2, "train.batch_size",
+                "is too small: infonce pretraining needs batches of >= 2 inputs")
         require(0 <= self.reg_lambda <= 1, "reg_lambda", "must lie in [0, 1]")
         require(all(h >= 1 for h in self.hidden), "hidden", "widths must be >= 1")
         require(self.retrain_max_iter >= 1, "retrain_max_iter", "must be >= 1")
@@ -189,12 +192,10 @@ def pretrain(sc: Scenario, model: ModelParams | None = None) -> Pretrained:
             train,
             sc.train_cfg,
             k=sc.data.k,
-            ssl_kind=sc.pretrain_ssl,
+            ssl=replace(sc.ssl, kind=sc.pretrain_ssl),  # InfoNCE settings from ssl.*
             ssl_weight=sc.pretrain_ssl_weight,
             hidden=sc.hidden,
             activation=sc.activation,
-            infonce_temperature=sc.ssl.infonce_temperature,
-            augment_noise=sc.ssl.augment_noise,
         )
     calibrated, conf = calibrate(model, val, sc.reg_lambda)
     return Pretrained(calibrated, train, val, pool, q0, conf)

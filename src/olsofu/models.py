@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InvalidArgumentError, TrainingDivergedError, require
 from .numkit import as_array, make_rng, rotate2d, softmax
 
-LOSS_KINDS = ("entropy", "rotation", "infonce")
+SSL_KINDS = ("rotation", "entropy", "infonce", "none")
 ROTATION_DEGREES = (0.0, 90.0, 180.0, 270.0)
 
 _uid_counter = itertools.count(1)
@@ -303,9 +303,7 @@ def entropy_loss_grad(m: ModelParams, x: np.ndarray) -> tuple[float, np.ndarray]
     x = as_array(x, "x")
     n = x.shape[0]
     acts = feat_activations(m, x)
-    feats = acts[-1]
-    logits = feats @ m.linear_w.T + m.linear_b
-    probs = softmax(logits, m.temperature)
+    probs, _ = head_output(m, acts[-1])
     logp = np.log(np.maximum(probs, 1e-300))
     ent = -(probs * logp).sum(axis=1)
     loss = float(np.mean(ent))
@@ -365,34 +363,52 @@ def infonce_loss_grad(
     return loss, g
 
 
+@dataclass(frozen=True)
+class SslSpec:
+    """Self-supervised loss choice and its update hyperparameters."""
+
+    kind: str = "none"
+    ssl_lr: float = 0.01  # feature-update step size
+    # Batch-accumulation period (update every ba steps); None -> 50 for
+    # infonce, whose loss needs many inputs per update, else 1.
+    ba: int | None = None
+    inner_steps: int = 1  # gradient steps per update
+    infonce_temperature: float = 0.07
+    augment_noise: float = 0.1
+
+    def __post_init__(self):
+        require(self.kind in SSL_KINDS, "kind", f"{self.kind!r} is not one of {SSL_KINDS}")
+        if self.ba is None:
+            object.__setattr__(self, "ba", 50 if self.kind == "infonce" else 1)
+        require(self.ssl_lr >= 0, "ssl_lr", "must be >= 0")
+        require(self.ba >= 1, "ba", "must be >= 1")
+        require(self.inner_steps >= 1, "inner_steps", "must be >= 1")
+        require(self.infonce_temperature > 0, "infonce_temperature", "must be > 0")
+        require(self.augment_noise >= 0, "augment_noise", "must be >= 0")
+
+
 def backward(
-    m: ModelParams,
-    x: np.ndarray,
-    loss_kind: str,
-    rng: np.random.Generator,
-    *,
-    infonce_temperature: float,
-    augment_noise: float,
+    m: ModelParams, x: np.ndarray, spec: SslSpec, rng: np.random.Generator
 ) -> tuple[float, np.ndarray]:
-    """Batch-mean self-supervised loss on inputs ``x`` and its analytic
-    gradient, laid out like ``m.theta``.
+    """Batch-mean self-supervised loss ``spec.kind`` on inputs ``x`` and its
+    analytic gradient, laid out like ``m.theta``.
 
     Rotation and InfoNCE draw their degrees / augmentations from ``rng`` and
-    delegate to the explicit-argument variants above;
-    ``infonce_temperature`` and ``augment_noise`` are InfoNCE's.
+    delegate to the explicit-argument variants above; InfoNCE takes its
+    temperature and augmentation noise from ``spec``.
     """
-    if loss_kind not in LOSS_KINDS:
-        raise InvalidArgumentError(f"unknown loss kind {loss_kind!r}")
+    if spec.kind == "none":
+        raise InvalidArgumentError("backward needs an ssl kind other than 'none'")
     x = as_array(x, "inputs")
     if x.ndim != 2 or x.shape[0] == 0:
         raise InvalidArgumentError("batch inputs must be a nonempty n x d matrix")
-    if loss_kind == "entropy":
+    if spec.kind == "entropy":
         return entropy_loss_grad(m, x)
-    if loss_kind == "rotation":
+    if spec.kind == "rotation":
         degree_idx = rng.integers(len(ROTATION_DEGREES), size=x.shape[0])
         return rotation_loss_grad(m, x, degree_idx)
-    x_aug = x + augment_noise * rng.standard_normal(x.shape)
-    return infonce_loss_grad(m, x, x_aug, infonce_temperature)
+    x_aug = x + spec.augment_noise * rng.standard_normal(x.shape)
+    return infonce_loss_grad(m, x, x_aug, spec.infonce_temperature)
 
 
 @dataclass(frozen=True)
@@ -417,15 +433,14 @@ def train_supervised(
     train,
     cfg: TrainConfig,
     k: int | None = None,
-    ssl_kind: str = "none",
+    ssl: SslSpec = SslSpec(),
     ssl_weight: float = 1.0,
     hidden=(32, 32),
     activation: str = "tanh",
-    infonce_temperature: float = 0.07,
-    augment_noise: float = 0.1,
 ) -> ModelParams:
-    """Mini-batch SGD with momentum and weight decay on CE plus, when an SSL
-    kind is set, ssl_weight times the self-supervised loss on the same batch.
+    """Mini-batch SGD with momentum and weight decay on CE plus, when
+    ``ssl.kind`` is not 'none', ssl_weight times the self-supervised loss
+    ``backward`` computes on the same batch.
 
     The loop owns the model ``init_model`` returns and updates its ``theta``
     in place; the returned model is a copy with a fresh uid.
@@ -440,8 +455,7 @@ def train_supervised(
     theta, velocity, scratch = m.theta, np.zeros_like(m.theta), np.empty_like(m.theta)
     ce_grad = _zero_grad(m)  # its ssl head entries stay zero
     n = x.shape[0]
-    if ssl_weight == 0.0:
-        ssl_kind = "none"  # weight 0 is pure supervised training
+    kind = ssl.kind if ssl_weight != 0.0 else "none"  # weight 0: pure supervised
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         x_epoch, y_epoch = x[order], y[order]
@@ -450,19 +464,12 @@ def train_supervised(
         for start in range(0, n, cfg.batch_size):
             xb = x_epoch[start : start + cfg.batch_size]
             yb = y_epoch[start : start + cfg.batch_size]
-            if ssl_kind == "infonce" and yb.size < 2:
+            if kind == "infonce" and yb.size < 2:
                 continue
             try:
                 loss, g = _labelled_ce_grad(m, xb, yb, "linear", m.temperature, ce_grad)
-                if ssl_kind != "none":
-                    ssl_loss, ssl_g = backward(
-                        m,
-                        xb,
-                        ssl_kind,
-                        rng,
-                        infonce_temperature=infonce_temperature,
-                        augment_noise=augment_noise,
-                    )
+                if kind != "none":
+                    ssl_loss, ssl_g = backward(m, xb, ssl, rng)
                     loss += ssl_weight * ssl_loss
                     ssl_g *= ssl_weight
                     # Summed into ssl_g, so the CE buffer's ssl head stays
@@ -476,7 +483,7 @@ def train_supervised(
                     f"training diverged (non-finite parameters) in epoch {epoch}",
                     epoch,
                 ) from exc
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"training loss became non-finite in epoch {epoch}", epoch
                 )
@@ -487,7 +494,7 @@ def train_supervised(
             velocity += g
             velocity += np.multiply(theta, cfg.weight_decay, out=scratch)
             theta -= np.multiply(velocity, cfg.learning_rate, out=scratch)
-        if n_batches and not np.isfinite(epoch_loss):
+        if n_batches and not math.isfinite(epoch_loss):
             raise TrainingDivergedError(
                 f"training loss became non-finite in epoch {epoch}", epoch
             )

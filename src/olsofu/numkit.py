@@ -25,7 +25,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def as_array(v, name="value") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} must be finite, got {arr!r}", name)
     return arr
 

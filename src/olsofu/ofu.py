@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, require
+from .errors import ContractViolationError
 from .estimator import (
     ConfusionMatrix,
     MarginalEstimate,
@@ -34,6 +34,7 @@ from .estimator import (
 )
 from .models import (
     ModelParams,
+    SslSpec,
     backward,
     calibrate_temperature,
     feat_activations,
@@ -45,55 +46,6 @@ from .models import (
 )
 from .ols import CONTEXT_FIELDS, OlsContext, reweight_probs
 
-SSL_KINDS = ("rotation", "entropy", "infonce", "none")
-
-
-@dataclass(frozen=True)
-class SslSpec:
-    """Self-supervised loss choice and its update hyperparameters."""
-
-    kind: str = "none"
-    ssl_lr: float = 0.01  # feature-update step size
-    # Batch-accumulation period (update every ba steps); None -> 50 for
-    # infonce, whose loss needs many inputs per update, else 1.
-    ba: int | None = None
-    inner_steps: int = 1  # gradient steps per update
-    infonce_temperature: float = 0.07
-    augment_noise: float = 0.1
-
-    def __post_init__(self):
-        require(self.kind in SSL_KINDS, "kind", f"{self.kind!r} is not one of {SSL_KINDS}")
-        if self.ba is None:
-            object.__setattr__(self, "ba", 50 if self.kind == "infonce" else 1)
-        require(self.ssl_lr >= 0, "ssl_lr", "must be >= 0")
-        require(self.ba >= 1, "ba", "must be >= 1")
-        require(self.inner_steps >= 1, "inner_steps", "must be >= 1")
-        require(self.infonce_temperature > 0, "infonce_temperature", "must be > 0")
-        require(self.augment_noise >= 0, "augment_noise", "must be >= 0")
-
-
-def ssl_loss_grad(
-    spec: SslSpec,
-    batch_inputs: np.ndarray,
-    m: ModelParams,
-    rng: np.random.Generator,
-):
-    """Self-supervised loss ``spec.kind`` and its gradient over the feature
-    extractor and the auxiliary head; the classification head's own entries
-    are zeroed."""
-    loss, g = backward(
-        m,
-        batch_inputs,
-        spec.kind,
-        rng,
-        infonce_temperature=spec.infonce_temperature,
-        augment_noise=spec.augment_noise,
-    )
-    gv = m.views(g)
-    gv.linear_w[...] = 0.0
-    gv.linear_b[...] = 0.0
-    return loss, g
-
 
 def feature_update(
     m: ModelParams,
@@ -104,11 +56,14 @@ def feature_update(
     """One self-supervised gradient step on the feature extractor.
 
     For rotation the auxiliary head co-trains; the classification head is
-    never touched here.
+    never touched here: its entries of the gradient are zeroed.
     """
     if spec.kind == "none":
         raise ContractViolationError("feature_update called with ssl kind 'none'")
-    _, g = ssl_loss_grad(spec, batch_inputs, m, rng)
+    _, g = backward(m, batch_inputs, spec, rng)
+    gv = m.views(g)
+    gv.linear_w[...] = 0.0
+    gv.linear_b[...] = 0.0
     return with_theta(m, m.theta - spec.ssl_lr * g)
 
 

@@ -388,7 +388,7 @@ def make_strategy(
     if algorithm == "flhftl":
         return FlhftlStrategy(q0, params)
     if algorithm == "uogd":
-        eta = params.eta if params.eta is not None else sigma_min / math.sqrt(k * horizon)
+        eta = params.eta if params.eta is not None else atlas_step_pool(horizon, k, sigma_min)[0]
         return UogdStrategy(f0, eta, params)
     if algorithm == "atlas":
         etas = atlas_step_pool(horizon, k, sigma_min)

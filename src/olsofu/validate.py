@@ -29,6 +29,7 @@ from .harness import (
     run_online,
 )
 from .models import (
+    SslSpec,
     TrainConfig,
     calibrate_temperature,
     cross_entropy_loss_grad,
@@ -42,7 +43,6 @@ from .models import (
     with_updates,
 )
 from .numkit import make_rng, project_simplex
-from .ofu import SslSpec
 from .ols import AtlasStrategy, FthStrategy, atlas_pool_size, atlas_step_pool
 from .synthdata import (
     CorruptionSpec,

@@ -181,11 +181,17 @@ class TestConfigRanges:
             # Identical class means with no noise: every class draws one point.
             ("run", {"data": {"class_sep": 0, "cov_scale": 0}}, [], "data.cov_scale "),
             ("pretrain", {"data": {"class_sep": 0, "cov_scale": 0}}, [], "data.cov_scale "),
+            # InfoNCE skips every batch of one input, so nothing would train.
+            ("run", {"pretrain_ssl": "infonce", "train": {"batch_size": 1}}, [],
+             "train.batch_size "),
+            ("pretrain", {"pretrain_ssl": "infonce", "train": {"batch_size": 1}}, [],
+             "train.batch_size "),
         ],
         ids=["val-rows-below-k", "negative-k", "hidden-width", "run-seed-flag", "sweep-axis",
              "sweep-seed-flag", "run-val-split-misses-class",
              "pretrain-val-split-misses-class", "run-degenerate-data",
-             "pretrain-degenerate-data"],
+             "pretrain-degenerate-data", "run-infonce-single-row-batches",
+             "pretrain-infonce-single-row-batches"],
     )
     def test_boundary_cases_exit_2_naming_key(self, tmp_path, capsys, command, doc,
                                               extra, key):

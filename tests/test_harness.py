@@ -20,12 +20,11 @@ from olsofu.harness import (
     run_bare_ols,
     run_online,
 )
-from olsofu.models import ModelParams, TrainConfig, accuracy
+from olsofu.models import ModelParams, SslSpec, TrainConfig, accuracy
 from olsofu.numkit import make_rng
 from olsofu.ofu import (
     OfuState,
     Predictor,
-    SslSpec,
     compose_output,
     ols_ofu_step,
 )
@@ -129,6 +128,22 @@ class TestPretrain:
         np.testing.assert_array_equal(pre.confusion.matrix, fresh.matrix)
         assert pre.confusion.sigma_min == fresh.sigma_min
         assert pre.confusion.model_uid == fresh.model_uid == pre.model.uid
+
+    def test_infonce_pretraining_reads_only_the_infonce_settings_of_ssl(
+        self, small_scenario
+    ):
+        sc = dataclasses.replace(small_scenario, pretrain_ssl="infonce",
+                                 train_cfg=TrainConfig(epochs=2))
+
+        def pretrained_theta(**ssl):
+            return pretrain(dataclasses.replace(sc, ssl=SslSpec(**ssl))).model.theta
+
+        base = pretrained_theta()
+        for changed in ({"infonce_temperature": 0.2}, {"augment_noise": 0.3}):
+            assert not np.array_equal(pretrained_theta(**changed), base), changed
+        for unread in ({"ssl_lr": 0.5}, {"ba": 7}, {"inner_steps": 3},
+                       {"kind": "rotation"}):
+            np.testing.assert_array_equal(pretrained_theta(**unread), base, str(unread))
 
 
 class TestOracle:

@@ -6,6 +6,7 @@ from olsofu.errors import InvalidArgumentError, TrainingDivergedError
 from olsofu.models import (
     RETRAIN_RIDGE,
     ModelParams,
+    SslSpec,
     TrainConfig,
     accuracy,
     backward,
@@ -24,7 +25,6 @@ from olsofu.models import (
     with_updates,
 )
 from olsofu.numkit import make_rng, softmax
-from olsofu.ofu import SslSpec
 from olsofu.synthdata import DataSpec, LabeledSet, default_means, make_source_data
 
 
@@ -76,24 +76,20 @@ class TestForward:
         assert probs.min() >= 0
 
 
-def backward_default_ssl(m, x, kind):
-    """``backward`` with ``SslSpec``'s InfoNCE settings."""
-    spec = SslSpec()
-    return backward(m, x, kind, make_rng(1), infonce_temperature=spec.infonce_temperature,
-                    augment_noise=spec.augment_noise)
-
-
 class TestBackward:
-    def test_rejects_unknown_kind_and_scope(self, rng):
-        m = init_model(4, 2, rng=make_rng(0))
-        x = rng.standard_normal((3, 4))
+    def test_rejects_unknown_kind_and_scope(self):
         with pytest.raises(InvalidArgumentError):
-            backward_default_ssl(m, x, "hinge")
+            SslSpec(kind="hinge")
+
+    def test_rejects_kind_none(self, rng):
+        m = init_model(4, 2, rng=make_rng(0))
+        with pytest.raises(InvalidArgumentError):
+            backward(m, rng.standard_normal((3, 4)), SslSpec(kind="none"), make_rng(1))
 
     def test_empty_batch_rejected(self):
         m = init_model(4, 2, rng=make_rng(0))
         with pytest.raises(InvalidArgumentError):
-            backward_default_ssl(m, np.zeros((0, 4)), "entropy")
+            backward(m, np.zeros((0, 4)), SslSpec(kind="entropy"), make_rng(1))
 
     def test_confident_correct_prediction_has_tiny_loss_and_gradient(self):
         m = identity_model(k=2, scale=200.0)
@@ -159,7 +155,7 @@ class TestTraining:
         train, _, _, _ = make_source_data(data, seed=1)
         plain = train_supervised(train, TrainConfig(epochs=3), k=2)
         weighted = train_supervised(
-            train, TrainConfig(epochs=3), k=2, ssl_kind="rotation", ssl_weight=0.0
+            train, TrainConfig(epochs=3), k=2, ssl=SslSpec(kind="rotation"), ssl_weight=0.0
         )
         for a, b in zip(plain.feat_weights, weighted.feat_weights):
             np.testing.assert_array_equal(a, b)
@@ -191,8 +187,9 @@ class TestTraining:
             class_cov_scale=1.0, n_train=300, n_test_pool=100,
         )
         train, _, _, _ = make_source_data(data, seed=2)
-        a = train_supervised(train, TrainConfig(epochs=4), k=3, ssl_kind="rotation")
-        b = train_supervised(train, TrainConfig(epochs=4), k=3, ssl_kind="rotation")
+        rotation = SslSpec(kind="rotation")
+        a = train_supervised(train, TrainConfig(epochs=4), k=3, ssl=rotation)
+        b = train_supervised(train, TrainConfig(epochs=4), k=3, ssl=rotation)
         np.testing.assert_array_equal(a.linear_w, b.linear_w)
         for wa, wb in zip(a.feat_weights, b.feat_weights):
             np.testing.assert_array_equal(wa, wb)
@@ -211,11 +208,10 @@ class TestTraining:
         assert ce(long) < ce(short)
 
 
-def reference_train(train, cfg, k, ssl_kind, ssl_weight):
+def reference_train(train, cfg, k, ssl, ssl_weight):
     """``train_supervised``'s SGD written with one new model per step: the
     CE gradient plus ``ssl_weight`` times ``backward``'s, then
     ``v = mu*v + g + wd*p`` and ``p - lr*v`` through ``with_theta``."""
-    spec = SslSpec()
     x, y = train.inputs, train.labels
     rng = make_rng(cfg.seed)
     m = init_model(x.shape[1], k, rng=rng)
@@ -224,13 +220,11 @@ def reference_train(train, cfg, k, ssl_kind, ssl_weight):
         order = rng.permutation(len(y))
         for start in range(0, len(y), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            if ssl_kind == "infonce" and idx.size < 2:
+            if ssl.kind == "infonce" and idx.size < 2:
                 continue
             _, g = cross_entropy_loss_grad(m, x[idx], y[idx])
-            if ssl_kind != "none":
-                _, ssl_g = backward(m, x[idx], ssl_kind, rng,
-                                    infonce_temperature=spec.infonce_temperature,
-                                    augment_noise=spec.augment_noise)
+            if ssl.kind != "none":
+                _, ssl_g = backward(m, x[idx], ssl, rng)
                 g += ssl_weight * ssl_g
             velocity = cfg.momentum * velocity + g + cfg.weight_decay * m.theta
             m = with_theta(m, m.theta - cfg.learning_rate * velocity)
@@ -248,8 +242,9 @@ class TestTrainingMatchesReference:
         y = np.arange(n_train) % 3
         train = LabeledSet(rng.standard_normal((n_train, 4)) + y[:, None], y)
         cfg = TrainConfig(epochs=3, batch_size=16)
-        got = train_supervised(train, cfg, k=3, ssl_kind=ssl_kind, ssl_weight=0.5)
-        want = reference_train(train, cfg, 3, ssl_kind, 0.5)
+        ssl = SslSpec(kind=ssl_kind)
+        got = train_supervised(train, cfg, k=3, ssl=ssl, ssl_weight=0.5)
+        want = reference_train(train, cfg, 3, ssl, 0.5)
         np.testing.assert_array_equal(got.theta, want.theta)
 
 

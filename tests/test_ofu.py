@@ -5,16 +5,14 @@ import pytest
 
 from olsofu.errors import ContractViolationError, InvalidArgumentError
 from olsofu.estimator import MarginalEstimate, bbse_estimate
-from olsofu.models import forward, init_model, with_updates
+from olsofu.models import SslSpec, backward, forward, init_model, with_updates
 from olsofu.numkit import make_rng
 from olsofu.ofu import (
     OfuState,
     Predictor,
-    SslSpec,
     compose_output,
     feature_update,
     ols_ofu_step,
-    ssl_loss_grad,
 )
 from olsofu.ols import make_strategy
 
@@ -44,7 +42,7 @@ class TestSslLoss:
     def test_entropy_of_saturated_model_is_zero(self):
         m = init_model(4, 3, rng=make_rng(0))
         m = with_updates(m, linear_w=m.linear_w * 1e4)
-        loss, _ = ssl_loss_grad(SslSpec(kind="entropy"), np.eye(4)[:3] * 10, m, make_rng(1))
+        loss, _ = backward(m, np.eye(4)[:3] * 10, SslSpec(kind="entropy"), make_rng(1))
         assert loss < 1e-6
 
     def test_entropy_of_uniform_model_is_log_k(self, rng):
@@ -52,22 +50,26 @@ class TestSslLoss:
         m = with_updates(m, linear_w=np.zeros_like(m.linear_w),
                          linear_b=np.zeros_like(m.linear_b))
         x = rng.standard_normal((6, 4))
-        loss, _ = ssl_loss_grad(SslSpec(kind="entropy"), x, m, make_rng(1))
+        loss, _ = backward(m, x, SslSpec(kind="entropy"), make_rng(1))
         assert loss == pytest.approx(np.log(5), abs=1e-9)
 
     def test_classification_head_gradient_zeroed(self, rng):
+        # Entropy's gradient reaches the classification head; the update
+        # moves only the feature extractor.
         m = init_model(4, 3, rng=make_rng(2))
         x = rng.standard_normal((6, 4))
-        _, grads = ssl_loss_grad(SslSpec(kind="entropy"), x, m, make_rng(3))
-        g = m.views(grads)
-        assert np.abs(g.linear_w).max() == 0.0
-        assert any(np.abs(w).max() > 0 for w in g.feat_weights)
+        spec = SslSpec(kind="entropy", ssl_lr=0.1)
+        _, g = backward(m, x, spec, make_rng(3))
+        assert np.abs(m.views(g).linear_w).max() > 0
+        out = feature_update(m, x, spec, make_rng(3))
+        np.testing.assert_array_equal(m.linear_w, out.linear_w)
+        np.testing.assert_array_equal(m.linear_b, out.linear_b)
+        assert not np.array_equal(m.feat_weights[0], out.feat_weights[0])
 
     def test_infonce_requires_two_inputs(self, rng):
         m = init_model(4, 3, rng=make_rng(2))
         with pytest.raises(InvalidArgumentError):
-            ssl_loss_grad(SslSpec(kind="infonce"), rng.standard_normal((1, 4)), m,
-                          make_rng(3))
+            backward(m, rng.standard_normal((1, 4)), SslSpec(kind="infonce"), make_rng(3))
 
 
 class TestFeatureUpdate:
