@@ -11,9 +11,11 @@ BLAS results depend on the thread count (a record made with one thread
 and one made with two differ in about half the keys), so the script pins
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
 before it imports numpy. It writes that setting, the numpy version, the
-BLAS build (name, version and OpenBLAS configuration string) and the CPU
-model to the file's ``manifest``: a ``DYNAMIC_ARCH`` OpenBLAS picks its
-kernels by CPU, so records from two machines may differ with the same code.
+BLAS build (name, version and OpenBLAS configuration string), the CPU
+model and the SIMD extensions numpy found on the CPU to the file's
+``manifest``: a ``DYNAMIC_ARCH`` OpenBLAS picks its kernels by CPU, so
+records from two machines may differ with the same code, and two machines
+can report the same CPU model name yet offer different extensions.
 
 ``--compare`` first names each manifest field that differs, or a file
 without a manifest, then prints every key whose digest differs (or that
@@ -172,7 +174,8 @@ def record() -> dict:
         out[f"pretrain/ssl={kind}/model"] = _model_digest(p.model)
     out["validate/P2"] = _sha(validate.check_p2().value.encode())
     manifest = {"blas_threads": BLAS_THREADS, "numpy": np.__version__,
-                "blas": _blas_build(), "cpu": _cpu_model()}
+                "blas": _blas_build(), "cpu": _cpu_model(),
+                "simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"]}
     return {"manifest": manifest, "digests": out, "traces": raw}
 
 

@@ -88,6 +88,7 @@ from .synthdata import (
     make_source_data,
     marginal_at,
     marginal_path,
+    marginals,
     path_length,
     realize_pattern,
     sample_batch,

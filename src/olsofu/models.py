@@ -346,10 +346,11 @@ def infonce_loss_grad(
     ra = np.maximum(np.linalg.norm(za, axis=1, keepdims=True), 1e-12)
     rb = np.maximum(np.linalg.norm(zb, axis=1, keepdims=True), 1e-12)
     u, v = za / ra, zb / rb
-    sims = (u @ v.T) / temperature
-    p = softmax(sims)
-    loss = mean_nll(p, np.arange(n))
-    dsims = p.copy()
+    # One n x n buffer holds the similarities, their softmax and its gradient.
+    sims = np.matmul(u, v.T)
+    sims /= temperature
+    dsims = softmax(sims, out=sims)
+    loss = mean_nll(dsims, np.arange(n))
     dsims[np.arange(n), np.arange(n)] -= 1.0
     dsims /= n * temperature
     du = dsims @ v

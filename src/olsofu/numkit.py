@@ -32,7 +32,8 @@ def as_array(v, name="value") -> np.ndarray:
 
 def is_simplex(v, atol: float = SIMPLEX_ATOL) -> bool:
     arr = np.asarray(v, dtype=float)
-    return bool(np.all(arr >= -atol) and abs(arr.sum() - 1.0) <= atol)
+    # A NaN minimum fails the comparison, as a NaN entry should.
+    return bool(arr.size > 0 and arr.min() >= -atol and abs(arr.sum() - 1.0) <= atol)
 
 
 def check_simplex(v, name="vector", atol: float = SIMPLEX_ATOL) -> np.ndarray:

@@ -111,21 +111,26 @@ def per_class_risk_jacobian(
     """Jacobian J[k, m] = d/dp_m of the class-k surrogate risk
     1 - mean_{x in class k} g(x; f, p/q0)[k] of the reweighted model.
 
-    ``class_slices[k]`` selects class k's rows of ``train_probs``; the
-    context's basic slices read them as views."""
+    ``train_probs`` holds the train predictions in class order, and the
+    basic slices ``class_slices`` cut it into the classes' consecutive
+    row runs, as the context's do. One pass over all rows computes each
+    row's denominator and own-class term; the per-class means are sums over
+    those runs."""
+    counts = np.array([sl.stop - sl.start for sl in class_slices])
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise InvalidArgumentError(f"train set has no examples of class {int(empty[0])}")
     k_classes = p.shape[0]
+    starts = np.array([sl.start for sl in class_slices])
+    labels = np.repeat(np.arange(k_classes), counts)
     ratio = p / q0
-    jac = np.zeros((k_classes, k_classes))
-    for k in range(k_classes):
-        a = train_probs[class_slices[k]]
-        if a.shape[0] == 0:
-            raise InvalidArgumentError(f"train set has no examples of class {k}")
-        denom = a @ ratio
-        g_k = a[:, k] * ratio[k] / denom
-        # d g_k / d ratio_m = (delta_km * a_k - g_k * a_m) / denom
-        term = (g_k / denom)[:, None] * a
-        jac[k] = term.mean(axis=0) / q0
-        jac[k, k] -= float((a[:, k] / denom).mean()) / q0[k]
+    denom = train_probs @ ratio
+    own = train_probs[np.arange(labels.size), labels]
+    g = own * ratio[labels] / denom
+    # d g_k / d ratio_m = (delta_km * a_k - g_k * a_m) / denom
+    term = (g / denom)[:, None] * train_probs
+    jac = np.add.reduceat(term, starts, axis=0) / counts[:, None] / q0
+    jac[np.diag_indices(k_classes)] -= np.add.reduceat(own / denom, starts) / counts / q0
     return jac
 
 

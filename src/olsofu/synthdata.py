@@ -169,34 +169,40 @@ def realize_pattern(pattern: ShiftPattern, rng: np.random.Generator) -> ShiftPat
     return replace(pattern, alphas=alphas)
 
 
-def marginal_at(pattern: ShiftPattern, t: int) -> np.ndarray:
-    """True label marginal q_t for step t in [1, T]."""
-    if not 1 <= t <= pattern.horizon:
-        raise InvalidArgumentError(
-            f"t={t} outside [1, {pattern.horizon}]"
-        )
+def marginals(pattern: ShiftPattern, start: int, stop: int) -> np.ndarray:
+    """True label marginals q_t for the steps t in [start, stop), stacked as
+    a (stop - start, K) array; the steps must lie in [1, T]."""
+    horizon = pattern.horizon
+    for t in (start, stop - 1):
+        if not 1 <= t <= horizon:
+            raise InvalidArgumentError(f"t={t} outside [1, {horizon}]")
+    t = np.arange(start, stop)
     if pattern.kind == "constant":
-        alpha = 1.0
+        alpha = np.ones(t.size)
     elif pattern.kind == "monotone":
         # Ramp from q' (t=1) to q (t=T); the full path length is then
         # exactly ||q - q'||_1.
-        alpha = 1.0 if pattern.horizon == 1 else (t - 1) / (pattern.horizon - 1)
+        alpha = np.ones(t.size) if horizon == 1 else (t - 1) / (horizon - 1)
     elif pattern.kind == "sinusoidal":
-        period = max(1, round(np.sqrt(pattern.horizon)))
-        i = t % period
-        alpha = np.sin(np.pi * i / period)
+        period = max(1, round(np.sqrt(horizon)))
+        alpha = np.sin(np.pi * (t % period) / period)
     else:  # bernoulli
         if pattern.alphas is None:
             raise InvalidArgumentError(
                 "bernoulli pattern must be realized with an rng first"
             )
-        alpha = pattern.alphas[t - 1]
-    return alpha * pattern.q + (1.0 - alpha) * pattern.q_prime
+        alpha = pattern.alphas[start - 1 : stop - 1]
+    return alpha[:, None] * pattern.q + (1.0 - alpha)[:, None] * pattern.q_prime
+
+
+def marginal_at(pattern: ShiftPattern, t: int) -> np.ndarray:
+    """True label marginal q_t for step t in [1, T]."""
+    return marginals(pattern, t, t + 1)[0]
 
 
 def marginal_path(pattern: ShiftPattern) -> np.ndarray:
     """All marginals stacked as a (T x K) array."""
-    return np.stack([marginal_at(pattern, t) for t in range(1, pattern.horizon + 1)])
+    return marginals(pattern, 1, pattern.horizon + 1)
 
 
 def path_length(qs: np.ndarray) -> float:
@@ -290,16 +296,19 @@ def sample_batch(
     """
     q_t = check_simplex(q_t, "q_t")
     order, starts, sizes = pool.class_order(q_t.shape[0])
-    empty = np.flatnonzero((q_t > 0) & (sizes == 0))
-    if empty.size:
-        raise DataExhaustedError(f"test pool has no entries for class {int(empty[0])}")
+    if not sizes.all():
+        empty = np.flatnonzero((q_t > 0) & (sizes == 0))
+        if empty.size:
+            raise DataExhaustedError(f"test pool has no entries for class {int(empty[0])}")
     # The labels rng.choice(k, size=batch_size, p=q_t) draws, from the same
     # uniforms; then one uniform member of each label's class per row.
     cdf = q_t.cumsum()
     cdf /= cdf[-1]
     labels = cdf.searchsorted(rng.random(batch_size), side="right")
     rows = order[starts[labels] + rng.integers(sizes[labels])]
-    inputs = corrupt(pool.inputs[rows], corruption, rng)
+    inputs = pool.inputs[rows]  # a fresh array, which kind none returns as it is
+    if corruption.kind != "none":
+        inputs = corrupt(inputs, corruption, rng)
     return inputs, labels
 
 

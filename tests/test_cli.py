@@ -516,6 +516,29 @@ class TestSweepCommand:
         assert rows["rogd"]["status"].startswith("error:")
 
 
+    def test_error_message_with_comma_and_quote_is_quoted(self, tmp_path, capsys,
+                                                           monkeypatch):
+        import csv
+
+        import olsofu.cli as cli_mod
+
+        def failing(sc, pre=None):
+            raise RuntimeError('bad cell, "quoted" value')
+
+        monkeypatch.setattr(cli_mod, "run_online", failing)
+        doc = {**FAST_CONFIG, "sweep": {"algorithm": ["fth"], "ssl": ["none"],
+                                        "shift": ["sinusoidal"], "corruption": ["none"],
+                                        "replicates": 1}}
+        out = tmp_path / "out"
+        main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+        text = (out / "sweep.csv").read_bytes().decode()
+        assert ',"error: bad cell, ""quoted"" value",' in text
+        assert text.endswith("\r\n") and text.count("\r\n") == 2
+        with open(out / "sweep.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == 'error: bad cell, "quoted" value'
+
+
 class TestValidateCommand:
     def test_subset_passes(self, capsys):
         assert main(["validate", "--only", "P10"]) == 0

@@ -11,6 +11,8 @@ from olsofu.errors import (
 from olsofu.estimator import bbse_estimate, confusion_matrix, regularize_confusion
 from olsofu.harness import (
     CHUNK_STEPS,
+    CSV_BLOCK_ROWS,
+    OnlineTrace,
     Scenario,
     improvement_check,
     oracle_trace,
@@ -116,6 +118,41 @@ class TestRunOnline:
         assert len(rows) == trace.horizon + 1
         assert float(rows[1][1]) == trace.q[0, 0]
         assert int(rows[-1][-1]) == int(trace.cum_errors[-1])
+
+
+def reference_trace_csv(trace, path):
+    """``trace``'s CSV through ``csv.writer``, one row of cells per step."""
+    import csv
+
+    k = trace.q.shape[1]
+    cum = trace.cum_errors
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"q{i}" for i in range(k)] + [f"s{i}" for i in range(k)]
+                        + ["errors", "cum_errors"])
+        writer.writerows(
+            [t + 1] + [repr(float(v)) for v in trace.q[t]]
+            + [repr(float(v)) for v in trace.s[t]]
+            + [int(trace.errors[t]), int(cum[t])]
+            for t in range(trace.horizon)
+        )
+
+
+class TestTraceCsv:
+    AWKWARD = [1e-05, -0.0, 0.1 + 0.2, 1e16, 5e-324, 0.25, 1.0, 2.5e-310, 123456789.0]
+
+    @pytest.mark.parametrize("horizon", [1, CSV_BLOCK_ROWS + 1, 1000])
+    def test_bytes_match_csv_writer(self, horizon, tmp_path):
+        rng = make_rng(horizon)
+        values = np.array(self.AWKWARD)
+        trace = OnlineTrace(
+            q=rng.choice(values, size=(horizon, 3)), s=rng.choice(values, size=(horizon, 3)),
+            errors=rng.integers(0, 11, size=horizon), batch_size=10,
+            sigma_min=np.ones(horizon),
+        )
+        trace.to_csv(tmp_path / "new.csv")
+        reference_trace_csv(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestPretrain:

@@ -62,6 +62,14 @@ class TestProjectSimplex:
         with pytest.raises(InvalidArgumentError):
             project_simplex([np.nan, 0.5])
 
+    @pytest.mark.parametrize("v,expected", [
+        ([0.5, 0.5], True), ([1.0], True), ([1.0 + 5e-10, -5e-10], True),
+        ([], False), ([np.nan, 1.0], False), ([np.inf, -np.inf], False),
+        ([0.6, 0.6], False), ([1.1, -0.1], False),
+    ])
+    def test_is_simplex_edge_inputs(self, v, expected):
+        assert is_simplex(v) is expected
+
     @settings(max_examples=80, deadline=None)
     @given(finite_vectors)
     def test_output_on_simplex_and_idempotent(self, entries):

@@ -210,9 +210,35 @@ class TestRogd:
     def test_saturated_predictions_have_zero_jacobian(self):
         # Exactly one-hot train predictions make every per-class risk flat.
         probs = np.eye(4)[np.repeat(np.arange(4), 5)]
-        slices = {k: np.flatnonzero(np.repeat(np.arange(4), 5) == k) for k in range(4)}
+        slices = tuple(slice(5 * k, 5 * k + 5) for k in range(4))
         jac = per_class_risk_jacobian(probs, slices, UNIFORM4.copy(), UNIFORM4)
         np.testing.assert_allclose(jac, 0.0, atol=1e-14)
+
+    def test_matches_per_class_reference(self, small_pretrained, rng):
+        pre = small_pretrained
+        ctx = build_context(pre.model, pre.train, pre.q0)
+
+        def reference(train_probs, class_slices, p, q0):
+            ratio = p / q0
+            jac = np.zeros((4, 4))
+            for k, sl in enumerate(class_slices):
+                a = train_probs[sl]
+                denom = a @ ratio
+                g_k = a[:, k] * ratio[k] / denom
+                jac[k] = ((g_k / denom)[:, None] * a).mean(axis=0) / q0
+                jac[k, k] -= (a[:, k] / denom).mean() / q0[k]
+            return jac
+
+        for p in [UNIFORM4, np.array([0.7, 0.1, 0.1, 0.1]), *rng.dirichlet(np.ones(4), 5)]:
+            np.testing.assert_allclose(
+                per_class_risk_jacobian(ctx.train_probs, ctx.class_slices, p, pre.q0),
+                reference(ctx.train_probs, ctx.class_slices, p, pre.q0), rtol=0, atol=1e-13)
+
+    def test_empty_class_is_named(self):
+        probs = np.full((15, 4), 0.25)
+        slices = (slice(0, 5), slice(5, 10), slice(10, 10), slice(10, 15))
+        with pytest.raises(InvalidArgumentError, match="class 2"):
+            per_class_risk_jacobian(probs, slices, UNIFORM4.copy(), UNIFORM4)
 
     def test_stays_on_simplex(self, small_pretrained, rng):
         pre = small_pretrained

@@ -18,6 +18,7 @@ from olsofu.synthdata import (
     make_source_data,
     marginal_at,
     marginal_path,
+    marginals,
     path_length,
     realize_pattern,
     sample_batch,
@@ -83,6 +84,46 @@ class TestShiftPatterns:
         kind = ["sinusoidal", "constant", "monotone", "bernoulli"][kind_idx]
         pat = realize_pattern(default_pattern(kind, 5, 500), make_rng(7))
         assert is_simplex(marginal_at(pat, t if t >= 1 else 1))
+
+
+def reference_marginal(pattern, t):
+    """q_t from its step-by-step formula, one scalar alpha per step."""
+    if pattern.kind == "constant":
+        alpha = 1.0
+    elif pattern.kind == "monotone":
+        alpha = 1.0 if pattern.horizon == 1 else (t - 1) / (pattern.horizon - 1)
+    elif pattern.kind == "sinusoidal":
+        period = max(1, round(np.sqrt(pattern.horizon)))
+        alpha = np.sin(np.pi * (t % period) / period)
+    else:
+        alpha = pattern.alphas[t - 1]
+    return alpha * pattern.q + (1.0 - alpha) * pattern.q_prime
+
+
+class TestChunkMarginals:
+    @pytest.mark.parametrize("kind,horizon", [
+        ("constant", 60), ("monotone", 1), ("monotone", 61), ("sinusoidal", 150),
+        ("sinusoidal", 7), ("bernoulli", 90),
+    ])
+    def test_chunks_are_bit_equal_to_per_step_marginals(self, kind, horizon):
+        pat = realize_pattern(
+            ShiftPattern(kind, np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.7, 0.1, 0.1, 0.1]),
+                         horizon), make_rng(5))
+        for size in (1, 25, horizon):
+            for start in range(1, horizon + 1, size):
+                stop = min(start + size, horizon + 1)
+                chunk = marginals(pat, start, stop)
+                assert chunk.shape == (stop - start, 4)
+                for i, t in enumerate(range(start, stop)):
+                    np.testing.assert_array_equal(chunk[i], marginal_at(pat, t))
+                    np.testing.assert_array_equal(chunk[i], reference_marginal(pat, t))
+        np.testing.assert_array_equal(marginal_path(pat), marginals(pat, 1, horizon + 1))
+
+    @pytest.mark.parametrize("start,stop", [(0, 5), (1, 12), (11, 12)])
+    def test_out_of_range_chunk(self, start, stop):
+        pat = default_pattern("sinusoidal", 3, 10)
+        with pytest.raises(InvalidArgumentError, match="outside"):
+            marginals(pat, start, stop)
 
 
 class TestSourceData:
@@ -226,6 +267,33 @@ class TestSampleBatch:
         pool = LabeledSet(np.zeros((4, 2)), np.array([0, 0, 1, 1]))
         with pytest.raises(DataExhaustedError):
             sample_batch(np.array([0.0, 0.0, 1.0]), 5, pool, CorruptionSpec(), rng)
+
+    def test_mass_on_an_empty_pool_class_names_it(self, rng):
+        # Class 1 has no pool rows: a marginal without mass there draws,
+        # one with mass there is refused, however small the mass.
+        pool = LabeledSet(np.zeros((4, 2)), np.array([0, 0, 2, 2]))
+        _, labels = sample_batch(np.array([0.5, 0.0, 0.5]), 20, pool, CorruptionSpec(), rng)
+        assert set(labels.tolist()) <= {0, 2}
+        with pytest.raises(DataExhaustedError, match="class 1"):
+            sample_batch(np.array([0.5, 1e-12, 0.5 - 1e-12]), 5, pool, CorruptionSpec(), rng)
+
+    @pytest.mark.parametrize("q_t", [
+        [0.5, np.nan, 0.5], [0.5, np.inf, 0.5], [0.6, 0.6, -0.2], [0.5, 0.4, 0.05],
+        [[0.5, 0.5, 0.0]],
+    ])
+    def test_bad_marginal_names_q_t(self, q_t, rng):
+        pool = LabeledSet(np.zeros((3, 2)), np.arange(3))
+        with pytest.raises(InvalidArgumentError) as err:
+            sample_batch(np.array(q_t), 5, pool, CorruptionSpec(), rng)
+        assert err.value.field == "q_t"
+        assert "q_t" in str(err.value)
+
+    def test_uncorrupted_inputs_are_fresh(self, rng):
+        # Kind none hands back the gathered rows, which must not alias the pool.
+        pool = LabeledSet(np.zeros((3, 2)), np.arange(3))
+        inputs, _ = sample_batch(np.full(3, 1 / 3), 4, pool, CorruptionSpec(), rng)
+        inputs += 1.0
+        assert not pool.inputs.any()
 
     def test_class_conditionals_preserved(self, rng):
         s = spec(pool=4000)
