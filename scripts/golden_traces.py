@@ -17,11 +17,19 @@ model and the SIMD extensions numpy found on the CPU to the file's
 records from two machines may differ with the same code, and two machines
 can report the same CPU model name yet offer different extensions.
 
+``tests/golden_digests.json`` keeps the manifest and digests of the
+current code, written with ``--digests-only``; ``tests/test_golden.py``
+re-records the set and compares it with that file. A deliberate change to
+results re-records it:
+
+    PYTHONPATH=src python scripts/golden_traces.py --digests-only tests/golden_digests.json
+
 ``--compare`` first names each manifest field that differs, or a file
 without a manifest, then prints every key whose digest differs (or that
-only one file has) and exits 1 if there is any. The file also keeps each
-trace's raw estimates ``s``, strategy snapshots and per-step error counts,
-so for a differing trace key ``--compare`` adds the drift: the largest
+only one file has) and exits 1 if there is any. A full record also keeps
+each trace's raw estimates ``s``, strategy snapshots and per-step error
+counts, so when both files have them, for a differing trace key
+``--compare`` adds the drift: the largest
 |change| of any ``s`` entry, the largest |change| of any snapshot entry
 (how far the reweighting vectors or heads moved) and the number of steps
 whose error count changed. Its last line sums the drift up over every differing
@@ -207,19 +215,21 @@ def compare(a_path: str, b_path: str) -> int:
     drifts = {}  # differing trace -> (max |ds|, max |dsnapshot|, changed error counts)
     for key in differing:
         run = key.rsplit("/", 1)[0]
-        traces = [doc["traces"].get(run) for doc in (a_doc, b_doc)]
+        traces = [doc.get("traces", {}).get(run) for doc in (a_doc, b_doc)]
         if not all(traces):
             print(key)
             continue
         drifts[run] = ds, dsnap, flips = _drift(*traces)
         print(f"{key}: max |ds| {ds:.2e}, max |dsnapshot| {dsnap:.2e}, "
               f"{flips} error counts changed")
-    worst_s = max((d[0] for d in drifts.values()), default=0.0)
-    worst_snap = max((d[1] for d in drifts.values()), default=0.0)
-    flips = sum(d[2] for d in drifts.values())
-    print(f"{len(differing)} of {len(a.keys() | b.keys())} keys differ; over "
-          f"{len(drifts)} differing traces max |ds| {worst_s:.2e}, max |dsnapshot| "
-          f"{worst_snap:.2e}, {flips} error counts changed")
+    summary = f"{len(differing)} of {len(a.keys() | b.keys())} keys differ"
+    if drifts:  # a file without raw traces gives no drift
+        worst_s = max(d[0] for d in drifts.values())
+        worst_snap = max(d[1] for d in drifts.values())
+        flips = sum(d[2] for d in drifts.values())
+        summary += (f"; over {len(drifts)} differing traces max |ds| {worst_s:.2e}, "
+                    f"max |dsnapshot| {worst_snap:.2e}, {flips} error counts changed")
+    print(summary)
     return 1 if differing else 0
 
 
@@ -228,12 +238,16 @@ def main(argv=None) -> int:
     parser.add_argument("out", nargs="?", help="JSON file to write the digests to")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="list the keys whose digests differ between two files")
+    parser.add_argument("--digests-only", action="store_true",
+                        help="write the manifest and digests without the raw traces")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if not args.out:
         parser.error("give an output file or --compare A B")
     doc = record()
+    if args.digests_only:
+        del doc["traces"]
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
     print(f"{len(doc['digests'])} digests -> {args.out}")

@@ -181,12 +181,11 @@ def _cell_scenario(cfg: dict, combo: dict, run_seed, order):
 
 
 def _sweep_cell(payload):
-    """Run one sweep cell, pretrained from ``model`` when it is not None;
-    executed in a worker process."""
-    sc, model, combo, sweep = payload
+    """Run one sweep cell from the sweep's ``Pretrained``; executed in a
+    worker process."""
+    sc, pre, combo, sweep = payload
     key = _combo_key(combo)
     try:
-        pre = pretrain(sc, model=model)
         errors, vts = [], []
         oracle_pair = None
         for i in range(sweep["replicates"]):
@@ -230,12 +229,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     out = _out_dir(args)
-    # Every cell's Scenario is built, and so checked, before any cell runs;
-    # so is the checkpoint. The cells share the config's data spec.
+    # Every cell's Scenario is built, and so checked, before any cell runs.
+    # The cells differ only in what pretraining does not read, so they share
+    # one pretrain: its config error or divergence fails the sweep as it fails ``run``.
     scenarios = [(_cell_scenario(cfg, combo, args.seed, args.order), combo)
                  for combo in _sweep_combos(cfg)]
-    model = _load_checkpoint(cfg, scenarios[0][0].data)
-    payloads = [(sc, model, combo, cfg["sweep"]) for sc, combo in scenarios]
+    pre = _pretrain(scenarios[0][0], _load_checkpoint(cfg, scenarios[0][0].data))
+    payloads = [(sc, pre, combo, cfg["sweep"]) for sc, combo in scenarios]
     # The pool starts all its workers at the first submit, so one per cell
     # at most.
     jobs = min(args.jobs, len(payloads))

@@ -116,7 +116,6 @@ SCHEMA: dict = {
         "window": Key(AlgoParams.window, "int", "ftfwh window"),
         "flh_eta": Key(AlgoParams.flh_eta, "num",
                        "flhftl expert-weight rate (default: K/2)", nullable=True),
-        "flh_max_experts": Key(AlgoParams.flh_max_experts, "int", "flhftl expert cap"),
         "meta_eps": Key(AlgoParams.meta_eps, "num", "atlas meta rate (default: sqrt(8/T))",
                         nullable=True),
         "radius": Key(AlgoParams.radius, "num", "uogd/atlas head norm-ball radius"),

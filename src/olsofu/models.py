@@ -12,7 +12,7 @@ turns the result back into a model.
 
 Models are values: every training operation returns a new instance and the
 ``uid`` field tracks lineage so downstream caches can pair artifacts with
-the exact model that produced them.
+the exact model that produced them, across processes: a uid carries its pid.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import copy
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +34,10 @@ SSL_KINDS = ("rotation", "entropy", "infonce", "none")
 ROTATION_DEGREES = (0.0, 90.0, 180.0, 270.0)
 
 _uid_counter = itertools.count(1)
+
+
+def _new_uid() -> int:
+    return os.getpid() << 32 | next(_uid_counter)
 
 
 class _Views(NamedTuple):
@@ -88,7 +93,7 @@ class ModelParams:
     ssl_b: np.ndarray  # (4,)
     temperature: float = 1.0
     activation: str = "tanh"
-    uid: int = field(default_factory=lambda: next(_uid_counter), compare=False)
+    uid: int = field(default_factory=_new_uid, compare=False)
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     _layout: tuple = field(init=False, repr=False, compare=False)
 
@@ -129,10 +134,7 @@ class ModelParams:
 
 def with_updates(m: ModelParams, **changes) -> ModelParams:
     """Copy a model with some fields replaced and a fresh uid."""
-    import dataclasses
-
-    changes.setdefault("uid", next(_uid_counter))
-    return dataclasses.replace(m, **changes)
+    return replace(m, **{"uid": _new_uid(), **changes})
 
 
 def with_theta(m: ModelParams, theta: np.ndarray) -> ModelParams:
@@ -143,7 +145,7 @@ def with_theta(m: ModelParams, theta: np.ndarray) -> ModelParams:
     # The layout is m's, so skip the constructor's shape checks and packing:
     # every online feature update builds a model.
     new = copy.copy(m)
-    object.__setattr__(new, "uid", next(_uid_counter))
+    object.__setattr__(new, "uid", _new_uid())
     new._bind(np.array(theta, dtype=float))
     return new
 
@@ -433,7 +435,7 @@ class TrainConfig:
 def train_supervised(
     train,
     cfg: TrainConfig,
-    k: int | None = None,
+    k: int,
     ssl: SslSpec = SslSpec(),
     ssl_weight: float = 1.0,
     hidden=(32, 32),
@@ -447,8 +449,6 @@ def train_supervised(
     in place; the returned model is a copy with a fresh uid.
     """
     x, y = as_array(train.inputs, "x"), np.asarray(train.labels, dtype=int)
-    if k is None:
-        k = int(y.max()) + 1
     if np.unique(y).size != k:
         raise InvalidArgumentError("train set must cover all classes")
     rng = make_rng(cfg.seed)

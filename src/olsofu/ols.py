@@ -143,7 +143,6 @@ class AlgoParams:
     eta: float | None = None  # rogd / uogd step size
     window: int = 100  # ftfwh
     flh_eta: float | None = None  # flhftl, default K/2
-    flh_max_experts: int = 200
     meta_eps: float | None = None  # atlas, default sqrt(8/T)
     radius: float = 100.0  # uogd / atlas domain
     warmup: int = 50  # rogd L-hat estimation window
@@ -152,7 +151,6 @@ class AlgoParams:
         require(self.eta is None or self.eta >= 0, "eta", "must be >= 0")
         require(self.window >= 1, "window", "must be >= 1")
         require(self.flh_eta is None or self.flh_eta >= 0, "flh_eta", "must be >= 0")
-        require(self.flh_max_experts >= 1, "flh_max_experts", "must be >= 1")
         require(self.meta_eps is None or self.meta_eps > 0, "meta_eps", "must be > 0")
         require(self.radius > 0, "radius", "must be > 0")
         require(self.warmup >= 1, "warmup", "must be >= 1")
@@ -254,15 +252,20 @@ class FlhftlStrategy(BaseStrategy):
     squared prediction error; each step injects a fresh expert with a
     1/(t+1) share of the mass. The prediction is the weight-averaged expert
     forecast projected to the simplex.
+
+    Experts expire by their geometric lifetime (Hazan & Seshadhri, 2009):
+    expert j = r * 2^m, r odd, is dropped at step j + 4 * 2^m, after that
+    step's weight update and before its prediction. So the live set after
+    step t, {j <= t : j + 4 * 2^m > t}, follows from t alone and holds
+    O(log t) experts, at most 2 * (floor(log2 t) + 1).
     """
 
     def __init__(self, q0: np.ndarray, params: AlgoParams = AlgoParams()):
         super().__init__(q0)
         k = self.q0.shape[0]
         self.eta = params.flh_eta if params.flh_eta is not None else k / 2.0
-        self.max_experts = params.flh_max_experts
         self.sums = np.zeros((0, k))
-        self.counts = np.zeros(0)
+        self.births = np.zeros(0, dtype=int)
         self.weights = np.zeros(0)
         self.t = 0
 
@@ -270,7 +273,7 @@ class FlhftlStrategy(BaseStrategy):
         s = est.clipped
         self.t += 1
         if self.weights.size:
-            preds = self.sums / self.counts[:, None]
+            preds = self.sums / (self.t - self.births)[:, None]
             losses = ((preds - s) ** 2).sum(axis=1)
             # Subtract the min before exponentiating for stability.
             logw = np.log(np.maximum(self.weights, 1e-300)) - self.eta * losses
@@ -281,14 +284,12 @@ class FlhftlStrategy(BaseStrategy):
         self.weights = np.concatenate([self.weights * (1.0 - new_share), [new_share]])
         self.weights = self.weights / self.weights.sum()
         self.sums = np.vstack([self.sums + s, s[None, :]])
-        self.counts = np.concatenate([self.counts + 1.0, [1.0]])
-        if self.weights.size > self.max_experts:
-            keep = slice(-self.max_experts, None)
-            self.weights = self.weights[keep]
-            self.sums = self.sums[keep]
-            self.counts = self.counts[keep]
-            self.weights = self.weights / self.weights.sum()
-        preds = self.sums / self.counts[:, None]
+        self.births = np.append(self.births, self.t)
+        live = self.births + 4 * (self.births & -self.births) > self.t
+        if not live.all():
+            self.weights = self.weights[live] / self.weights[live].sum()
+            self.sums, self.births = self.sums[live], self.births[live]
+        preds = self.sums / (self.t + 1 - self.births)[:, None]
         self.p = project_simplex(self.weights @ preds)
 
 

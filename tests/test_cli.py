@@ -126,7 +126,6 @@ OUT_OF_RANGE = {
     "algo.eta": -0.1,
     "algo.window": 0,
     "algo.flh_eta": -1.0,
-    "algo.flh_max_experts": 0,
     "algo.meta_eps": 0.0,
     "algo.radius": 0.0,
     "algo.warmup": 0,
@@ -172,11 +171,16 @@ class TestConfigRanges:
             ("run", {}, ["--seed", "-1"], "seeds.run"),
             ("sweep", {"sweep": {"algorithm": ["fth", "flhftll"]}}, [], "sweep.algorithm"),
             ("sweep", {}, ["--seed", "-1"], "seeds.run"),
+            # FLH-FTL experts expire by their lifetime; the cap key is gone.
+            ("run", {"algo": {"flh_max_experts": 200}}, [],
+             "algo: unknown key(s) ['flh_max_experts']"),
             # Four validation rows pass the range checks, but their draw
             # misses classes; the source draw finds that, before training.
             ("run", {"data": {"n_train": 400, "n_val": 4, "n_test_pool": 400}}, [],
              "data.n_val gives a validation split without class(es)"),
             ("pretrain", {"data": {"n_train": 400, "n_val": 4, "n_test_pool": 400}}, [],
+             "data.n_val gives a validation split without class(es)"),
+            ("sweep", {"data": {"n_train": 400, "n_val": 4, "n_test_pool": 400}}, [],
              "data.n_val gives a validation split without class(es)"),
             # Identical class means with no noise: every class draws one point.
             ("run", {"data": {"class_sep": 0, "cov_scale": 0}}, [], "data.cov_scale "),
@@ -188,8 +192,9 @@ class TestConfigRanges:
              "train.batch_size "),
         ],
         ids=["val-rows-below-k", "negative-k", "hidden-width", "run-seed-flag", "sweep-axis",
-             "sweep-seed-flag", "run-val-split-misses-class",
-             "pretrain-val-split-misses-class", "run-degenerate-data",
+             "sweep-seed-flag", "removed-flh-max-experts", "run-val-split-misses-class",
+             "pretrain-val-split-misses-class", "sweep-val-split-misses-class",
+             "run-degenerate-data",
              "pretrain-degenerate-data", "run-infonce-single-row-batches",
              "pretrain-infonce-single-row-batches"],
     )
@@ -383,6 +388,35 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["avg_error_mean"]) == summary["avg_error"]
 
+    def test_cells_share_one_pretrain(self, tmp_path, capsys, monkeypatch):
+        import olsofu.cli as cli_mod
+
+        original = cli_mod.pretrain
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "pretrain", counting)
+        doc = {**FAST_CONFIG, "sweep": {"algorithm": ["fth", "flhftl"], "ssl": ["none"],
+                                        "shift": ["sinusoidal"], "corruption": ["none"],
+                                        "replicates": 1}}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        assert "2/2 cells ok" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_training_exits_3_without_csv(self, tmp_path, capsys):
+        doc = {**FAST_CONFIG, "train": {"epochs": 6, "learning_rate": 1e155}}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("training error:")
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_2_without_csv(self, tmp_path, capsys):
         doc = {**FAST_CONFIG, "checkpoint": str(tmp_path / "nope.npz")}
         cfg = write_config(tmp_path, doc)
@@ -429,6 +463,40 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(parallel),
                      "--jobs", "2"]) == 0
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+    def test_spawned_workers_match_serial(self, tmp_path, capsys):
+        # The sweep's parent, like a spawned worker, starts with fresh
+        # module state. A worker's first SSL refresh must not share a uid
+        # with the parent's pretrained model, or update_first scores step 1
+        # with the pretrained model's forward. A short-trained model and
+        # 50-input batches make that stale forward change the error count.
+        import os
+        import subprocess
+        import sys
+
+        doc = {**FAST_CONFIG, "train": {"epochs": 2}, "batch_size": 50,
+               "sweep": {"algorithm": ["fth", "flhftl"], "ssl": ["rotation"],
+                         "shift": ["sinusoidal"], "corruption": ["none"], "replicates": 1}}
+        cfg = write_config(tmp_path, doc)
+        serial, spawned = tmp_path / "serial", tmp_path / "spawned"
+        args = ["sweep", "--config", str(cfg), "--order", "update_first", "--out"]
+        assert main([*args, str(serial)]) == 0
+        script = (
+            "import concurrent.futures, functools, multiprocessing, sys\n"
+            "from olsofu import cli\n"
+            "cli.concurrent.futures.ProcessPoolExecutor = functools.partial(\n"
+            "    concurrent.futures.ProcessPoolExecutor,\n"
+            "    mp_context=multiprocessing.get_context('spawn'))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", script, *args, str(spawned),
+                               "--jobs", "2"], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert (serial / "sweep.csv").read_bytes() == (spawned / "sweep.csv").read_bytes()
 
     def test_workers_capped_at_cell_count(self, tmp_path, capsys, monkeypatch):
         import olsofu.cli as cli_mod

@@ -279,26 +279,47 @@ class TestFlhftl:
         assert adaptive_err < 0.05
         assert adaptive_err < ftl_err
 
-    def test_expert_cap_bounds_state(self, rng):
-        strat = FlhftlStrategy(UNIFORM4, AlgoParams(flh_max_experts=20))
-        for e in random_estimates(rng, 100):
+    def test_live_experts_follow_geometric_lifetimes(self):
+        # Expert j = r * 2^m, r odd, is dropped at step j + 4 * 2^m.
+        strat = FlhftlStrategy(UNIFORM4)
+        e = est([0.4, 0.3, 0.2, 0.1])
+        for t in range(1, 2001):
             strat.step(None, e)
-        assert strat.weights.size == 20
-        assert strat.weights.sum() == pytest.approx(1.0, abs=1e-9)
+            expected = [j for j in range(1, t + 1) if j + 4 * (j & -j) > t]
+            np.testing.assert_array_equal(strat.births, expected)
+            assert strat.births.size <= 2 * (int(np.log2(t)) + 1)
+            assert strat.weights.size == strat.sums.shape[0] == strat.births.size
+        assert strat.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_first_steps_before_any_expiry_are_unchanged(self):
+        # Step 5 drops expert 1, the first to expire. These are the outputs
+        # of the capped implementation the lifetime rule replaced, whose cap
+        # the first steps did not reach.
+        expected = [
+            ["0x0.0p+0", "0x1.2291181d33057p-1", "0x1.baddcfc599f52p-2", "0x0.0p+0"],
+            ["0x0.0p+0", "0x1.836c2026eeb1fp-3", "0x1.5f4784df5725fp-1",
+             "0x1.feeb98b7696d3p-4"],
+            ["0x1.95886ab307612p-5", "0x1.6146413ef314ap-4", "0x1.9dd9acd1af596p-1",
+             "0x1.ca5045b41cdffp-5"],
+            ["0x1.32713cb8fa4dbp-2", "0x1.01b62a5fa96b0p-4", "0x1.b47ae186d41b5p-2",
+             "0x1.b14cae508e78ep-3"],
+        ]
+        gen = np.random.default_rng(11)
+        strat = FlhftlStrategy(UNIFORM4)
+        for want in expected:
+            strat.step(None, est(gen.normal(size=4)))
+            assert [x.hex() for x in strat.reweight_vector()] == want
 
 
 class TestCheckedParams:
     # The strategies read their hyperparameters from a checked AlgoParams:
-    # a window of 0 would average nothing (NaN), and a cap of 0 experts
-    # would keep every expert.
+    # a window of 0 would average nothing (NaN).
     @pytest.mark.parametrize(
         "build, field",
         [
             (lambda: FtfwhStrategy(UNIFORM4, AlgoParams(window=0)), "window"),
-            (lambda: FlhftlStrategy(UNIFORM4, AlgoParams(flh_max_experts=0)),
-             "flh_max_experts"),
         ],
-        ids=["ftfwh-window", "flhftl-max-experts"],
+        ids=["ftfwh-window"],
     )
     def test_zero_rejected_naming_field(self, build, field):
         with pytest.raises(InvalidArgumentError, match=f"^{field} ") as exc:
@@ -562,14 +583,14 @@ class TestReweightStrategyProperties:
     def test_arbitrary_estimates_keep_reweighting_on_simplex(self, small_pretrained,
                                                            estimates):
         # Off-simplex and extreme raw estimates, short windows and warm-ups,
-        # and an expert cap the run exceeds.
+        # and runs long enough for FLH experts to expire.
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0, reads=RogdStrategy.reads)
         fth = FthStrategy(pre.q0)
         ftfwh = FtfwhStrategy(pre.q0, AlgoParams(window=3))
         rogd = RogdStrategy(pre.q0, 100, AlgoParams(warmup=3))
         rogd_fixed = RogdStrategy(pre.q0, 100, AlgoParams(eta=5.0))
-        flh = FlhftlStrategy(pre.q0, AlgoParams(flh_max_experts=4))
+        flh = FlhftlStrategy(pre.q0)
         for s in estimates:
             e = est(s)
             for strat in (fth, ftfwh, rogd, rogd_fixed, flh):
@@ -577,7 +598,7 @@ class TestReweightStrategyProperties:
                 assert is_simplex(strat.reweight_vector())
                 assert np.isfinite(strat.snapshot()).all()
             for state in (fth.running_sum, *ftfwh.history, rogd.p, rogd.lhat,
-                          rogd_fixed.p, flh.sums, flh.counts, flh.weights,
+                          rogd_fixed.p, flh.sums, flh.births, flh.weights,
                           flh.p):
                 assert np.isfinite(state).all()
             assert is_simplex(flh.weights)
