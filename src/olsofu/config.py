@@ -125,7 +125,7 @@ SCHEMA: dict = {
     "hidden": Key(list(Scenario.hidden), "intlist", "hidden layer widths"),
     "activation": Key(Scenario.activation, "enum:tanh|relu", "hidden activation"),
     "retrain_max_iter": Key(Scenario.retrain_max_iter, "int",
-                            "head retrain Newton iteration cap"),
+                            "head retrain iteration cap"),
     "improvement_check": Key(False, "bool", "also run the feature-update improvement check"),
     "checkpoint": Key(None, "path", "pretrained checkpoint to load (skips training)",
                       nullable=True),

@@ -508,8 +508,54 @@ def train_supervised(
 # minimiser's mean row at 0 and gives linearly separable features a finite
 # optimum.
 RETRAIN_RIDGE = 1e-6
-# Gradient-norm tolerance that ends the retrain's Newton solve.
-RETRAIN_GRAD_TOL = 1e-6
+# Norm of the full gradient (ridge included) below which the retrain stops.
+# It is small enough that the head hardly depends on the warm start: over
+# P8's first two runs every head lies within 7.5e-5 of the exact optimum
+# (1.6e-3 at 1e-6). It is large enough to stay clear of the line search's
+# rounding floor, which 1e-10 hits.
+RETRAIN_GRAD_TOL = 1e-8
+
+
+@dataclass
+class HeadCurvature:
+    """The inverse of the retrain objective's reduced Hessian, carried from
+    one ``retrain_linear`` call to the next. An online run keeps one, so
+    each refresh starts from the curvature the previous solve ended with.
+    ``inverse`` is None until a solve builds it, and after a step that
+    needed backtracking."""
+
+    inverse: np.ndarray | None = None
+
+
+def _reduced_hessian(probs: np.ndarray, xt_t: np.ndarray) -> np.ndarray:
+    """The exact Hessian of the retrain objective over the first K-1 head
+    rows ``u`` (the last row is ``-sum(u)``), at softmax outputs ``probs``
+    of the features ``xt_t`` (h+1, n): ``sum_i S_i (x) x_i x_i^T / n +
+    ridge (I + 11^T) (x) I`` with ``S_i = diag(p_<K) + p_K 11^T - d d^T``
+    and ``d = p_<K - p_K``."""
+    n, k = probs.shape
+    r, width = k - 1, xt_t.shape[0]
+    hess = np.empty((r, width, r, width))
+    scaled = np.empty((width, n))  # one block's weighted features
+    diag = np.arange(width)
+    # Block (a, b) of the CE part is xt_t @ diag(S[:, a, b] / n) @ xt_t.T.
+    # S[:, a, a] = p_a (1 - p_a) + p_K (1 - p_K + 2 p_a) is >= 0 term by
+    # term, so a diagonal block is scaled @ scaled.T with scaled = xt_t @
+    # diag(sqrt(S[:, a, a] / n)).
+    p_last = probs[:, r]
+    d = probs[:, :r] - probs[:, r:]
+    for a in range(r):
+        p_a = probs[:, a]
+        s_aa = p_a * (1.0 - p_a) + p_last * (1.0 - p_last + 2.0 * p_a)
+        np.multiply(xt_t, np.sqrt(s_aa / n), out=scaled)
+        hess[a, :, a, :] = scaled @ scaled.T
+        hess[a, diag, a, diag] += 2.0 * RETRAIN_RIDGE
+        for b in range(a + 1, r):
+            np.multiply(xt_t, (p_last - d[:, a] * d[:, b]) / n, out=scaled)
+            block = scaled @ xt_t.T
+            block[diag, diag] += RETRAIN_RIDGE
+            hess[a, :, b, :] = hess[b, :, a, :] = block
+    return hess.reshape(r * width, r * width)
 
 
 def retrain_linear(
@@ -518,22 +564,25 @@ def retrain_linear(
     max_iter: int = 500,
     grad_tol: float = RETRAIN_GRAD_TOL,
     feats: np.ndarray | None = None,
+    curvature: HeadCurvature | None = None,
 ) -> ModelParams:
     """Re-train the classification head on frozen features.
 
     Minimises the mean CE at temperature 1 plus ``RETRAIN_RIDGE / 2`` times
-    the squared norm of the head ``[w, b]`` by damped Newton, warm-started
-    from the head ``m`` holds with its mean row removed (which keeps the CE
-    and cannot raise the ridge). The minimiser's rows sum to zero, so the
-    solve runs over the first K-1 rows ``u`` with the last row ``-sum(u)``:
-    each of at most ``max_iter`` iterations solves the (K-1)(h+1) square
-    Newton system of that parametrisation, whose Hessian is
-    ``sum_i S_i (x) x_i x_i^T / n + ridge (I + 11^T) (x) I`` with
-    ``S_i = diag(p_<K) + p_K 11^T - d d^T`` and ``d = p_<K - p_K``, expands
-    the step to K rows and backtracks on it with the Armijo test. The
-    iterates are full-space Newton's from the centred start. The solve
-    stops once the full gradient's norm is below ``grad_tol``. The returned
-    model keeps the feature extractor bit-identical and resets the
+    the squared norm of the head ``[w, b]`` by BFGS, warm-started from the
+    head ``m`` holds with its mean row removed (which keeps the CE and
+    cannot raise the ridge). The minimiser's rows sum to zero, so the solve
+    runs over the first K-1 rows ``u`` with the last row ``-sum(u)``. Each
+    of at most ``max_iter`` iterations steps along the inverse reduced
+    Hessian times the reduced gradient, expanded to K rows, and backtracks
+    on it with the Armijo test; a full step updates the inverse by BFGS
+    (skipping a pair with y.s <= 0). The inverse comes from ``curvature``,
+    which the solve reads and updates in place: when it holds none, or one
+    of another shape, or the last step needed backtracking, the exact
+    Hessian (``_reduced_hessian``) is built and inverted at the current
+    iterate. A call without ``curvature`` starts from an empty holder. The
+    solve stops once the full gradient's norm is below ``grad_tol``. The
+    returned model keeps the feature extractor bit-identical and resets the
     temperature to 1 (calibration is a separate step). ``feats`` are
     ``m``'s train features if the caller already has them; otherwise they
     are computed here.
@@ -543,6 +592,7 @@ def retrain_linear(
         feats = feat_activations(m, train.inputs)[-1]
     n = feats.shape[0]
     k = m.n_classes
+    r = k - 1
     width = feats.shape[1] + 1
     xt_t = np.empty((width, n))  # features by row, bias as a constant one
     xt_t[:-1] = feats.T
@@ -550,43 +600,34 @@ def retrain_linear(
     xt = xt_t.T
     wt = np.hstack([m.linear_w, m.linear_b[:, None]])  # (K, h+1)
     wt -= wt.mean(axis=0)
-    rows = np.arange(n)
     onehot = np.zeros((n, k))
-    onehot[rows, y] = 1.0
+    onehot[np.arange(n), y] = 1.0
+    if curvature is None:
+        curvature = HeadCurvature()
+    if curvature.inverse is not None and curvature.inverse.shape != (r * width, r * width):
+        curvature.inverse = None
 
     def objective(wt):
-        probs = softmax(xt @ wt.T)
+        z = xt @ wt.T
+        probs = softmax(z, out=z)
         return mean_nll(probs, y) + 0.5 * RETRAIN_RIDGE * float((wt * wt).sum()), probs
 
+    def gradient(probs, wt):
+        g = (xt_t @ (probs - onehot)).T / n + RETRAIN_RIDGE * wt
+        return g, (g[:r] - g[r]).ravel()  # full, and over the first K-1 rows
+
     loss, probs = objective(wt)
-    r = k - 1
-    hess = np.empty((r, width, r, width))
-    h2 = hess.reshape(r * width, r * width)
-    ridge = RETRAIN_RIDGE * np.kron(np.eye(r) + 1.0, np.eye(width))
-    scaled = np.empty((width, n))  # one block's weighted features
+    g, g_red = gradient(probs, wt)
     step = np.empty_like(wt)
     for _ in range(max_iter):
-        g = ((probs - onehot) / n).T @ xt + RETRAIN_RIDGE * wt
         if np.sqrt((g * g).sum()) < grad_tol:
             break
-        # Block (a, b) of the reduced CE Hessian is xt.T @ diag(S[:, a, b] /
-        # n) @ xt. S[:, a, a] = p_a (1 - p_a) + p_K (1 - p_K + 2 p_a) is >= 0
-        # term by term, so a diagonal block is scaled @ scaled.T with
-        # scaled = xt.T @ diag(sqrt(S[:, a, a] / n)).
-        p_last = probs[:, r]
-        d = probs[:, :r] - probs[:, r:]
-        for a in range(r):
-            p_a = probs[:, a]
-            s_aa = p_a * (1.0 - p_a) + p_last * (1.0 - p_last + 2.0 * p_a)
-            np.multiply(xt_t, np.sqrt(s_aa / n), out=scaled)
-            hess[a, :, a, :] = scaled @ scaled.T
-            for b in range(a + 1, r):
-                np.multiply(xt_t, (p_last - d[:, a] * d[:, b]) / n, out=scaled)
-                hess[a, :, b, :] = hess[b, :, a, :] = scaled @ xt
-        h2 += ridge
-        step[:r] = np.linalg.solve(h2, (g[:r] - g[r]).ravel()).reshape(r, width)
+        if curvature.inverse is None:
+            curvature.inverse = np.linalg.inv(_reduced_hessian(probs, xt_t))
+        step_red = curvature.inverse @ g_red
+        step[:r] = step_red.reshape(r, width)
         step[r] = -step[:r].sum(axis=0)
-        decrease = float((g * step).sum())
+        decrease = float(g_red @ step_red)
         alpha = 1.0
         while alpha > 1e-10:
             loss_new, probs_new = objective(wt - alpha * step)
@@ -594,9 +635,25 @@ def retrain_linear(
                 break
             alpha *= 0.5
         else:
-            break  # no decrease along the Newton step: rounding floor
+            break  # no decrease along the step: rounding floor
         wt -= alpha * step
         loss, probs = loss_new, probs_new
+        g, g_next = gradient(probs, wt)
+        if alpha < 1.0:
+            # The curvature mispredicted this step: the next one rebuilds it.
+            curvature.inverse = None
+        else:
+            # BFGS with the step s and the reduced gradient's change dg:
+            # H <- (I - s dg^T / sy) H (I - dg s^T / sy) + s s^T / sy, which
+            # is H + v s^T + s v^T with v = ((1 + dg.H dg / sy) s / 2 - H dg) / sy.
+            s, dg = -step_red, g_next - g_red
+            sy = float(s @ dg)
+            if sy > 0.0:
+                hy = curvature.inverse @ dg
+                vs = np.outer((0.5 * (1.0 + float(dg @ hy) / sy) * s - hy) / sy, s)
+                curvature.inverse += vs
+                curvature.inverse += vs.T
+        g_red = g_next
     return with_updates(m, linear_w=wt[:, :-1], linear_b=wt[:, -1], temperature=1.0)
 
 
@@ -614,14 +671,16 @@ CALIBRATION_STEP_RTOL = 1e-6
 CALIBRATION_MAX_EVALS = 60
 
 
-def _nll_derivatives(logits: np.ndarray, y: np.ndarray, beta: float):
+def _nll_derivatives(logits: np.ndarray, y: np.ndarray, labelled: np.ndarray, beta: float):
     """Validation NLL at temperature 1/beta and its first two derivatives
-    in beta: mean(E_p[z] - z_y) and mean(Var_p[z]), from one softmax."""
+    in beta: mean(E_p[z] - z_y) and mean(Var_p[z]), from one softmax.
+    ``labelled`` holds each row's labelled logit z_y."""
     probs = softmax(logits, 1.0 / beta)
+    n = len(y)
     nll = mean_nll(probs, y)
     mean_z = (probs * logits).sum(axis=1)
-    grad = float(np.mean(mean_z - logits[np.arange(len(y)), y]))
-    curv = float(np.mean((probs * (logits - mean_z[:, None]) ** 2).sum(axis=1)))
+    grad = float((mean_z - labelled).sum() / n)
+    curv = float((probs * (logits - mean_z[:, None]) ** 2).sum(axis=1).sum() / n)
     return nll, grad, curv
 
 
@@ -650,11 +709,12 @@ def calibrate_temperature(
     if logits is None:
         _, _, logits = forward(m, val.inputs)
     y = val.labels
+    labelled = logits[np.arange(len(y)), y]
     lo, hi = CALIBRATION_BETA_RANGE
     lo_seen = hi_seen = False  # whether lo / hi is an evaluated point
     beta = 1.0
     for i in range(CALIBRATION_MAX_EVALS):
-        nll, g, h = _nll_derivatives(logits, y, beta)
+        nll, g, h = _nll_derivatives(logits, y, labelled, beta)
         if i == 0:
             nll_one = nll  # at beta = 1
         if g > 0:

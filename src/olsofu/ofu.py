@@ -33,6 +33,7 @@ from .estimator import (
     regularize_confusion,
 )
 from .models import (
+    HeadCurvature,
     ModelParams,
     SslSpec,
     backward,
@@ -44,7 +45,7 @@ from .models import (
     with_theta,
     with_updates,
 )
-from .ols import CONTEXT_FIELDS, OlsContext, reweight_probs
+from .ols import CONTEXT_FIELDS, OlsContext, class_layout, reweight_probs
 
 
 def feature_update(
@@ -124,17 +125,17 @@ def build_context(
     """
     if reads and feats is None:
         feats = feat_activations(model, train.inputs)[-1]
-    order, starts, sizes = train.class_order(q0.shape[0])
-    slices = tuple(slice(a, a + n) for a, n in zip(starts, sizes))
+    order, _, sizes = train.class_order(q0.shape[0])
+    classes = class_layout(sizes)
     xt = class_sums = None
     if "xt" in reads:
         xt = np.empty((feats.shape[1] + 1, feats.shape[0]))
         xt[:-1] = feats[order].T
         xt[-1] = 1.0
-        class_sums = np.stack([xt[:, sl].sum(axis=1) for sl in slices])
+        class_sums = np.stack([xt[:, sl].sum(axis=1) for sl in classes.slices])
     return OlsContext(
         q0=np.asarray(q0, dtype=float),
-        class_slices=slices,
+        classes=classes,
         train_probs=head_output(model, feats)[0][order] if "train_probs" in reads else None,
         xt=xt,
         class_sums=class_sums,
@@ -155,7 +156,9 @@ class OfuState:
     """Mutable single-owner state of one online run, with the run's fixed
     resources: the source data, the estimator's regularization, the
     run-level rng that feeds SSL draws and the head retrain's iteration
-    cap. ``confusion`` is of ``model``, and ``ctx`` is built from it."""
+    cap. ``confusion`` is of ``model``, and ``ctx`` is built from it.
+    ``curvature`` is the run's head-retrain curvature, which each refresh's
+    solve starts from and leaves for the next."""
 
     model: ModelParams  # f_t'': calibrated, independent of the current batch
     confusion: ConfusionMatrix
@@ -170,6 +173,7 @@ class OfuState:
     ctx: OlsContext = field(init=False)
     buffer: list = field(default_factory=list)
     feature_updates_done: int = 0
+    curvature: HeadCurvature = field(default_factory=HeadCurvature, init=False)
 
     def __post_init__(self):
         self.ctx = build_context(self.model, self.train, self.q0, reads=self.strategy.reads)
@@ -202,7 +206,8 @@ def refresh(state: OfuState, inputs: np.ndarray) -> None:
         )
     feats = feat_activations(carrier, state.train.inputs)[-1]
     retrained = retrain_linear(
-        carrier, state.train, max_iter=state.retrain_max_iter, feats=feats
+        carrier, state.train, max_iter=state.retrain_max_iter, feats=feats,
+        curvature=state.curvature,
     )
     state.model, state.confusion = calibrate(retrained, state.val, state.reg_lambda)
     state.ctx = build_context(state.model, state.train, state.q0, feats, state.strategy.reads)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,14 +36,38 @@ def reweight_probs(probs: np.ndarray, ratio: np.ndarray) -> np.ndarray:
 CONTEXT_FIELDS = ("train_probs", "xt")
 
 
+class ClassLayout(NamedTuple):
+    """Where the classes sit in a class-ordered train set: class k is the
+    basic slice ``slices[k]``, ``counts[k]`` rows from row ``starts[k]``,
+    and ``labels`` holds each row's class."""
+
+    slices: tuple
+    counts: np.ndarray
+    starts: np.ndarray
+    labels: np.ndarray
+
+
+def class_layout(sizes) -> ClassLayout:
+    """The layout of consecutive class runs of the given sizes."""
+    counts = np.asarray(sizes)
+    starts = np.cumsum(counts) - counts
+    return ClassLayout(
+        slices=tuple(slice(a, a + n) for a, n in zip(starts, counts)),
+        counts=counts,
+        starts=starts,
+        labels=np.repeat(np.arange(counts.size), counts),
+    )
+
+
 @dataclass
 class OlsContext:
     """Artifacts of the current f_t'' that strategies read.
 
     Every per-sample field holds the train set in class order, the stable
-    order of ``LabeledSet.class_order``: class k is the basic slice
-    ``class_slices[k]`` of it. ``train_probs`` are f_t'' predictions on the
-    train set, one row per sample (ROGD risk surface). ``xt`` holds the
+    order of ``LabeledSet.class_order``, whose class runs ``classes``
+    describes, built once per context: class k is the basic slice
+    ``classes.slices[k]`` of it. ``train_probs`` are f_t'' predictions on
+    the train set, one row per sample (ROGD risk surface). ``xt`` holds the
     train features under the current extractor, one column per sample,
     with a ones row appended for the bias: shape (h+1, n); ``class_sums``
     (K, h+1) are its column sums per class, the label part of the
@@ -52,7 +77,7 @@ class OlsContext:
     """
 
     q0: np.ndarray
-    class_slices: tuple
+    classes: ClassLayout
     train_probs: np.ndarray | None = None
     xt: np.ndarray | None = None
     class_sums: np.ndarray | None = None
@@ -60,7 +85,7 @@ class OlsContext:
 
 def head_risks_and_grads(
     xt: np.ndarray,
-    class_slices: tuple,
+    classes: ClassLayout,
     class_sums: np.ndarray,
     heads: np.ndarray,
     s: np.ndarray,
@@ -68,7 +93,7 @@ def head_risks_and_grads(
     """Values and gradients of sum_k s_k * R_k for N stacked heads.
 
     ``heads`` has shape (N, K, h+1), each head ``[w, b]``; R_k is the mean
-    CE of a head over the class-k slice ``class_slices[k]`` of the
+    CE of a head over the class-k slice ``classes.slices[k]`` of the
     class-ordered features ``xt`` (h+1, n), whose column sums over that
     slice are ``class_sums[k]``. Returns the risks (N,) and their
     gradients (N, K, h+1). ATLAS passes its N experts; UOGD is the N=1
@@ -89,7 +114,7 @@ def head_risks_and_grads(
         raise InvalidArgumentError("head logits must be finite")
     top = z.max(axis=1)
     z -= top[:, None, :]
-    counts = np.array([sl.stop - sl.start for sl in class_slices])
+    counts = classes.counts
     w = np.divide(s, counts, out=np.zeros(k), where=counts > 0)
     per_sample = np.repeat(w, counts)
     np.exp(z, out=z)
@@ -97,32 +122,29 @@ def head_risks_and_grads(
     risks = (np.log(total) + top) @ per_sample - (heads * class_sums).sum(axis=2) @ w
     z *= (per_sample / total)[:, None, :]
     weighted = z.reshape(n_heads * k, -1)
-    grads = sum(weighted[:, sl] @ xt[:, sl].T for sl in class_slices).reshape(heads.shape)
+    grads = sum(weighted[:, sl] @ xt[:, sl].T for sl in classes.slices).reshape(heads.shape)
     grads -= w[:, None] * class_sums
     return risks, grads
 
 
 def per_class_risk_jacobian(
     train_probs: np.ndarray,
-    class_slices: tuple,
+    classes: ClassLayout,
     p: np.ndarray,
     q0: np.ndarray,
 ) -> np.ndarray:
     """Jacobian J[k, m] = d/dp_m of the class-k surrogate risk
     1 - mean_{x in class k} g(x; f, p/q0)[k] of the reweighted model.
 
-    ``train_probs`` holds the train predictions in class order, and the
-    basic slices ``class_slices`` cut it into the classes' consecutive
-    row runs, as the context's do. One pass over all rows computes each
-    row's denominator and own-class term; the per-class means are sums over
-    those runs."""
-    counts = np.array([sl.stop - sl.start for sl in class_slices])
+    ``train_probs`` holds the train predictions in class order, and
+    ``classes`` cuts it into the classes' consecutive row runs, as the
+    context's does. One pass over all rows computes each row's denominator
+    and own-class term; the per-class means are sums over those runs."""
+    counts, starts, labels = classes.counts, classes.starts, classes.labels
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise InvalidArgumentError(f"train set has no examples of class {int(empty[0])}")
     k_classes = p.shape[0]
-    starts = np.array([sl.start for sl in class_slices])
-    labels = np.repeat(np.arange(k_classes), counts)
     ratio = p / q0
     denom = train_probs @ ratio
     own = train_probs[np.arange(labels.size), labels]
@@ -229,7 +251,7 @@ class RogdStrategy(BaseStrategy):
         if ctx.train_probs is None:
             raise InvalidArgumentError("ROGD needs train predictions in the context")
         jac = per_class_risk_jacobian(
-            ctx.train_probs, ctx.class_slices, self.p, ctx.q0
+            ctx.train_probs, ctx.classes, self.p, ctx.q0
         )
         grad = jac.T @ est.s
         self.t += 1
@@ -339,7 +361,7 @@ class AtlasStrategy:
         if ctx.xt is None:
             raise InvalidArgumentError("head strategies need train features in the context")
         heads = self.heads
-        risks, grads = head_risks_and_grads(ctx.xt, ctx.class_slices, ctx.class_sums, heads, est.s)
+        risks, grads = head_risks_and_grads(ctx.xt, ctx.classes, ctx.class_sums, heads, est.s)
         heads -= self.etas[:, None, None] * grads
         norms = np.sqrt((heads * heads).sum(axis=(1, 2)))
         outside = norms > self.radius

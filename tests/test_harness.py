@@ -74,6 +74,17 @@ class TestRunOnline:
         np.testing.assert_array_equal(a.errors, b.errors)
         np.testing.assert_array_equal(a.s, b.s)
 
+    def test_repeated_runs_with_refreshes_write_identical_traces(
+        self, small_scenario, small_pretrained, tmp_path
+    ):
+        # Each run keeps its own head-retrain curvature, so a second run on
+        # the same pretrained model starts as cold as the first.
+        sc = dataclasses.replace(small_scenario, ssl=SslSpec(kind="rotation", ba=5))
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            run_online(sc, small_pretrained).to_csv(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_cumulative_errors_nondecreasing_and_bounded(self, small_scenario, small_pretrained):
         trace = run_online(small_scenario, small_pretrained)
         assert 0.0 <= trace.avg_error <= 1.0

@@ -157,7 +157,7 @@ class TestOlsOfuStep:
                 assert getattr(state.ctx, name) is None
                 continue
             np.testing.assert_array_equal(getattr(state.ctx, name), getattr(fresh, name))
-        assert state.ctx.class_slices == fresh.class_slices
+        assert state.ctx.classes.slices == fresh.classes.slices
         conf = regularize_confusion(confusion_matrix(state.model, pre.val), 0.01)
         np.testing.assert_array_equal(state.confusion.matrix, conf.matrix)
         assert state.confusion.sigma_min == conf.sigma_min

@@ -18,6 +18,7 @@ from olsofu.ols import (
     UogdStrategy,
     atlas_pool_size,
     atlas_step_pool,
+    class_layout,
     head_risks_and_grads,
     per_class_risk_jacobian,
     reweight_probs,
@@ -45,7 +46,7 @@ def stacked(*heads):
 def class_labels(ctx):
     """The label of each column of the class-ordered ``ctx.xt``."""
     return np.concatenate([np.full(sl.stop - sl.start, k)
-                           for k, sl in enumerate(ctx.class_slices)])
+                           for k, sl in enumerate(ctx.classes.slices)])
 
 
 def reference_risk_grad(feats, labels, w, b, s):
@@ -193,12 +194,12 @@ class TestRogd:
             out = np.empty(4)
             ratio = pvec / pre.q0
             for k in range(4):
-                a = ctx.train_probs[ctx.class_slices[k]]
+                a = ctx.train_probs[ctx.classes.slices[k]]
                 g = a[:, k] * ratio[k] / (a @ ratio)
                 out[k] = 1.0 - g.mean()
             return out
 
-        jac = per_class_risk_jacobian(ctx.train_probs, ctx.class_slices, p, pre.q0)
+        jac = per_class_risk_jacobian(ctx.train_probs, ctx.classes, p, pre.q0)
         eps = 1e-6
         for m_coord in range(4):
             bump = np.zeros(4)
@@ -210,8 +211,7 @@ class TestRogd:
     def test_saturated_predictions_have_zero_jacobian(self):
         # Exactly one-hot train predictions make every per-class risk flat.
         probs = np.eye(4)[np.repeat(np.arange(4), 5)]
-        slices = tuple(slice(5 * k, 5 * k + 5) for k in range(4))
-        jac = per_class_risk_jacobian(probs, slices, UNIFORM4.copy(), UNIFORM4)
+        jac = per_class_risk_jacobian(probs, class_layout([5] * 4), UNIFORM4.copy(), UNIFORM4)
         np.testing.assert_allclose(jac, 0.0, atol=1e-14)
 
     def test_matches_per_class_reference(self, small_pretrained, rng):
@@ -231,14 +231,14 @@ class TestRogd:
 
         for p in [UNIFORM4, np.array([0.7, 0.1, 0.1, 0.1]), *rng.dirichlet(np.ones(4), 5)]:
             np.testing.assert_allclose(
-                per_class_risk_jacobian(ctx.train_probs, ctx.class_slices, p, pre.q0),
-                reference(ctx.train_probs, ctx.class_slices, p, pre.q0), rtol=0, atol=1e-13)
+                per_class_risk_jacobian(ctx.train_probs, ctx.classes, p, pre.q0),
+                reference(ctx.train_probs, ctx.classes.slices, p, pre.q0), rtol=0, atol=1e-13)
 
     def test_empty_class_is_named(self):
         probs = np.full((15, 4), 0.25)
-        slices = (slice(0, 5), slice(5, 10), slice(10, 10), slice(10, 15))
+        classes = class_layout([5, 5, 0, 5])
         with pytest.raises(InvalidArgumentError, match="class 2"):
-            per_class_risk_jacobian(probs, slices, UNIFORM4.copy(), UNIFORM4)
+            per_class_risk_jacobian(probs, classes, UNIFORM4.copy(), UNIFORM4)
 
     def test_stays_on_simplex(self, small_pretrained, rng):
         pre = small_pretrained
@@ -343,10 +343,10 @@ class TestUogd:
         ctx = build_context(pre.model, pre.train, pre.q0)
         s = np.eye(4)[2]
         _, grads = head_risks_and_grads(
-            ctx.xt, ctx.class_slices, ctx.class_sums,
+            ctx.xt, ctx.classes, ctx.class_sums,
             stacked((pre.model.linear_w, pre.model.linear_b)), s,
         )
-        feats_k = ctx.xt[:-1, ctx.class_slices[2]].T
+        feats_k = ctx.xt[:-1, ctx.classes.slices[2]].T
         probs = softmax(feats_k @ pre.model.linear_w.T + pre.model.linear_b)
         d = probs.copy()
         d[:, 2] -= 1.0
@@ -369,11 +369,11 @@ class TestUogd:
 
         def risks(hs):
             return head_risks_and_grads(
-                ctx.xt, ctx.class_slices, ctx.class_sums, hs, s
+                ctx.xt, ctx.classes, ctx.class_sums, hs, s
             )[0]
 
         _, grads = head_risks_and_grads(
-            ctx.xt, ctx.class_slices, ctx.class_sums, heads, s
+            ctx.xt, ctx.classes, ctx.class_sums, heads, s
         )
         eps = 1e-6
         # (class, column): three w entries and every class's bias (column h).
@@ -395,7 +395,7 @@ class TestUogd:
         heads[0, 1, 0] = np.nan
         with pytest.raises(InvalidArgumentError):
             head_risks_and_grads(
-                ctx.xt, ctx.class_slices, ctx.class_sums, heads, UNIFORM4
+                ctx.xt, ctx.classes, ctx.class_sums, heads, UNIFORM4
             )
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
@@ -405,10 +405,10 @@ class TestUogd:
         pre = small_pretrained
         ctx = build_context(pre.model, pre.train, pre.q0)
         xt = ctx.xt.copy()
-        xt[5, ctx.class_slices[1].start + 3] = bad
+        xt[5, ctx.classes.slices[1].start + 3] = bad
         heads = stacked((pre.model.linear_w, pre.model.linear_b))
         with pytest.raises(InvalidArgumentError, match="logits must be finite"):
-            head_risks_and_grads(xt, ctx.class_slices, ctx.class_sums, heads, UNIFORM4)
+            head_risks_and_grads(xt, ctx.classes, ctx.class_sums, heads, UNIFORM4)
 
     def test_matches_row_major_reference_for_distinct_heads(self, small_pretrained):
         # Seven heads as ATLAS holds them: the pretrained one, perturbed and
@@ -427,7 +427,7 @@ class TestUogd:
             pairs.append((scale * w, scale * b))
         s = np.array([0.6, -0.1, 0.3, 0.2])
         risks, grads = head_risks_and_grads(
-            ctx.xt, ctx.class_slices, ctx.class_sums, stacked(*pairs), s
+            ctx.xt, ctx.classes, ctx.class_sums, stacked(*pairs), s
         )
         feats = ctx.xt[:-1].T
         for i, (w, b) in enumerate(pairs):
@@ -527,7 +527,7 @@ class TestAtlas:
         assert not np.array_equal(shuffled.labels, labels)
         ctxs = [build_context(pre.model, train, pre.q0)
                 for train in (pre.train, shuffled)]
-        assert ctxs[0].class_slices == ctxs[1].class_slices
+        assert ctxs[0].classes.slices == ctxs[1].classes.slices
         for name in ("xt", "class_sums", "train_probs"):
             np.testing.assert_array_equal(getattr(ctxs[0], name), getattr(ctxs[1], name))
         etas = atlas_step_pool(1000, 4, pre.confusion.sigma_min)
@@ -540,6 +540,18 @@ class TestAtlas:
             np.testing.assert_array_equal(runs[0].cum_risk, runs[1].cum_risk)
             np.testing.assert_array_equal(runs[0].heads, runs[1].heads)
             np.testing.assert_array_equal(runs[0].played, runs[1].played)
+
+    def test_context_class_layout_matches_the_class_runs(self, small_pretrained):
+        pre = small_pretrained
+        classes = build_context(pre.model, pre.train, pre.q0).classes
+        counts = np.bincount(pre.train.labels, minlength=4)
+        np.testing.assert_array_equal(classes.counts, counts)
+        np.testing.assert_array_equal(classes.starts, [sl.start for sl in classes.slices])
+        assert [sl.stop - sl.start for sl in classes.slices] == list(counts)
+        np.testing.assert_array_equal(classes.labels, np.sort(pre.train.labels))
+        empty = class_layout([2, 0, 3])
+        assert empty.slices == (slice(0, 2), slice(2, 2), slice(2, 5))
+        np.testing.assert_array_equal(empty.labels, [0, 0, 2, 2, 2])
 
 
 class TestHeadStrategyProperties:
