@@ -17,10 +17,17 @@ model and the SIMD extensions numpy found on the CPU to the file's
 records from two machines may differ with the same code, and two machines
 can report the same CPU model name yet offer different extensions.
 
-``tests/golden_digests.json`` keeps the manifest and digests of the
-current code, written with ``--digests-only``; ``tests/test_golden.py``
-re-records the set and compares it with that file. A deliberate change to
-results re-records it:
+Each trace also gets a ``portable`` entry: a digest of its per-step error
+counts and the K per-class sums of its raw estimates ``s``. Error counts
+do not depend on the BLAS thread count and ``s`` drifts only at the
+1e-14 level, so ``tests/test_golden.py`` compares this section on any
+machine (error digests exactly, sums to a tolerance), while the exact
+digests hold only where the manifest matches.
+
+``tests/golden_digests.json`` keeps the manifest, digests and portable
+section of the current code, written with ``--digests-only``;
+``tests/test_golden.py`` re-records the set and compares it with that
+file. A deliberate change to results re-records it:
 
     PYTHONPATH=src python scripts/golden_traces.py --digests-only tests/golden_digests.json
 
@@ -87,7 +94,8 @@ def _arrays_digest(arrays) -> str:
     return h.hexdigest()
 
 
-def _trace_digests(key: str, trace, raw: dict) -> dict:
+def _add_trace(doc: dict, key: str, trace) -> None:
+    """Record ``trace`` under ``key`` in each of ``doc``'s sections."""
     fd, tmp = tempfile.mkstemp(suffix=".csv")
     os.close(fd)
     try:
@@ -96,16 +104,20 @@ def _trace_digests(key: str, trace, raw: dict) -> dict:
             csv_bytes = fh.read()
     finally:
         os.unlink(tmp)
-    raw[key] = {
+    doc["traces"][key] = {
         "s": trace.s.tolist(),
         "snapshots": np.asarray(trace.snapshots).tolist(),
         "errors": trace.errors.tolist(),
     }
-    return {
+    doc["portable"][key] = {
+        "errors": _sha(",".join(map(str, trace.errors.tolist())).encode()),
+        "s_sums": trace.s.sum(axis=0).tolist(),
+    }
+    doc["digests"].update({
         f"{key}/csv": _sha(csv_bytes),
         f"{key}/sigma_min": _arrays_digest([trace.sigma_min]),
         f"{key}/snapshots": _arrays_digest(trace.snapshots),
-    }
+    })
 
 
 def _model_digest(m) -> str:
@@ -150,41 +162,41 @@ def record() -> dict:
     )
     pre = harness.pretrain(sc)
     rotation = SslSpec(kind="rotation", ba=5)
-    out, raw = {}, {}
+    doc = {"digests": {}, "portable": {}, "traces": {}}
     for order in ORDERS:
         o = dataclasses.replace(sc, order=order)
         for algo in ALGORITHMS:
             for ssl in (SslSpec(), rotation):
                 run = dataclasses.replace(o, algorithm=algo, ssl=ssl)
                 key = f"run_online/{algo}/ssl={ssl.kind}/{order}"
-                out.update(_trace_digests(key, harness.run_online(run, pre), raw))
+                _add_trace(doc, key, harness.run_online(run, pre))
         rot = dataclasses.replace(o, ssl=rotation)
         for frozen in (True, False):
             key = f"oracle_trace/{'frozen' if frozen else 'updated'}/{order}"
-            out.update(_trace_digests(key, harness.oracle_trace(rot, frozen, pre), raw))
+            _add_trace(doc, key, harness.oracle_trace(rot, frozen, pre))
         bare = harness.run_bare_ols(o, pre)
-        out.update(_trace_digests(f"run_bare_ols/{order}", bare, raw))
+        _add_trace(doc, f"run_bare_ols/{order}", bare)
     for name, ssl in (
         ("entropy", SslSpec(kind="entropy", ba=5)),
         ("infonce", SslSpec(kind="infonce", ba=5, inner_steps=2)),
     ):
         run = dataclasses.replace(sc, algorithm="atlas", ssl=ssl)
         trace = harness.run_online(run, pre)
-        out.update(_trace_digests(f"run_online/atlas/ssl={name}", trace, raw))
+        _add_trace(doc, f"run_online/atlas/ssl={name}", trace)
     rotated = dataclasses.replace(
         sc, algorithm="flhftl", ssl=rotation,
         corruption=CorruptionSpec(kind="rotate2d", angle=30.0),
     )
     trace = harness.run_online(rotated, pre)
-    out.update(_trace_digests("run_online/flhftl/ssl=rotation/rotate2d", trace, raw))
+    _add_trace(doc, "run_online/flhftl/ssl=rotation/rotate2d", trace)
     for kind in ("none", "rotation", "infonce"):
         p = harness.pretrain(dataclasses.replace(sc, pretrain_ssl=kind))
-        out[f"pretrain/ssl={kind}/model"] = _model_digest(p.model)
-    out["validate/P2"] = _sha(validate.check_p2().value.encode())
-    manifest = {"blas_threads": BLAS_THREADS, "numpy": np.__version__,
-                "blas": _blas_build(), "cpu": _cpu_model(),
-                "simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"]}
-    return {"manifest": manifest, "digests": out, "traces": raw}
+        doc["digests"][f"pretrain/ssl={kind}/model"] = _model_digest(p.model)
+    doc["digests"]["validate/P2"] = _sha(validate.check_p2().value.encode())
+    doc["manifest"] = {"blas_threads": BLAS_THREADS, "numpy": np.__version__,
+                       "blas": _blas_build(), "cpu": _cpu_model(),
+                       "simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"]}
+    return doc
 
 
 def _drift(a: dict, b: dict) -> tuple[float, float, int]:
@@ -239,7 +251,8 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="list the keys whose digests differ between two files")
     parser.add_argument("--digests-only", action="store_true",
-                        help="write the manifest and digests without the raw traces")
+                        help="write the manifest, digests and portable section "
+                        "without the raw traces")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)

@@ -1,11 +1,11 @@
 """Online evaluation loop, oracle comparators, metrics and the estimator
 bias experiment.
 
-Three seed streams keep runs comparable: the data seed fixes the source
-draw and pretraining, the shift seed fixes the marginal process and batch
-sampling, and the run seed feeds only algorithm-side randomness (the SSL
-draws; the head retrain draws nothing). Two scenarios differing only in
-algorithm or SSL choice therefore see byte-identical batch streams.
+Seeds keep runs comparable: the data seed fixes the source draw,
+``train.seed`` pretraining's initialisation and batch order, the shift
+seed the marginal process and batch sampling, and the run seed only the
+SSL draws (the head retrain draws nothing). Two scenarios differing only
+in algorithm or SSL choice therefore see byte-identical batch streams.
 """
 
 from __future__ import annotations
@@ -311,10 +311,10 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
                              pre.confusion.sigma_min, sc.algo_params)
     state = OfuState(
         model=pre.model, confusion=pre.confusion, strategy=strategy, train=pre.train,
-        val=pre.val, q0=pre.q0, ssl=sc.ssl, reg_lambda=sc.reg_lambda,
+        val=pre.val, ssl=sc.ssl, reg_lambda=sc.reg_lambda,
         rng=make_rng(sc.run_seed), retrain_max_iter=sc.retrain_max_iter,
     )
-    predictor = None if true_marginal else compose_output(state.model, strategy, pre.q0)
+    predictor = None if true_marginal else compose_output(state.model, strategy)
     stream = _BatchStream(sc, pre)
     trace = _empty_trace(sc)
     for t in range(1, sc.horizon + 1):
@@ -357,8 +357,8 @@ def run_bare_ols(sc: Scenario, pretrained: Pretrained) -> OnlineTrace:
     conf = pre.confusion
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model, conf.sigma_min,
                              sc.algo_params)
-    ctx = build_context(pre.model, pre.train, pre.q0, reads=strategy.reads)
-    predictor = compose_output(pre.model, strategy, pre.q0)
+    ctx = build_context(pre.model, pre.train, reads=strategy.reads)
+    predictor = compose_output(pre.model, strategy)
     stream = _BatchStream(sc, pre)
     trace = _empty_trace(sc)
     for t in range(1, sc.horizon + 1):
@@ -367,7 +367,7 @@ def run_bare_ols(sc: Scenario, pretrained: Pretrained) -> OnlineTrace:
             if sc.order == "predict_first":
                 errs = stream.errors(t, predictor)
             strategy.step(ctx, est)
-            predictor = compose_output(pre.model, strategy, pre.q0)
+            predictor = compose_output(pre.model, strategy)
             if sc.order == "update_first":
                 errs = stream.errors(t, predictor)
         except Exception as exc:  # noqa: BLE001
@@ -409,7 +409,6 @@ def ordering_bias_test(
     batch_size: int,
     violate_order: bool,
     rng: np.random.Generator,
-    ssl_lr: float = 0.5,
     clean_val_per_class: int = 200_000,
     violate_val_per_class: int = 400,
     retrain_max_iter: int | None = None,
@@ -418,9 +417,9 @@ def ordering_bias_test(
 
     With violate_order=False the estimate is computed from the fixed model
     ``f`` and should be unbiased. With violate_order=True the model first
-    takes one entropy feature-update step *using the same batch* and a head
-    re-train before estimating, which breaks the independence the estimator
-    needs; ``retrain_max_iter`` caps that retrain and must be given then.
+    takes one entropy feature-update step of size 0.5 *on the same batch*
+    and a head re-train before estimating, which breaks the independence
+    the estimator needs; ``retrain_max_iter`` (then required) caps the retrain.
     Returns (bias per class, standard error per class, flagged), flagged
     when any |bias| > 3 stderr.
 
@@ -465,7 +464,7 @@ def ordering_bias_test(
             estimates[i] = bbse_estimate(f, conf, draw_batch()).s
     else:
         val = fresh_stratified(violate_val_per_class)
-        spec = SslSpec(kind="entropy", ssl_lr=ssl_lr)
+        spec = SslSpec(kind="entropy", ssl_lr=0.5)
         for i in range(n_trials):
             batch = draw_batch()
             bumped = feature_update(f, batch, spec, rng)

@@ -82,7 +82,8 @@ class ModelParams:
     """Feature extractor + classification head + auxiliary rotation head.
 
     The constructor copies the six parameter families into one flat vector
-    ``theta`` and rebinds the fields as views into it.
+    ``theta``, rebinds the fields as views into it and draws a fresh
+    ``uid``, also for a copy made with ``dataclasses.replace``.
     """
 
     feat_weights: tuple  # each (out, in)
@@ -93,7 +94,7 @@ class ModelParams:
     ssl_b: np.ndarray  # (4,)
     temperature: float = 1.0
     activation: str = "tanh"
-    uid: int = field(default_factory=_new_uid, compare=False)
+    uid: int = field(default_factory=_new_uid, init=False, compare=False)
     theta: np.ndarray = field(init=False, repr=False, compare=False)
     _layout: tuple = field(init=False, repr=False, compare=False)
 
@@ -134,7 +135,7 @@ class ModelParams:
 
 def with_updates(m: ModelParams, **changes) -> ModelParams:
     """Copy a model with some fields replaced and a fresh uid."""
-    return replace(m, **{"uid": _new_uid(), **changes})
+    return replace(m, **changes)
 
 
 def with_theta(m: ModelParams, theta: np.ndarray) -> ModelParams:
@@ -210,14 +211,11 @@ def head_output(
     return softmax(logits, m.temperature), logits
 
 
-def forward(
-    m: ModelParams, x, head: tuple | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def forward(m: ModelParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Model forward pass: (probs, features, logits).
 
     Accepts one input vector or a batch of row vectors; output shapes
-    mirror the input. ``head``, a ``(w, b)`` pair, stands in for the
-    model's classification head without building a new model.
+    mirror the input.
     """
     x = as_array(x, "x")
     single = x.ndim == 1
@@ -227,7 +225,7 @@ def forward(
             f"input dimension {batch.shape[1]} != model dimension {m.input_dim}"
         )
     feats = feat_activations(m, batch)[-1]
-    probs, logits = head_output(m, feats, head)
+    probs, logits = head_output(m, feats)
     if single:
         return probs[0], feats[0], logits[0]
     return probs, feats, logits

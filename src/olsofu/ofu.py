@@ -45,7 +45,7 @@ from .models import (
     with_theta,
     with_updates,
 )
-from .ols import CONTEXT_FIELDS, OlsContext, class_layout, reweight_probs
+from .ols import CONTEXT_FIELDS, OlsContext, reweight_probs
 
 
 def feature_update(
@@ -79,8 +79,8 @@ class Predictor:
     head: tuple | None = None
 
     def predict_proba(self, x) -> np.ndarray:
-        probs, _, _ = forward(self.base, x, self.head)
-        return self._reweight(probs)
+        probs, feats, _ = forward(self.base, x)
+        return self._apply(probs, feats)
 
     def predict(self, x) -> np.ndarray:
         # argmax breaks ties toward the lowest class index
@@ -88,35 +88,33 @@ class Predictor:
 
     def predict_forwarded(self, base_probs: np.ndarray, feats: np.ndarray) -> np.ndarray:
         """``predict`` for inputs that ``forward(self.base, x)`` already
-        mapped to ``base_probs`` and ``feats``; only the head is applied."""
-        if self.head is not None:
-            base_probs, _ = head_output(self.base, feats, self.head)
-        return np.argmax(self._reweight(base_probs), axis=-1)
+        mapped to ``base_probs`` and ``feats``."""
+        return np.argmax(self._apply(base_probs, feats), axis=-1)
 
-    def _reweight(self, probs: np.ndarray) -> np.ndarray:
-        if self.ratio is None:
-            return probs
-        return reweight_probs(probs, self.ratio)
+    def _apply(self, base_probs: np.ndarray, feats: np.ndarray) -> np.ndarray:
+        """The head, if any, on ``feats`` in place of ``base_probs``, then
+        the ratio, if any."""
+        probs = base_probs if self.head is None else head_output(self.base, feats, self.head)[0]
+        return probs if self.ratio is None else reweight_probs(probs, self.ratio)
 
 
-def compose_output(base_model: ModelParams, strategy, q0: np.ndarray) -> Predictor:
+def compose_output(base_model: ModelParams, strategy) -> Predictor:
     """Build the deployed model: reweighting strategies reweight the fresh
-    calibrated model by p/q0; last-layer strategies install their own head
-    on the current features and ignore reweighting."""
+    calibrated model by p/q0, their own q0; last-layer strategies install
+    their own head on the current features and ignore reweighting."""
     if strategy.kind == "reweight":
-        ratio = strategy.reweight_vector() / np.asarray(q0, dtype=float)
-        return Predictor(base_model, ratio)
+        return Predictor(base_model, strategy.reweight_vector() / strategy.q0)
     return Predictor(base_model, head=strategy.head())
 
 
 def build_context(
     model: ModelParams,
     train,
-    q0: np.ndarray,
     feats: np.ndarray | None = None,
     reads: tuple = CONTEXT_FIELDS,
 ) -> OlsContext:
-    """The strategies' view of ``model`` on the train set, in class order.
+    """The strategies' view of ``model`` on the train set, in the class
+    order of the train set's layout for ``model``'s K classes.
 
     Of the fields that cost a pass over the train set, only those named in
     ``reads`` (a strategy's ``reads``) are built. ``feats`` are ``model``'s
@@ -125,8 +123,8 @@ def build_context(
     """
     if reads and feats is None:
         feats = feat_activations(model, train.inputs)[-1]
-    order, _, sizes = train.class_order(q0.shape[0])
-    classes = class_layout(sizes)
+    classes = train.class_layout(model.n_classes)
+    order = classes.order
     xt = class_sums = None
     if "xt" in reads:
         xt = np.empty((feats.shape[1] + 1, feats.shape[0]))
@@ -134,7 +132,6 @@ def build_context(
         xt[-1] = 1.0
         class_sums = np.stack([xt[:, sl].sum(axis=1) for sl in classes.slices])
     return OlsContext(
-        q0=np.asarray(q0, dtype=float),
         classes=classes,
         train_probs=head_output(model, feats)[0][order] if "train_probs" in reads else None,
         xt=xt,
@@ -165,7 +162,6 @@ class OfuState:
     strategy: object
     train: object
     val: object
-    q0: np.ndarray
     ssl: SslSpec
     reg_lambda: float
     rng: np.random.Generator
@@ -176,7 +172,7 @@ class OfuState:
     curvature: HeadCurvature = field(default_factory=HeadCurvature, init=False)
 
     def __post_init__(self):
-        self.ctx = build_context(self.model, self.train, self.q0, reads=self.strategy.reads)
+        self.ctx = build_context(self.model, self.train, reads=self.strategy.reads)
 
 
 def steps_before_refresh(state: OfuState) -> int | None:
@@ -210,7 +206,7 @@ def refresh(state: OfuState, inputs: np.ndarray) -> None:
         curvature=state.curvature,
     )
     state.model, state.confusion = calibrate(retrained, state.val, state.reg_lambda)
-    state.ctx = build_context(state.model, state.train, state.q0, feats, state.strategy.reads)
+    state.ctx = build_context(state.model, state.train, feats, state.strategy.reads)
     state.feature_updates_done += 1
 
 
@@ -241,4 +237,4 @@ def ols_ofu_step(
             inputs = np.vstack(state.buffer)
             state.buffer.clear()
             refresh(state, inputs)
-    return compose_output(state.model, state.strategy, state.q0)
+    return compose_output(state.model, state.strategy)

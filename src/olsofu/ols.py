@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .errors import InvalidArgumentError, require
 from .estimator import MarginalEstimate
 from .models import ModelParams
 from .numkit import project_simplex
+from .synthdata import ClassLayout
 
 ALGORITHMS = ("none", "fth", "ftfwh", "rogd", "flhftl", "uogd", "atlas")
 
@@ -36,36 +36,13 @@ def reweight_probs(probs: np.ndarray, ratio: np.ndarray) -> np.ndarray:
 CONTEXT_FIELDS = ("train_probs", "xt")
 
 
-class ClassLayout(NamedTuple):
-    """Where the classes sit in a class-ordered train set: class k is the
-    basic slice ``slices[k]``, ``counts[k]`` rows from row ``starts[k]``,
-    and ``labels`` holds each row's class."""
-
-    slices: tuple
-    counts: np.ndarray
-    starts: np.ndarray
-    labels: np.ndarray
-
-
-def class_layout(sizes) -> ClassLayout:
-    """The layout of consecutive class runs of the given sizes."""
-    counts = np.asarray(sizes)
-    starts = np.cumsum(counts) - counts
-    return ClassLayout(
-        slices=tuple(slice(a, a + n) for a, n in zip(starts, counts)),
-        counts=counts,
-        starts=starts,
-        labels=np.repeat(np.arange(counts.size), counts),
-    )
-
-
 @dataclass
 class OlsContext:
     """Artifacts of the current f_t'' that strategies read.
 
     Every per-sample field holds the train set in class order, the stable
-    order of ``LabeledSet.class_order``, whose class runs ``classes``
-    describes, built once per context: class k is the basic slice
+    order of the train set's ``LabeledSet.class_layout``, which ``classes``
+    is, shared by every context on that set: class k is the basic slice
     ``classes.slices[k]`` of it. ``train_probs`` are f_t'' predictions on
     the train set, one row per sample (ROGD risk surface). ``xt`` holds the
     train features under the current extractor, one column per sample,
@@ -76,7 +53,6 @@ class OlsContext:
     ``class_sums``) only for a strategy whose ``reads`` names them.
     """
 
-    q0: np.ndarray
     classes: ClassLayout
     train_probs: np.ndarray | None = None
     xt: np.ndarray | None = None
@@ -180,7 +156,7 @@ class AlgoParams:
 
 class BaseStrategy:
     """No adaptation: keeps the identity reweighting forever. Every
-    reweighting strategy keeps its simplex vector in ``p``, from q0 on."""
+    reweighting strategy keeps ``q0``, and its simplex vector ``p`` from q0 on."""
 
     kind = "reweight"
     reads = ()
@@ -250,9 +226,7 @@ class RogdStrategy(BaseStrategy):
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
         if ctx.train_probs is None:
             raise InvalidArgumentError("ROGD needs train predictions in the context")
-        jac = per_class_risk_jacobian(
-            ctx.train_probs, ctx.classes, self.p, ctx.q0
-        )
+        jac = per_class_risk_jacobian(ctx.train_probs, ctx.classes, self.p, self.q0)
         grad = jac.T @ est.s
         self.t += 1
         if self.t <= self.warmup:

@@ -8,6 +8,7 @@ shift process, and covariate corruptions emulate generalized label shift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,13 +78,40 @@ class DataSpec:
         return self.n_val if self.n_val is not None else self.n_train // 4
 
 
+class ClassLayout(NamedTuple):
+    """Where the classes sit once a set's rows are sorted by class: row i of
+    the class-ordered set is row ``order[i]`` of the set, class k is the
+    basic slice ``slices[k]``, ``counts[k]`` rows from row ``starts[k]``,
+    and ``labels`` holds each class-ordered row's class."""
+
+    order: np.ndarray
+    slices: tuple
+    counts: np.ndarray
+    starts: np.ndarray
+    labels: np.ndarray
+
+
+def class_layout(sizes) -> ClassLayout:
+    """The layout of consecutive class runs of the given sizes, of rows
+    that are already in class order (``order`` is the identity)."""
+    counts = np.asarray(sizes)
+    starts = np.cumsum(counts) - counts
+    return ClassLayout(
+        order=np.arange(counts.sum()),
+        slices=tuple(slice(a, a + n) for a, n in zip(starts, counts)),
+        counts=counts,
+        starts=starts,
+        labels=np.repeat(np.arange(counts.size), counts),
+    )
+
+
 @dataclass
 class LabeledSet:
     """Inputs with integer labels in [0, K)."""
 
     inputs: np.ndarray
     labels: np.ndarray
-    _class_order: tuple | None = field(default=None, repr=False, compare=False)
+    _layout: ClassLayout | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.inputs = as_array(self.inputs, "inputs")
@@ -96,15 +124,14 @@ class LabeledSet:
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def class_order(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row indices sorted by class, stably (each class keeps its rows in
-        their order), with each class's start offset in that order and its
-        size."""
-        if self._class_order is None or self._class_order[2].size != k:
-            order = np.argsort(self.labels, kind="stable")
+    def class_layout(self, k: int) -> ClassLayout:
+        """The set's rows grouped by class, stably (each class keeps its rows
+        in their order), for K = ``k`` classes; built once per set."""
+        if self._layout is None or self._layout.counts.size != k:
             sizes = np.bincount(self.labels, minlength=k)[:k]
-            self._class_order = (order, np.cumsum(sizes) - sizes, sizes)
-        return self._class_order
+            order = np.argsort(self.labels, kind="stable")
+            self._layout = class_layout(sizes)._replace(order=order)
+        return self._layout
 
 
 @dataclass(frozen=True)
@@ -295,9 +322,9 @@ def sample_batch(
     adaptation code.
     """
     q_t = check_simplex(q_t, "q_t")
-    order, starts, sizes = pool.class_order(q_t.shape[0])
-    if not sizes.all():
-        empty = np.flatnonzero((q_t > 0) & (sizes == 0))
+    layout = pool.class_layout(q_t.shape[0])
+    if not layout.counts.all():
+        empty = np.flatnonzero((q_t > 0) & (layout.counts == 0))
         if empty.size:
             raise DataExhaustedError(f"test pool has no entries for class {int(empty[0])}")
     # The labels rng.choice(k, size=batch_size, p=q_t) draws, from the same
@@ -305,7 +332,7 @@ def sample_batch(
     cdf = q_t.cumsum()
     cdf /= cdf[-1]
     labels = cdf.searchsorted(rng.random(batch_size), side="right")
-    rows = order[starts[labels] + rng.integers(sizes[labels])]
+    rows = layout.order[layout.starts[labels] + rng.integers(layout.counts[labels])]
     inputs = pool.inputs[rows]  # a fresh array, which kind none returns as it is
     if corruption.kind != "none":
         inputs = corrupt(inputs, corruption, rng)

@@ -270,10 +270,10 @@ def per_step_reference(sc, pre, true_marginal=False):
                              pre.confusion.sigma_min, sc.algo_params)
     state = OfuState(
         model=pre.model, confusion=pre.confusion, strategy=strategy, train=pre.train,
-        val=pre.val, q0=pre.q0, ssl=sc.ssl, reg_lambda=sc.reg_lambda,
+        val=pre.val, ssl=sc.ssl, reg_lambda=sc.reg_lambda,
         rng=make_rng(sc.run_seed), retrain_max_iter=sc.retrain_max_iter,
     )
-    predictor = compose_output(state.model, strategy, pre.q0)
+    predictor = compose_output(state.model, strategy)
     s, errors, snapshots = [], [], []
     for t in range(1, sc.horizon + 1):
         q_t = marginal_at(pattern, t)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -613,6 +615,18 @@ class TestModelValue:
         m2 = with_updates(m, temperature=2.0)
         assert m2.uid != m.uid
         assert m2.temperature == 2.0 and m.temperature == 1.0
+
+    def test_replace_copy_gets_a_fresh_uid(self, rng):
+        # A copy made with dataclasses.replace is another model: it must not
+        # pass for its source when paired with the source's confusion.
+        from olsofu.estimator import bbse_estimate, confusion_matrix
+
+        m = init_model(4, 3, rng=make_rng(0))
+        copy = dataclasses.replace(m, linear_w=3 * m.linear_w)
+        assert copy.uid != m.uid
+        val = LabeledSet(rng.standard_normal((30, 4)), np.arange(30) % 3)
+        with pytest.raises(InvalidArgumentError, match="different model"):
+            bbse_estimate(copy, confusion_matrix(m, val), rng.standard_normal((5, 4)))
 
     def test_feature_activation_shapes(self, rng):
         m = init_model(6, 3, hidden=(16, 8), rng=make_rng(1))

@@ -5,7 +5,7 @@ import pytest
 
 from olsofu.errors import ContractViolationError, InvalidArgumentError
 from olsofu.estimator import MarginalEstimate, bbse_estimate
-from olsofu.models import SslSpec, backward, forward, init_model, with_updates
+from olsofu.models import SslSpec, backward, forward, head_output, init_model, with_updates
 from olsofu.numkit import make_rng
 from olsofu.ofu import (
     OfuState,
@@ -14,7 +14,7 @@ from olsofu.ofu import (
     feature_update,
     ols_ofu_step,
 )
-from olsofu.ols import make_strategy
+from olsofu.ols import make_strategy, reweight_probs
 
 
 def make_state(pre, ssl, algorithm="fth", horizon=100, run_seed=99, retrain_max_iter=40):
@@ -25,7 +25,6 @@ def make_state(pre, ssl, algorithm="fth", horizon=100, run_seed=99, retrain_max_
         strategy=strategy,
         train=pre.train,
         val=pre.val,
-        q0=pre.q0,
         ssl=ssl,
         reg_lambda=0.01,
         rng=make_rng(run_seed),
@@ -149,7 +148,7 @@ class TestOlsOfuStep:
             step(state, pre.pool.inputs[:10])
         assert state.feature_updates_done == refreshes
         assert (state.model.uid == pre.model.uid) == (refreshes == 0)
-        fresh = build_context(state.model, pre.train, pre.q0)
+        fresh = build_context(state.model, pre.train)
         # class_sums are built with xt.
         for name, read in (("xt", "xt"), ("class_sums", "xt"), ("train_probs", "train_probs")):
             assert read in CONTEXT_FIELDS
@@ -187,7 +186,7 @@ class TestComposeOutput:
     def test_identity_reweight_equals_base(self, small_pretrained, rng):
         pre = small_pretrained
         strategy = make_strategy("fth", pre.q0, 100, pre.model, pre.confusion.sigma_min)
-        predictor = compose_output(pre.model, strategy, pre.q0)
+        predictor = compose_output(pre.model, strategy)
         x = rng.standard_normal((10, 8))
         base_probs, _, _ = forward(pre.model, x)
         np.testing.assert_allclose(predictor.predict_proba(x), base_probs, atol=1e-12)
@@ -195,7 +194,7 @@ class TestComposeOutput:
     def test_head_strategy_ignores_reweighting(self, small_pretrained, rng):
         pre = small_pretrained
         strategy = make_strategy("uogd", pre.q0, 100, pre.model, pre.confusion.sigma_min)
-        predictor = compose_output(pre.model, strategy, pre.q0)
+        predictor = compose_output(pre.model, strategy)
         assert predictor.ratio is None
         w, b = strategy.head()
         np.testing.assert_array_equal(predictor.head[0], w)
@@ -211,12 +210,42 @@ class TestComposeOutput:
         strategy = make_strategy("flhftl", pre.q0, 100, pre.model, pre.confusion.sigma_min)
         s = project_simplex(np.array([0.5, 0.3, 0.4, -0.1]))
         strategy.step(None, MarginalEstimate(s, s))
-        predictor = compose_output(pre.model, strategy, pre.q0)
+        predictor = compose_output(pre.model, strategy)
         reference = Predictor(pre.model, strategy.reweight_vector() / pre.q0)
         for _ in range(20):
             x = rng.standard_normal(8)
             np.testing.assert_allclose(predictor.predict_proba(x),
                                        reference.predict_proba(x), atol=1e-12)
+
+    @pytest.mark.parametrize("algorithm", ["fth", "ftfwh", "rogd", "flhftl"])
+    def test_ratio_is_p_over_the_strategys_q0(self, small_pretrained, algorithm):
+        # A reweighting strategy holds q0; the deployed ratio divides its p
+        # by it, bit for bit as by the pretrained marginal.
+        from olsofu.ofu import build_context
+
+        pre = small_pretrained
+        strategy = make_strategy(algorithm, pre.q0, 100, pre.model, pre.confusion.sigma_min)
+        ctx = build_context(pre.model, pre.train, reads=strategy.reads)
+        for t in range(5):
+            est = bbse_estimate(pre.model, pre.confusion, pre.pool.inputs[10 * t : 10 * t + 10])
+            strategy.step(ctx, est)
+            np.testing.assert_array_equal(compose_output(pre.model, strategy).ratio,
+                                          strategy.p / pre.q0)
+
+    def test_head_then_ratio_on_the_forwarded_features(self, small_pretrained, rng):
+        # A head replaces the base head on the base model's features; the
+        # ratio then reweights its output. Both prediction paths agree.
+        pre = small_pretrained
+        w, b = 0.5 * pre.model.linear_w, pre.model.linear_b + 0.1
+        ratio = np.array([0.4, 1.3, 0.9, 1.7])
+        predictor = Predictor(pre.model, ratio, (w, b))
+        x = rng.standard_normal((10, 8))
+        base_probs, feats, _ = forward(pre.model, x)
+        expected = reweight_probs(head_output(pre.model, feats, (w, b))[0], ratio)
+        np.testing.assert_array_equal(predictor.predict_proba(x), expected)
+        np.testing.assert_array_equal(predictor.predict_forwarded(base_probs, feats),
+                                      np.argmax(expected, axis=-1))
+
 
 class TestFeatureDriftGuardrail:
     def test_source_accuracy_preserved_under_updates(self, small_scenario, small_pretrained):

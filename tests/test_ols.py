@@ -18,13 +18,12 @@ from olsofu.ols import (
     UogdStrategy,
     atlas_pool_size,
     atlas_step_pool,
-    class_layout,
     head_risks_and_grads,
     per_class_risk_jacobian,
     reweight_probs,
 )
 from olsofu.numkit import softmax
-from olsofu.synthdata import LabeledSet
+from olsofu.synthdata import LabeledSet, class_layout
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -179,7 +178,7 @@ class TestFtfwh:
 class TestRogd:
     def test_zero_step_size_keeps_weights(self, small_pretrained):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         strat = RogdStrategy(pre.q0, 100, AlgoParams(eta=0.0))
         before = strat.reweight_vector()
         strat.step(ctx, est([0.7, 0.1, 0.1, 0.1]))
@@ -187,7 +186,7 @@ class TestRogd:
 
     def test_jacobian_matches_finite_differences(self, small_pretrained):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         p = np.array([0.4, 0.3, 0.2, 0.1])
 
         def risks(pvec):
@@ -216,7 +215,7 @@ class TestRogd:
 
     def test_matches_per_class_reference(self, small_pretrained, rng):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
 
         def reference(train_probs, class_slices, p, q0):
             ratio = p / q0
@@ -242,7 +241,7 @@ class TestRogd:
 
     def test_stays_on_simplex(self, small_pretrained, rng):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         strat = RogdStrategy(pre.q0, horizon=50)
         for e in random_estimates(rng, 25):
             strat.step(ctx, e)
@@ -330,7 +329,7 @@ class TestCheckedParams:
 class TestUogd:
     def test_zero_step_size_keeps_head(self, small_pretrained):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         strat = UogdStrategy(pre.model, eta=0.0)
         w0, b0 = strat.head()
         strat.step(ctx, est([0.7, 0.1, 0.1, 0.1]))
@@ -340,7 +339,7 @@ class TestUogd:
 
     def test_one_hot_estimate_reduces_to_single_class_gradient(self, small_pretrained):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         s = np.eye(4)[2]
         _, grads = head_risks_and_grads(
             ctx.xt, ctx.classes, ctx.class_sums,
@@ -356,7 +355,7 @@ class TestUogd:
 
     def test_weighted_risk_gradient_matches_finite_differences(self, small_pretrained):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         s = np.array([0.5, 0.2, 0.2, 0.1])
         w0, b0 = pre.model.linear_w, pre.model.linear_b
         h = w0.shape[1]
@@ -390,7 +389,7 @@ class TestUogd:
 
     def test_non_finite_logits_rejected(self, small_pretrained):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         heads = stacked((pre.model.linear_w, pre.model.linear_b))
         heads[0, 1, 0] = np.nan
         with pytest.raises(InvalidArgumentError):
@@ -403,7 +402,7 @@ class TestUogd:
         # An infinite feature makes its column's logits infinite or NaN;
         # the unclamped risk must not turn that into a silent value.
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         xt = ctx.xt.copy()
         xt[5, ctx.classes.slices[1].start + 3] = bad
         heads = stacked((pre.model.linear_w, pre.model.linear_b))
@@ -415,7 +414,7 @@ class TestUogd:
         # random ones, and two on the radius-0.5 ball; s has a negative entry,
         # as a raw estimate may.
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         w0, b0 = pre.model.linear_w, pre.model.linear_b
         rng = np.random.default_rng(17)
         pairs = [(w0, b0), (0.5 * w0, -b0), (2.0 * w0, b0 + 1.0)]
@@ -439,7 +438,7 @@ class TestUogd:
     def test_norm_ball_projection(self, small_pretrained):
         pre = small_pretrained
         strat = UogdStrategy(pre.model, 1.0, AlgoParams(radius=0.5))
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         strat.step(ctx, est([0.7, 0.1, 0.1, 0.1]))
         w, b = strat.head()
         norm = np.sqrt((w ** 2).sum() + (b ** 2).sum())
@@ -460,7 +459,7 @@ class TestAtlas:
 
     def test_singleton_pool_equals_uogd(self, small_pretrained, rng):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         # UogdStrategy is this pool at meta rate 0: with one expert the rate
         # is irrelevant.
         atlas = AtlasStrategy(pre.model, [0.05], eps=0.1)
@@ -473,7 +472,7 @@ class TestAtlas:
 
     def test_identical_experts_collapse(self, small_pretrained, rng):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         atlas = AtlasStrategy(pre.model, [0.03, 0.03, 0.03], eps=0.2)
         single = UogdStrategy(pre.model, eta=0.03)
         for e in random_estimates(rng, 8):
@@ -484,7 +483,7 @@ class TestAtlas:
 
     def test_meta_weights_favor_smaller_risk(self, small_pretrained, rng):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         atlas = AtlasStrategy(pre.model, atlas_step_pool(200, 4, pre.confusion.sigma_min),
                               eps=1.0)
         for e in random_estimates(rng, 30):
@@ -495,7 +494,7 @@ class TestAtlas:
     @pytest.mark.parametrize("radius", [100.0, 0.5])
     def test_batched_experts_match_per_expert_loop(self, small_pretrained, radius):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         etas = atlas_step_pool(1000, 4, pre.confusion.sigma_min)
         atlas = AtlasStrategy(pre.model, etas, 0.3, AlgoParams(radius=radius))
         ref = ReferenceAtlas(pre.model, etas, eps=0.3, radius=radius)
@@ -525,8 +524,7 @@ class TestAtlas:
             perm[mixed == c] = np.flatnonzero(labels == c)
         shuffled = LabeledSet(pre.train.inputs[perm], labels[perm])
         assert not np.array_equal(shuffled.labels, labels)
-        ctxs = [build_context(pre.model, train, pre.q0)
-                for train in (pre.train, shuffled)]
+        ctxs = [build_context(pre.model, train) for train in (pre.train, shuffled)]
         assert ctxs[0].classes.slices == ctxs[1].classes.slices
         for name in ("xt", "class_sums", "train_probs"):
             np.testing.assert_array_equal(getattr(ctxs[0], name), getattr(ctxs[1], name))
@@ -543,15 +541,25 @@ class TestAtlas:
 
     def test_context_class_layout_matches_the_class_runs(self, small_pretrained):
         pre = small_pretrained
-        classes = build_context(pre.model, pre.train, pre.q0).classes
+        classes = build_context(pre.model, pre.train).classes
         counts = np.bincount(pre.train.labels, minlength=4)
         np.testing.assert_array_equal(classes.counts, counts)
         np.testing.assert_array_equal(classes.starts, [sl.start for sl in classes.slices])
         assert [sl.stop - sl.start for sl in classes.slices] == list(counts)
         np.testing.assert_array_equal(classes.labels, np.sort(pre.train.labels))
+        np.testing.assert_array_equal(classes.labels, pre.train.labels[classes.order])
         empty = class_layout([2, 0, 3])
         assert empty.slices == (slice(0, 2), slice(2, 2), slice(2, 5))
         np.testing.assert_array_equal(empty.labels, [0, 0, 2, 2, 2])
+        np.testing.assert_array_equal(empty.order, np.arange(5))
+
+    def test_contexts_on_one_train_set_share_its_layout(self, small_pretrained):
+        # The train set is grouped by class once; every context built on it,
+        # a refresh's included, reads that one layout.
+        pre = small_pretrained
+        first = build_context(pre.model, pre.train, reads=())
+        assert first.classes is build_context(pre.model, pre.train).classes
+        assert first.classes is pre.train.class_layout(4)
 
 
 class TestHeadStrategyProperties:
@@ -566,7 +574,7 @@ class TestHeadStrategyProperties:
     def test_arbitrary_estimates_keep_heads_bounded(self, small_pretrained,
                                                     estimates, radius):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         uogd = UogdStrategy(pre.model, 0.05, AlgoParams(radius=radius))
         atlas = AtlasStrategy(pre.model, atlas_step_pool(100, 4, pre.confusion.sigma_min),
                               0.3, AlgoParams(radius=radius))
@@ -597,7 +605,7 @@ class TestReweightStrategyProperties:
         # Off-simplex and extreme raw estimates, short windows and warm-ups,
         # and runs long enough for FLH experts to expire.
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0, reads=RogdStrategy.reads)
+        ctx = build_context(pre.model, pre.train, reads=RogdStrategy.reads)
         fth = FthStrategy(pre.q0)
         ftfwh = FtfwhStrategy(pre.q0, AlgoParams(window=3))
         rogd = RogdStrategy(pre.q0, 100, AlgoParams(warmup=3))
@@ -619,7 +627,7 @@ class TestReweightStrategyProperties:
 class TestDeterminism:
     def test_identical_runs_produce_identical_trajectories(self, small_pretrained):
         pre = small_pretrained
-        ctx = build_context(pre.model, pre.train, pre.q0)
+        ctx = build_context(pre.model, pre.train)
         estimates = random_estimates(np.random.default_rng(5), 15)
 
         def run():

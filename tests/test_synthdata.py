@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olsofu.errors import DataExhaustedError, InvalidArgumentError
+from olsofu import synthdata
 from olsofu.numkit import is_simplex, make_rng
 from olsofu.synthdata import (
     CorruptionSpec,
@@ -11,6 +12,7 @@ from olsofu.synthdata import (
     LabeledSet,
     ShiftPattern,
     bayes_error_mc,
+    class_layout,
     corrupt,
     default_means,
     default_pattern,
@@ -231,6 +233,26 @@ class TestSampleBatch:
                 np.testing.assert_array_equal(y_new, y_ref)
                 np.testing.assert_array_equal(x_new, x_ref)
             assert new.random() == ref.random()
+
+    def test_pool_layout_is_built_once(self, monkeypatch, rng):
+        # The pool is grouped by class on its first draw; later draws read
+        # that layout, whose order sorts the rows by class, stably.
+        built = []
+
+        def counting(sizes):
+            built.append(sizes)
+            return class_layout(sizes)
+
+        monkeypatch.setattr(synthdata, "class_layout", counting)
+        labels = np.array([2, 0, 1, 0, 2, 2, 1])
+        pool = LabeledSet(np.zeros((7, 2)), labels)
+        for _ in range(5):
+            sample_batch(np.full(3, 1 / 3), 4, pool, CorruptionSpec(), rng)
+        assert len(built) == 1
+        layout = pool.class_layout(3)
+        assert layout is pool.class_layout(3)
+        np.testing.assert_array_equal(layout.order, [1, 3, 2, 6, 0, 4, 5])
+        np.testing.assert_array_equal(labels[layout.order], layout.labels)
 
     def test_label_draw_matches_rng_choice(self):
         # The labels come from searchsorted on the marginal's cdf; pin that
