@@ -62,18 +62,20 @@ def confusion_matrix(
     exactly as ``forward`` computes them); otherwise ``val`` is forwarded.
     """
     k = f.n_classes
-    labels = val.labels
-    present = np.unique(labels)
-    if present.size != k:
-        missing = sorted(set(range(k)) - set(present.tolist()))
+    classes = val.class_layout(k)
+    if not classes.counts.all():
+        missing = np.flatnonzero(classes.counts == 0).tolist()
         raise InvalidArgumentError(f"validation set is missing classes {missing}")
     if logits is None:
         probs, _, _ = forward(f, val.inputs)
     else:
         probs = softmax(logits, f.temperature)
+    # Fancy indexing copies to C order, so each class's mean sums its rows
+    # in turn whatever the layout of ``probs``.
+    by_class = probs[classes.order]
     c = np.empty((k, k))
-    for j in range(k):
-        c[:, j] = probs[labels == j].mean(axis=0)
+    for j, sl in enumerate(classes.slices):
+        c[:, j] = by_class[sl].mean(axis=0)
     sigma = min_singular_value(c)
     if sigma < SIGMA_MIN_FLOOR:
         raise IllConditionedConfusionError(

@@ -355,6 +355,7 @@ def infonce_loss_grad(
     dsims /= n * temperature
     du = dsims @ v
     dv = dsims.T @ u
+    del sims, dsims  # free the n x n buffer before the backward passes
     dza = (du - (du * u).sum(axis=1, keepdims=True) * u) / ra
     dzb = (dv - (dv * v).sum(axis=1, keepdims=True) * v) / rb
     (g, gv), (g_b, gv_b) = _zero_grad(m), _zero_grad(m)
@@ -520,9 +521,12 @@ class HeadCurvature:
     one ``retrain_linear`` call to the next. An online run keeps one, so
     each refresh starts from the curvature the previous solve ended with.
     ``inverse`` is None until a solve builds it, and after a step that
-    needed backtracking."""
+    needed backtracking. ``design`` is the storage of the solve's (h+1, n)
+    design matrix ``[feats.T; 1]``, which every solve on a train set of
+    that shape overwrites, so a run's refreshes allocate it once."""
 
     inverse: np.ndarray | None = None
+    design: np.ndarray | None = None
 
 
 def _reduced_hessian(probs: np.ndarray, xt_t: np.ndarray) -> np.ndarray:
@@ -578,10 +582,12 @@ def retrain_linear(
     which the solve reads and updates in place: when it holds none, or one
     of another shape, or the last step needed backtracking, the exact
     Hessian (``_reduced_hessian``) is built and inverted at the current
-    iterate. A call without ``curvature`` starts from an empty holder. The
-    solve stops once the full gradient's norm is below ``grad_tol``. The
-    returned model keeps the feature extractor bit-identical and resets the
-    temperature to 1 (calibration is a separate step). ``feats`` are
+    iterate. The design matrix goes into ``curvature.design``, which is
+    allocated only when it holds none of the right shape. A call without
+    ``curvature`` starts from an empty holder. The solve stops once the
+    full gradient's norm is below ``grad_tol``. The returned model keeps
+    the feature extractor bit-identical and resets the temperature to 1
+    (calibration is a separate step). ``feats`` are
     ``m``'s train features if the caller already has them; otherwise they
     are computed here.
     """
@@ -592,21 +598,27 @@ def retrain_linear(
     k = m.n_classes
     r = k - 1
     width = feats.shape[1] + 1
-    xt_t = np.empty((width, n))  # features by row, bias as a constant one
-    xt_t[:-1] = feats.T
-    xt_t[-1] = 1.0
-    xt = xt_t.T
-    wt = np.hstack([m.linear_w, m.linear_b[:, None]])  # (K, h+1)
-    wt -= wt.mean(axis=0)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
     if curvature is None:
         curvature = HeadCurvature()
     if curvature.inverse is not None and curvature.inverse.shape != (r * width, r * width):
         curvature.inverse = None
+    if curvature.design is None or curvature.design.shape != (width, n):
+        curvature.design = np.empty((width, n))
+    xt_t = curvature.design  # features by row, bias as a constant one
+    xt_t[:-1] = feats.T
+    xt_t[-1] = 1.0
+    wt = np.hstack([m.linear_w, m.linear_b[:, None]])  # (K, h+1)
+    wt -= wt.mean(axis=0)
+    # Logits, probabilities and the one-hot are stored class-major, (K, n),
+    # and used through their (n, K) transposes: the softmax's per-row
+    # maxima and sums then run over contiguous class columns. The values
+    # are bit-identical to row-major storage.
+    onehot = np.zeros((k, n))
+    onehot[y, np.arange(n)] = 1.0
+    onehot = onehot.T
 
     def objective(wt):
-        z = xt @ wt.T
+        z = (wt @ xt_t).T
         probs = softmax(z, out=z)
         return mean_nll(probs, y) + 0.5 * RETRAIN_RIDGE * float((wt * wt).sum()), probs
 

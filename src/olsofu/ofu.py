@@ -142,8 +142,9 @@ def build_context(
 def calibrate(model: ModelParams, val, reg_lambda: float) -> tuple[ModelParams, ConfusionMatrix]:
     """Calibrate ``model``'s temperature on ``val`` and measure the soft
     confusion of the calibrated model there, regularized by ``reg_lambda``,
-    from one forward of ``val``."""
-    _, _, logits = forward(model, val.inputs)
+    from one forward of ``val``. Both read a class-major copy of the
+    logits, whose per-row softmax runs over contiguous class columns."""
+    logits = np.asfortranarray(forward(model, val.inputs)[2])
     calibrated = calibrate_temperature(model, val, logits)
     return calibrated, regularize_confusion(confusion_matrix(calibrated, val, logits), reg_lambda)
 
@@ -155,7 +156,8 @@ class OfuState:
     run-level rng that feeds SSL draws and the head retrain's iteration
     cap. ``confusion`` is of ``model``, and ``ctx`` is built from it.
     ``curvature`` is the run's head-retrain curvature, which each refresh's
-    solve starts from and leaves for the next."""
+    solve starts from and leaves for the next, and the storage of the
+    solve's design matrix."""
 
     model: ModelParams  # f_t'': calibrated, independent of the current batch
     confusion: ConfusionMatrix
@@ -188,6 +190,9 @@ def refresh(state: OfuState, inputs: np.ndarray) -> None:
     """Steps (2)-(3) on the buffered ``inputs``: feature-update the model,
     re-train its head, re-calibrate it, and rebuild the confusion and the
     strategy's context from the result."""
+    # The old model's context is dead from here on; dropping it now keeps
+    # its arrays out of the feature update's peak memory.
+    state.ctx = None
     carrier = state.model
     if state.strategy.kind == "head":
         w, b = state.strategy.head()

@@ -8,7 +8,7 @@ from olsofu.estimator import (
     confusion_matrix,
     regularize_confusion,
 )
-from olsofu.models import ModelParams, init_model, with_updates
+from olsofu.models import ModelParams, forward, init_model, with_updates
 from olsofu.numkit import is_simplex, make_rng
 from olsofu.synthdata import LabeledSet
 
@@ -67,8 +67,20 @@ class TestConfusionMatrix:
     def test_missing_class_rejected(self):
         m = init_model(3, 3, rng=make_rng(2))
         val = LabeledSet(np.zeros((4, 3)), np.array([0, 0, 1, 1]))
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match=r"missing classes \[2\]$"):
             confusion_matrix(m, val)
+
+    def test_layout_of_logits_is_a_speed_choice(self, small_pretrained):
+        # Row-major and class-major logits give the confusion that a forward
+        # of the validation set gives, bit for bit.
+        pre = small_pretrained
+        m = with_updates(pre.model, temperature=1.3)
+        _, _, logits = forward(m, pre.val.inputs)
+        ref = confusion_matrix(m, pre.val)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            conf = confusion_matrix(m, pre.val, layout(logits))
+            np.testing.assert_array_equal(conf.matrix, ref.matrix)
+            assert conf.sigma_min == ref.sigma_min
 
 
 class TestRegularize:
@@ -145,8 +157,6 @@ class TestBbseEstimate:
         idx = [np.flatnonzero(pre.pool.labels == c) for c in range(4)]
         labels = rng.choice(4, size=20_000, p=q)
         rows = np.array([idx[int(c)][rng.integers(idx[int(c)].size)] for c in labels])
-        from olsofu.models import forward
-
         probs, _, _ = forward(pre.model, pre.pool.inputs[rows])
         np.testing.assert_allclose(
             conf.matrix @ q, probs.mean(axis=0), atol=0.02

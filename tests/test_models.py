@@ -412,16 +412,57 @@ class TestRetrainLinear:
             np.testing.assert_allclose(m.theta, cold.theta, rtol=0, atol=1e-6)
         assert 1 <= chain_builds <= 3
 
-    @pytest.mark.parametrize("size", [14, 18])
-    def test_curvature_of_another_shape_is_rebuilt(self, size):
-        # K=4 and h=6 give a 21x21 reduced Hessian; a holder sized for K=3
-        # (14) or for h=5 (18) is dropped, so the solve is a cold one.
+    @pytest.mark.parametrize(
+        "size, design", [(14, (7, 200)), (18, (6, 300))], ids=["14", "18"]
+    )
+    def test_curvature_of_another_shape_is_rebuilt(self, size, design):
+        # K=4, h=6 and n=300 give a 21x21 reduced Hessian and a 7x300
+        # design matrix; a holder sized for K=3 (14) and n=200, or for h=5
+        # (18 and a 6-row design), is dropped, so the solve is a cold one.
         m, feats, train = retrain_problem(4)
-        holder = HeadCurvature(np.eye(size))
+        old = np.zeros(design)
+        holder = HeadCurvature(np.eye(size), old)
         warm = retrain_linear(m, train, feats=feats, curvature=holder)
         cold = retrain_linear(m, train, feats=feats)
         np.testing.assert_array_equal(warm.theta, cold.theta)
         assert holder.inverse.shape == (21, 21)
+        assert holder.design.shape == (7, 300) and holder.design is not old
+        np.testing.assert_array_equal(old, 0.0)
+
+    def test_warm_retrains_reuse_the_design_storage(self):
+        m, feats, train = retrain_problem(4)
+        holder = HeadCurvature()
+        m = retrain_linear(m, train, feats=feats, curvature=holder)
+        design = holder.design
+        retrain_linear(m, train, feats=0.9 * feats, curvature=holder)
+        assert holder.design is design
+        np.testing.assert_array_equal(design[:-1], (0.9 * feats).T)
+        np.testing.assert_array_equal(design[-1], 1.0)
+
+    def test_warm_retrain_allocates_no_design(self, small_pretrained):
+        # The second solve on a holder writes the features into the stored
+        # design matrix; its peak allocation stays below one such matrix.
+        import tracemalloc
+
+        pre = small_pretrained
+        feats = feat_activations(pre.model, pre.train.inputs)[-1]
+        holder = HeadCurvature()
+        first = retrain_linear(pre.model, pre.train, feats=feats, curvature=holder)
+        design_bytes = feats.shape[0] * (feats.shape[1] + 1) * 8
+        tracemalloc.start()
+        try:
+            retrain_linear(first, pre.train, feats=feats, curvature=holder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < design_bytes
+
+    def test_layout_of_feats_is_a_speed_choice(self):
+        # Row-major and column-major features give the same head, bit for bit.
+        m, feats, train = retrain_problem(4)
+        a = retrain_linear(m, train, feats=np.ascontiguousarray(feats))
+        b = retrain_linear(m, train, feats=np.asfortranarray(feats))
+        np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_input_model_unchanged(self, small_pretrained):
         # The solve updates its head and buffers in place; the model's
@@ -552,6 +593,16 @@ class TestCalibration:
                 nll_at_temperature(logits, val.labels, t)
                 <= nll_at_temperature(logits, val.labels, expected) + 1e-12
             )
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0, 5.0])
+    def test_layout_of_logits_is_a_speed_choice(self, scale):
+        # Row-major and class-major logits give the same temperature, bit
+        # for bit.
+        m, val = self._calibrated_setup(scale, n=1000)
+        _, _, logits = forward(m, val.inputs)
+        a = calibrate_temperature(m, val, np.ascontiguousarray(logits))
+        b = calibrate_temperature(m, val, np.asfortranarray(logits))
+        assert a.temperature == b.temperature
 
     def test_precomputed_logits_give_the_same_model(self):
         m, val = self._calibrated_setup(scale=3.0)

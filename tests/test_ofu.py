@@ -13,6 +13,7 @@ from olsofu.ofu import (
     compose_output,
     feature_update,
     ols_ofu_step,
+    refresh,
 )
 from olsofu.ols import make_strategy, reweight_probs
 
@@ -161,6 +162,24 @@ class TestOlsOfuStep:
         np.testing.assert_array_equal(state.confusion.matrix, conf.matrix)
         assert state.confusion.sigma_min == conf.sigma_min
         assert state.confusion.model_uid == state.model.uid
+
+    @pytest.mark.parametrize("algorithm", ["rogd", "uogd"])
+    def test_a_refresh_leaves_the_last_refreshs_outputs_alone(self, small_pretrained, algorithm):
+        # Every refresh's retrain overwrites the run's one design matrix;
+        # nothing an earlier refresh handed out may be a view of it.
+        pre = small_pretrained
+        state = make_state(pre, SslSpec(kind="rotation", ssl_lr=0.05), algorithm)
+        refresh(state, pre.pool.inputs[:10])
+        model, ctx, conf, design = state.model, state.ctx, state.confusion, state.curvature.design
+        arrays = [model.theta, conf.matrix] + [
+            a for a in (ctx.xt, ctx.class_sums, ctx.train_probs) if a is not None
+        ]
+        saved = [a.copy() for a in arrays]
+        refresh(state, pre.pool.inputs[10:20])
+        assert state.curvature.design is design
+        assert state.model.uid != model.uid
+        for a, b in zip(arrays, saved):
+            np.testing.assert_array_equal(a, b)
 
     def test_estimate_from_another_model_rejected(self, small_pretrained):
         pre = small_pretrained
