@@ -54,7 +54,11 @@ writes, its per-step sigma_min and its strategy snapshots. The set:
 - ``run_bare_ols`` x both orders;
 - atlas with entropy (ba=5) and with InfoNCE (ba=5, inner_steps=2);
 - flhftl with rotation (ba=5) on batches rotated by 30 degrees
-  (``CorruptionSpec(kind="rotate2d", angle=30.0)``);
+  (``CorruptionSpec(kind="rotate2d", angle=30.0)``), uogd with rotation
+  (ba=5, update_first) on batches with Gaussian noise
+  (``CorruptionSpec(kind="gaussian_noise", severity=0.5)``) and fth
+  without SSL on affinely corrupted batches
+  (``CorruptionSpec(kind="affine", severity=0.2)``);
 - the pretrained model's arrays for ``pretrain_ssl`` none, rotation and
   infonce (the momentum path and the supervised + SSL gradient sum);
 - the value acceptance check P2 prints.
@@ -183,12 +187,17 @@ def record() -> dict:
         run = dataclasses.replace(sc, algorithm="atlas", ssl=ssl)
         trace = harness.run_online(run, pre)
         _add_trace(doc, f"run_online/atlas/ssl={name}", trace)
-    rotated = dataclasses.replace(
-        sc, algorithm="flhftl", ssl=rotation,
-        corruption=CorruptionSpec(kind="rotate2d", angle=30.0),
-    )
-    trace = harness.run_online(rotated, pre)
-    _add_trace(doc, "run_online/flhftl/ssl=rotation/rotate2d", trace)
+    for key, run in (
+        ("run_online/flhftl/ssl=rotation/rotate2d", dataclasses.replace(
+            sc, algorithm="flhftl", ssl=rotation,
+            corruption=CorruptionSpec(kind="rotate2d", angle=30.0))),
+        ("run_online/uogd/ssl=rotation/gaussian_noise/update_first", dataclasses.replace(
+            sc, algorithm="uogd", ssl=rotation, order="update_first",
+            corruption=CorruptionSpec(kind="gaussian_noise", severity=0.5))),
+        ("run_online/fth/ssl=none/affine", dataclasses.replace(
+            sc, algorithm="fth", corruption=CorruptionSpec(kind="affine", severity=0.2))),
+    ):
+        _add_trace(doc, key, harness.run_online(run, pre))
     for kind in ("none", "rotation", "infonce"):
         p = harness.pretrain(dataclasses.replace(sc, pretrain_ssl=kind))
         doc["digests"][f"pretrain/ssl={kind}/model"] = _model_digest(p.model)

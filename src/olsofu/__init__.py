@@ -92,6 +92,7 @@ from .synthdata import (
     path_length,
     realize_pattern,
     sample_batch,
+    sample_batches,
 )
 
 __version__ = "0.1.0"

@@ -36,6 +36,7 @@ from .ofu import (
     compose_output,
     feature_update,
     ols_ofu_step,
+    predict_stacked,
     steps_before_refresh,
 )
 from .ols import ALGORITHMS, AlgoParams, make_strategy
@@ -49,7 +50,8 @@ from .synthdata import (
     marginals,
     path_length,
     realize_pattern,
-    sample_batch,
+    sample_batch,  # noqa: F401 - perfbench's tracer wraps it here
+    sample_batches,
 )
 
 ORDERS = ("predict_first", "update_first")
@@ -218,22 +220,28 @@ def pretrain(sc: Scenario, model: ModelParams | None = None) -> Pretrained:
 
 
 class _BatchStream:
-    """A run's batch stream, drawn, forwarded and BBSE-solved by chunk.
+    """A run's batch stream, drawn, forwarded, BBSE-solved and scored by
+    chunk.
 
     Between two refreshes the model that estimates q_t is fixed, so the
-    batches of a segment can share one forward and one multi-RHS solve.
-    A chunk holds up to ``CHUNK_STEPS`` consecutive batches, drawn in
-    stream order, and never crosses a refresh: it ends at the step whose
+    batches of a segment can share one draw, one forward and one multi-RHS
+    solve. A chunk holds up to ``CHUNK_STEPS`` consecutive batches, drawn
+    in stream order, and never crosses a refresh: it ends at the step whose
     refresh would change the model. So every estimate is computed, before
     its batch is adapted on, from the model finalized before the batch was
     revealed; ``ols_ofu_step`` rejects an estimate from any other model.
-    Steps must be asked for in order. A draw that fails is re-raised when
-    its step is reached. The shift seed alone fixes the realized marginal
-    pattern and the batch draws.
+    Steps must be asked for in order. A chunk's draw stops before the first
+    batch that cannot be drawn, whose error is re-raised when its step is
+    reached. The loop hands the stream each step's deployed ``Predictor``,
+    and the chunk's last step counts every step's errors into the run's
+    ``errors``: in one stacked pass over the chunk's forward for the
+    policies on the chunk's model, with a forward of its own for a policy
+    on a model refreshed at its step. The shift seed alone fixes the
+    realized marginal pattern and the batch draws.
     """
 
-    def __init__(self, sc: Scenario, pre: Pretrained):
-        self.sc, self.pre, self.rng = sc, pre, make_rng(sc.shift_seed)
+    def __init__(self, sc: Scenario, pre: Pretrained, errors: np.ndarray):
+        self.sc, self.pre, self.errors, self.rng = sc, pre, errors, make_rng(sc.shift_seed)
         self.pattern = realize_pattern(sc.shift, self.rng)
         self.start = self.stop = 1  # the chunk holds steps [start, stop)
         self.failure = None  # what drawing step ``stop`` raised
@@ -252,37 +260,46 @@ class _BatchStream:
         i = t - self.start
         return self.q[i], self.inputs[i], self.estimates[i]
 
-    def errors(self, t: int, predictor: Predictor) -> int:
-        """Step t's 0-1 errors under ``predictor``; a predictor on the
-        chunk's model reuses the chunk's forward."""
-        i = t - self.start
-        if predictor.base.uid == self.uid:
-            predicted = predictor.predict_forwarded(self.probs[i], self.feats[i])
-        else:
-            predicted = predictor.predict(self.inputs[i])
-        return int(np.sum(predicted != self.labels[i]))
+    def deploy(self, t: int, predictor: Predictor) -> None:
+        """Take the model deployed at step t; the chunk's last step counts
+        the errors of all its steps."""
+        self.deployed.append(predictor)
+        if t == self.stop - 1:
+            self._score()
 
     def _draw(self, start: int, stop: int, model: ModelParams, conf) -> None:
         sc, pre = self.sc, self.pre
         qs = marginals(self.pattern, start, stop)
-        self.start, self.inputs, self.labels = start, [], []
-        for q_t in qs:
-            try:
-                x, y = sample_batch(q_t, sc.batch_size, pre.pool, sc.corruption, self.rng)
-            except Exception as exc:  # noqa: BLE001 - re-raised at its step
-                self.failure = exc
-                break
-            self.inputs.append(x)
-            self.labels.append(y)
-        n = len(self.inputs)
-        self.stop, self.q = start + n, qs[:n]
-        if n:
-            # Row i of probs / feats, shaped (n, B, .), is step start+i's batch.
-            probs, feats, _ = forward(model, np.concatenate(self.inputs))
-            self.estimates = bbse_estimates(model, conf, probs, sc.batch_size)
-            self.probs = probs.reshape(n, sc.batch_size, -1)
-            self.feats = feats.reshape(n, sc.batch_size, -1)
-            self.uid = model.uid
+        self.start, self.stop, self.deployed = start, start, []
+        try:
+            batches = sample_batches(qs, sc.batch_size, pre.pool, sc.corruption, self.rng)
+        except Exception as exc:  # noqa: BLE001 - re-raised at its step
+            self.failure, qs = exc, qs[: getattr(exc, "row", 0)]
+            if not len(qs):
+                return
+            batches = sample_batches(qs, sc.batch_size, pre.pool, sc.corruption, self.rng)
+        n = len(qs)
+        self.stop, self.q, (self.inputs, self.labels) = start + n, qs, batches
+        # Row i of probs / feats, shaped (n, B, .), is step start+i's batch.
+        probs, feats, _ = forward(model, self.inputs.reshape(n * sc.batch_size, -1))
+        self.estimates = bbse_estimates(model, conf, probs, sc.batch_size)
+        self.probs = probs.reshape(n, sc.batch_size, -1)
+        self.feats = feats.reshape(n, sc.batch_size, -1)
+        self.uid = model.uid
+
+    def _score(self) -> None:
+        policies = self.deployed
+        own = np.array([p.base.uid == self.uid for p in policies])
+        if own.all():
+            predicted = predict_stacked(policies, self.probs, self.feats)
+        else:
+            predicted = np.empty_like(self.labels)
+            if own.any():
+                predicted[own] = predict_stacked([p for p, o in zip(policies, own) if o],
+                                                 self.probs[own], self.feats[own])
+            for i in np.flatnonzero(~own):
+                predicted[i] = policies[i].predict(self.inputs[i])
+        self.errors[self.start - 1 : self.stop - 1] = (predicted != self.labels).sum(axis=1)
 
 
 def _empty_trace(sc: Scenario) -> OnlineTrace:
@@ -304,8 +321,8 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
     adapts (prediction and adaptation swap under order='update_first'). The
     deploy policy is the only difference between the two callers: the
     strategy's composed output, or with ``true_marginal`` the current model
-    reweighted by q_t / q0. The batches, their forwards and their estimates
-    come a chunk at a time from a ``_BatchStream``.
+    reweighted by q_t / q0. The batches, their forwards, their estimates and
+    their error counts come a chunk at a time from a ``_BatchStream``.
     """
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
                              pre.confusion.sigma_min, sc.algo_params)
@@ -315,8 +332,8 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
         rng=make_rng(sc.run_seed), retrain_max_iter=sc.retrain_max_iter,
     )
     predictor = None if true_marginal else compose_output(state.model, strategy)
-    stream = _BatchStream(sc, pre)
     trace = _empty_trace(sc)
+    stream = _BatchStream(sc, pre, trace.errors)
     for t in range(1, sc.horizon + 1):
         try:
             q_t, inputs, est = stream.step(
@@ -325,15 +342,13 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
             sigma_min = state.confusion.sigma_min
             if sc.order == "update_first":
                 predictor = ols_ofu_step(state, inputs, est)
-            deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
-            errs = stream.errors(t, deployed)
+            stream.deploy(t, Predictor(state.model, q_t / pre.q0) if true_marginal else predictor)
             if sc.order == "predict_first":
                 predictor = ols_ofu_step(state, inputs, est)
         except Exception as exc:  # noqa: BLE001 - annotate with the step index
             raise RunError(f"step {t}: {exc}", t) from exc
         trace.q[t - 1] = q_t
         trace.s[t - 1] = est.s
-        trace.errors[t - 1] = errs
         trace.sigma_min[t - 1] = sigma_min
         trace.snapshots.append(state.strategy.snapshot())
         trace.end_model_uids.append(state.model.uid)
@@ -359,22 +374,21 @@ def run_bare_ols(sc: Scenario, pretrained: Pretrained) -> OnlineTrace:
                              sc.algo_params)
     ctx = build_context(pre.model, pre.train, reads=strategy.reads)
     predictor = compose_output(pre.model, strategy)
-    stream = _BatchStream(sc, pre)
     trace = _empty_trace(sc)
+    stream = _BatchStream(sc, pre, trace.errors)
     for t in range(1, sc.horizon + 1):
         try:
             q_t, _, est = stream.step(t, pre.model, conf, None)
             if sc.order == "predict_first":
-                errs = stream.errors(t, predictor)
+                stream.deploy(t, predictor)
             strategy.step(ctx, est)
             predictor = compose_output(pre.model, strategy)
             if sc.order == "update_first":
-                errs = stream.errors(t, predictor)
+                stream.deploy(t, predictor)
         except Exception as exc:  # noqa: BLE001
             raise RunError(f"step {t}: {exc}", t) from exc
         trace.q[t - 1] = q_t
         trace.s[t - 1] = est.s
-        trace.errors[t - 1] = errs
         trace.sigma_min[t - 1] = conf.sigma_min
         trace.snapshots.append(strategy.snapshot())
         trace.end_model_uids.append(pre.model.uid)

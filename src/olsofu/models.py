@@ -205,9 +205,11 @@ def head_output(
     m: ModelParams, feats: np.ndarray, head: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(probs, logits) of the classification head on features ``feats``;
-    ``forward`` computes its outputs with exactly this arithmetic."""
+    ``forward`` computes its outputs with exactly this arithmetic. A stack
+    of m heads, ``w`` (m, K, h) and ``b`` (m, 1, K), maps stacked features
+    (m, n, h) to stacked outputs (m, n, K), each as its own head would."""
     w, b = (m.linear_w, m.linear_b) if head is None else head
-    logits = feats @ w.T + b
+    logits = feats @ w.swapaxes(-1, -2) + b
     return softmax(logits, m.temperature), logits
 
 

@@ -80,22 +80,41 @@ class Predictor:
 
     def predict_proba(self, x) -> np.ndarray:
         probs, feats, _ = forward(self.base, x)
-        return self._apply(probs, feats)
+        return _deployed_probs(self.base, probs, feats, self.head, self.ratio)
 
     def predict(self, x) -> np.ndarray:
         # argmax breaks ties toward the lowest class index
         return np.argmax(self.predict_proba(x), axis=-1)
 
-    def predict_forwarded(self, base_probs: np.ndarray, feats: np.ndarray) -> np.ndarray:
-        """``predict`` for inputs that ``forward(self.base, x)`` already
-        mapped to ``base_probs`` and ``feats``."""
-        return np.argmax(self._apply(base_probs, feats), axis=-1)
 
-    def _apply(self, base_probs: np.ndarray, feats: np.ndarray) -> np.ndarray:
-        """The head, if any, on ``feats`` in place of ``base_probs``, then
-        the ratio, if any."""
-        probs = base_probs if self.head is None else head_output(self.base, feats, self.head)[0]
-        return probs if self.ratio is None else reweight_probs(probs, self.ratio)
+def _deployed_probs(base: ModelParams, base_probs: np.ndarray, feats: np.ndarray,
+                    head: tuple | None, ratio: np.ndarray | None) -> np.ndarray:
+    """What a ``Predictor`` on ``base`` deploys for inputs that
+    ``forward(base, x)`` mapped to ``base_probs`` and ``feats``: the head,
+    if any, on ``feats`` in place of ``base_probs``, then the ratio, if any.
+    Stacked policies pass stacked arrays, which broadcast row by row."""
+    probs = base_probs if head is None else head_output(base, feats, head)[0]
+    return probs if ratio is None else reweight_probs(probs, ratio)
+
+
+def predict_stacked(policies: list, base_probs: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """Predictions (m, n) of m deployed ``policies`` on one batch each, from
+    the batches' (m, n, K) ``base_probs`` and (m, n, h) ``feats`` under the
+    policies' shared base model: row i is ``policies[i].predict`` on batch
+    i, bit for bit. The heads go through one matmul and one softmax, the
+    ratios one reweighting. The policies must agree in their base model and
+    in whether they have a head and a ratio."""
+    first = policies[0]
+    if any(p.base.uid != first.base.uid or (p.head is None) != (first.head is None)
+           or (p.ratio is None) != (first.ratio is None) for p in policies):
+        raise ContractViolationError("stacked policies must share a base model and a kind")
+    head = ratio = None
+    if first.head is not None:
+        w, b = zip(*(p.head for p in policies))
+        head = np.array(w), np.array(b)[:, None, :]
+    if first.ratio is not None:
+        ratio = np.array([p.ratio for p in policies])[:, None, :]
+    return np.argmax(_deployed_probs(first.base, base_probs, feats, head, ratio), axis=-1)
 
 
 def compose_output(base_model: ModelParams, strategy) -> Predictor:

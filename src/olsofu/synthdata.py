@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataExhaustedError, InvalidArgumentError, require
-from .numkit import as_array, check_simplex, make_rng, rotate2d
+from .numkit import SIMPLEX_ATOL, as_array, check_simplex, make_rng, rotate2d
 
 SHIFT_KINDS = ("sinusoidal", "bernoulli", "constant", "monotone")
 CORRUPTION_KINDS = ("none", "rotate2d", "gaussian_noise", "affine")
@@ -258,10 +258,17 @@ def corrupt(x: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator) -> np
     x = as_array(x, "x")
     if spec.kind == "none":
         return x.copy()
+    noise = rng.standard_normal(x.shape) if spec.kind == "gaussian_noise" else None
+    return _corrupted(x, spec, noise)
+
+
+def _corrupted(x: np.ndarray, spec: CorruptionSpec, noise: np.ndarray | None) -> np.ndarray:
+    """``x`` under a corruption other than none; ``noise``, shaped like
+    ``x``, holds the standard normals that gaussian_noise scales and adds."""
     if spec.kind == "rotate2d":
         return rotate2d(x, spec.angle)
     if spec.kind == "gaussian_noise":
-        return x + spec.severity * rng.standard_normal(x.shape)
+        return x + spec.severity * noise
     # affine
     return (1.0 + spec.severity) * x + spec.severity
 
@@ -316,27 +323,82 @@ def sample_batch(
     corruption: CorruptionSpec,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a test batch: labels ~ q_t, inputs resampled from the pool.
+    """Draw a test batch: labels ~ q_t, inputs resampled from the pool; the
+    one-row case of ``sample_batches``.
 
     The returned labels are for error accounting only and must never reach
     adaptation code.
     """
     q_t = check_simplex(q_t, "q_t")
-    layout = pool.class_layout(q_t.shape[0])
-    if not layout.counts.all():
-        empty = np.flatnonzero((q_t > 0) & (layout.counts == 0))
-        if empty.size:
-            raise DataExhaustedError(f"test pool has no entries for class {int(empty[0])}")
-    # The labels rng.choice(k, size=batch_size, p=q_t) draws, from the same
-    # uniforms; then one uniform member of each label's class per row.
-    cdf = q_t.cumsum()
-    cdf /= cdf[-1]
-    labels = cdf.searchsorted(rng.random(batch_size), side="right")
-    rows = layout.order[layout.starts[labels] + rng.integers(layout.counts[labels])]
-    inputs = pool.inputs[rows]  # a fresh array, which kind none returns as it is
+    inputs, labels = sample_batches(q_t[None], batch_size, pool, corruption, rng)
+    return inputs[0], labels[0]
+
+
+def sample_batches(
+    qs: np.ndarray,
+    batch_size: int,
+    pool: LabeledSet,
+    corruption: CorruptionSpec,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one test batch per row of the (m, K) marginals ``qs``: inputs
+    (m, batch_size, d) and labels (m, batch_size), bit for bit what
+    ``sample_batch`` on each row in turn draws, and leaving ``rng`` where
+    those calls leave it.
+
+    Every row is checked before anything is drawn. A row that
+    ``sample_batch`` refuses raises the error it raises, for the first
+    such row, with that row's index as the error's ``row`` attribute, so a
+    caller can draw the rows before it. Each batch's draws (its labels'
+    uniforms, its pool members and, for gaussian_noise, its noise) keep
+    their stream order; the pool rows are gathered and corrupted in one
+    pass over all the batches.
+
+    The returned labels are for error accounting only and must never reach
+    adaptation code.
+    """
+    qs = np.asarray(qs, dtype=float)
+    require(qs.ndim == 2 and qs.shape[1] >= 1, "qs", "must be an (m, K) array with K >= 1")
+    layout = pool.class_layout(qs.shape[1])
+    counts = layout.counts
+    with np.errstate(invalid="ignore"):  # a row holding inf and -inf sums to NaN
+        bad = (~np.isfinite(qs).all(axis=1) | (qs.min(axis=1) < -SIMPLEX_ATOL)
+               | (np.abs(qs.sum(axis=1) - 1.0) > SIMPLEX_ATOL))
+    if not counts.all():
+        bad |= (qs[:, counts == 0] > 0).any(axis=1)
+    for row in np.flatnonzero(bad):
+        try:
+            _check_marginal(qs[row], counts)
+        except (InvalidArgumentError, DataExhaustedError) as exc:
+            exc.row = int(row)
+            raise
+    # Row i's labels are those rng.choice(k, size=batch_size, p=qs[i]) draws,
+    # from the same uniforms; then one uniform member of each label's class.
+    cdfs = qs.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
+    labels = np.empty((qs.shape[0], batch_size), dtype=np.intp)
+    picks = np.empty_like(labels)
+    noise = None
+    if corruption.kind == "gaussian_noise":
+        noise = np.empty((*labels.shape, pool.inputs.shape[1]))
+    for i, cdf in enumerate(cdfs):
+        labels[i] = cdf.searchsorted(rng.random(batch_size), side="right")
+        picks[i] = rng.integers(counts[labels[i]])
+        if noise is not None:
+            rng.standard_normal(out=noise[i])
+    inputs = pool.inputs[layout.order[layout.starts[labels] + picks]]  # a fresh array
     if corruption.kind != "none":
-        inputs = corrupt(inputs, corruption, rng)
+        inputs = _corrupted(inputs, corruption, noise)
     return inputs, labels
+
+
+def _check_marginal(q_t: np.ndarray, counts: np.ndarray) -> None:
+    """Refuse a marginal off the simplex, or with mass on a class whose
+    pool ``counts`` are zero."""
+    q_t = check_simplex(q_t, "q_t")
+    empty = np.flatnonzero((q_t > 0) & (counts == 0))
+    if empty.size:
+        raise DataExhaustedError(f"test pool has no entries for class {int(empty[0])}")
 
 
 def bayes_error_mc(

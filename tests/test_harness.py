@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from olsofu.errors import (
+    DataExhaustedError,
     InvalidArgumentError,
     RunError,
     UndefinedCorrelationError,
@@ -32,7 +33,9 @@ from olsofu.ofu import (
 )
 from olsofu.ols import make_strategy
 from olsofu.synthdata import (
+    CorruptionSpec,
     DataSpec,
+    LabeledSet,
     ShiftPattern,
     default_means,
     default_pattern,
@@ -46,6 +49,29 @@ from olsofu.synthdata import (
 def constant_at_uniform(k, horizon):
     u = uniform_simplex(k)
     return ShiftPattern("constant", u, u, horizon)
+
+
+def run_with_undrawable_step(sc, pre, monkeypatch, step):
+    """Run ``sc`` with the marginal of ``step`` made NaN inside the chunk
+    draw; returns the ``RunError`` it raises."""
+    from olsofu import harness
+
+    original = harness.sample_batches
+    drawn = {"steps": 0}
+
+    def poisoning(qs, *args):
+        row = step - drawn["steps"] - 1
+        if 0 <= row < len(qs):
+            qs = qs.copy()
+            qs[row, 0] = np.nan
+        out = original(qs, *args)
+        drawn["steps"] += len(qs)
+        return out
+
+    monkeypatch.setattr(harness, "sample_batches", poisoning)
+    with pytest.raises(RunError) as err:
+        run_online(sc, pre)
+    return err
 
 
 class TestRunOnline:
@@ -97,22 +123,47 @@ class TestRunOnline:
         assert trace.horizon == small_scenario.horizon
 
     def test_errors_annotated_with_step(self, small_scenario, small_pretrained, monkeypatch):
-        import olsofu.harness as harness_mod
-
-        calls = {"n": 0}
-        original = harness_mod.sample_batch
-
-        def failing(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 3:
-                raise InvalidArgumentError("injected failure")
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(harness_mod, "sample_batch", failing)
-        with pytest.raises(RunError) as err:
-            run_online(small_scenario, small_pretrained)
+        err = run_with_undrawable_step(small_scenario, small_pretrained, monkeypatch, 3)
         assert err.value.step == 3
         assert "step 3" in str(err.value)
+
+    def test_errors_in_a_later_chunk_annotated_with_step(self, small_scenario,
+                                                         small_pretrained, monkeypatch):
+        step = CHUNK_STEPS + 2
+        err = run_with_undrawable_step(small_scenario, small_pretrained, monkeypatch, step)
+        assert err.value.step == step
+        assert f"step {step}: q_t must be finite" in str(err.value)
+
+    def test_exhausted_pool_fails_at_its_step(self, small_scenario, small_pretrained,
+                                              monkeypatch):
+        # A pool without class 3 and a bernoulli shift from one-hot class 0 to
+        # uniform: the first step that puts mass on class 3 cannot be drawn.
+        # It lies inside a chunk, and every step before it has run.
+        from olsofu import harness
+
+        pre = small_pretrained
+        keep = pre.pool.labels != 3
+        pool = LabeledSet(pre.pool.inputs[keep], pre.pool.labels[keep])
+        shift = ShiftPattern("bernoulli", uniform_simplex(4), np.eye(4)[0], 150,
+                             switch_prob=0.05)
+        sc = dataclasses.replace(small_scenario, shift=shift, shift_seed=3)
+        alphas = realize_pattern(shift, make_rng(sc.shift_seed)).alphas
+        first = 1 + int(np.flatnonzero(alphas)[0])
+        assert 1 < first and (first - 1) % CHUNK_STEPS  # mid-chunk
+        stepped = []
+        original = harness.ols_ofu_step
+
+        def counting(state, inputs, est):
+            stepped.append(est)
+            return original(state, inputs, est)
+
+        monkeypatch.setattr(harness, "ols_ofu_step", counting)
+        with pytest.raises(RunError) as err:
+            run_online(sc, dataclasses.replace(pre, pool=pool))
+        assert err.value.step == first
+        assert isinstance(err.value.__cause__, DataExhaustedError)
+        assert f"step {first}: test pool has no entries for class 3" in str(err.value)
+        assert len(stepped) == first - 1
 
     def test_trace_csv_round_trips(self, small_scenario, small_pretrained, tmp_path):
         import csv
@@ -291,6 +342,29 @@ def per_step_reference(sc, pre, true_marginal=False):
     return np.array(s), np.array(errors), snapshots
 
 
+def assert_loops_match_per_step_reference(sc, pre, **changes):
+    """``run_online``, the matching oracle and, without SSL, ``run_bare_ols``
+    on ``sc`` with ``changes`` over 2 * CHUNK_STEPS + 13 steps agree with
+    ``per_step_reference``: error counts exactly, estimates and snapshots to
+    rounding."""
+    sc = dataclasses.replace(
+        sc, **changes, retrain_max_iter=40,
+        shift=dataclasses.replace(sc.shift, horizon=2 * CHUNK_STEPS + 13),
+    )
+    oracle_sc = dataclasses.replace(sc, algorithm="none")
+    runs = [(run_online(sc, pre), per_step_reference(sc, pre)),
+            (oracle_trace(sc, frozen=sc.ssl.kind == "none", pretrained=pre),
+             per_step_reference(oracle_sc, pre, true_marginal=True))]
+    if sc.ssl.kind == "none":
+        runs.append((run_bare_ols(sc, pre), runs[0][1]))
+    for trace, (s, errors, snapshots) in runs:
+        np.testing.assert_array_equal(trace.errors, errors)
+        assert np.abs(trace.s - s).max() <= 1e-14
+        assert len(trace.snapshots) == len(snapshots)
+        for a, b in zip(trace.snapshots, snapshots):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
 class TestSegmentPath:
     @pytest.mark.parametrize("order", ["predict_first", "update_first"])
     @pytest.mark.parametrize(
@@ -299,31 +373,26 @@ class TestSegmentPath:
          SslSpec(kind="rotation", ba=CHUNK_STEPS + 7)],
         ids=["none", "rotation", "rotation-long-segment"],
     )
-    @pytest.mark.parametrize("algorithm", ["fth", "uogd"])
+    @pytest.mark.parametrize("algorithm", ["fth", "ftfwh", "rogd", "flhftl", "uogd", "atlas"])
     def test_loops_match_per_step_reference(self, small_scenario, small_pretrained,
                                             algorithm, ssl, order):
         # The horizon is not a multiple of the chunk size, so the last
         # chunk is short; with rotation every refresh also cuts a chunk, and
         # a segment longer than a chunk spans two chunks of one model.
-        pre = small_pretrained
-        sc = dataclasses.replace(
-            small_scenario, algorithm=algorithm, ssl=ssl, order=order,
-            shift=dataclasses.replace(small_scenario.shift,
-                                      horizon=2 * CHUNK_STEPS + 13),
-            retrain_max_iter=40,
+        assert_loops_match_per_step_reference(small_scenario, small_pretrained,
+                                              algorithm=algorithm, ssl=ssl, order=order)
+
+    @pytest.mark.parametrize("order", ["predict_first", "update_first"])
+    @pytest.mark.parametrize("algorithm", ["fth", "atlas"])
+    def test_corrupted_loops_match_per_step_reference(self, small_scenario,
+                                                      small_pretrained, algorithm, order):
+        # Gaussian noise is drawn per batch in the chunk draw and added in one
+        # pass; the runs still see the per-step reference's batches.
+        assert_loops_match_per_step_reference(
+            small_scenario, small_pretrained, algorithm=algorithm, order=order,
+            ssl=SslSpec(kind="rotation", ba=5),
+            corruption=CorruptionSpec(kind="gaussian_noise", severity=0.5),
         )
-        oracle_sc = dataclasses.replace(sc, algorithm="none")
-        runs = [(run_online(sc, pre), per_step_reference(sc, pre)),
-                (oracle_trace(sc, frozen=ssl.kind == "none", pretrained=pre),
-                 per_step_reference(oracle_sc, pre, true_marginal=True))]
-        if ssl.kind == "none":
-            runs.append((run_bare_ols(sc, pre), runs[0][1]))
-        for trace, (s, errors, snapshots) in runs:
-            np.testing.assert_array_equal(trace.errors, errors)
-            assert np.abs(trace.s - s).max() <= 1e-14
-            assert len(trace.snapshots) == len(snapshots)
-            for a, b in zip(trace.snapshots, snapshots):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("order", ["predict_first", "update_first"])
     def test_estimates_come_from_pre_batch_model(self, small_scenario, small_pretrained,

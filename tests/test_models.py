@@ -18,6 +18,7 @@ from olsofu.models import (
     cross_entropy_loss_grad,
     feat_activations,
     forward,
+    head_output,
     init_model,
     load_model,
     mean_nll,
@@ -72,6 +73,19 @@ class TestForward:
         m = init_model(5, 3, rng=make_rng(0))
         with pytest.raises(InvalidArgumentError):
             forward(m, np.ones(4))
+
+    @pytest.mark.parametrize("m, n", [(1, 10), (7, 10), (25, 1), (25, 10)])
+    def test_stacked_heads_match_each_head(self, rng, m, n):
+        # A stack of heads on stacked features gives, bit for bit, each
+        # head's own logits and probabilities on its own features.
+        model = with_updates(init_model(8, 4, rng=make_rng(1), hidden=(32,)), temperature=1.7)
+        feats = rng.standard_normal((m * n, 32)).reshape(m, n, 32)
+        w, b = rng.standard_normal((m, 4, 32)), rng.standard_normal((m, 4))
+        probs, logits = head_output(model, feats, (w, b[:, None, :]))
+        for i in range(m):
+            p_i, z_i = head_output(model, feats[i], (w[i], b[i]))
+            np.testing.assert_array_equal(logits[i], z_i)
+            np.testing.assert_array_equal(probs[i], p_i)
 
     def test_probs_on_simplex_for_batches(self, rng):
         m = init_model(6, 4, rng=make_rng(1))

@@ -13,6 +13,7 @@ from olsofu.ofu import (
     compose_output,
     feature_update,
     ols_ofu_step,
+    predict_stacked,
     refresh,
 )
 from olsofu.ols import make_strategy, reweight_probs
@@ -253,7 +254,7 @@ class TestComposeOutput:
 
     def test_head_then_ratio_on_the_forwarded_features(self, small_pretrained, rng):
         # A head replaces the base head on the base model's features; the
-        # ratio then reweights its output. Both prediction paths agree.
+        # ratio then reweights its output. The one-policy stack agrees.
         pre = small_pretrained
         w, b = 0.5 * pre.model.linear_w, pre.model.linear_b + 0.1
         ratio = np.array([0.4, 1.3, 0.9, 1.7])
@@ -262,8 +263,39 @@ class TestComposeOutput:
         base_probs, feats, _ = forward(pre.model, x)
         expected = reweight_probs(head_output(pre.model, feats, (w, b))[0], ratio)
         np.testing.assert_array_equal(predictor.predict_proba(x), expected)
-        np.testing.assert_array_equal(predictor.predict_forwarded(base_probs, feats),
-                                      np.argmax(expected, axis=-1))
+        np.testing.assert_array_equal(predict_stacked([predictor], base_probs[None], feats[None]),
+                                      np.argmax(expected, axis=-1)[None])
+
+    @pytest.mark.parametrize("kind", ["ratio", "head", "head and ratio"])
+    def test_stacked_policies_predict_as_each_alone(self, small_pretrained, rng, kind):
+        # m policies, one batch each, scored from the batches' forward in one
+        # stacked pass: bit for bit each policy's own predict.
+        pre = small_pretrained
+        k, h = pre.model.linear_w.shape
+        policies = []
+        for _ in range(7):
+            ratio = rng.uniform(0.2, 2.0, k) if "ratio" in kind else None
+            head = None
+            if "head" in kind:
+                head = (pre.model.linear_w + 0.3 * rng.standard_normal((k, h)),
+                        pre.model.linear_b + 0.3 * rng.standard_normal(k))
+            policies.append(Predictor(pre.model, ratio, head))
+        x = rng.standard_normal((7, 10, 8))
+        base_probs, feats, _ = forward(pre.model, x.reshape(70, 8))
+        got = predict_stacked(policies, base_probs.reshape(7, 10, k), feats.reshape(7, 10, h))
+        for p, xi, row in zip(policies, x, got):
+            np.testing.assert_array_equal(row, p.predict(xi))
+
+    def test_stacked_policies_share_a_base_and_a_kind(self, small_pretrained):
+        pre = small_pretrained
+        ratio = np.ones(4)
+        head = (pre.model.linear_w, pre.model.linear_b)
+        probs, feats = np.full((2, 3, 4), 0.25), np.zeros((2, 3, 32))
+        other = dataclasses.replace(pre.model)  # a copy draws a fresh uid
+        for mixed in ([Predictor(pre.model, ratio), Predictor(pre.model, head=head)],
+                      [Predictor(pre.model, ratio), Predictor(other, ratio)]):
+            with pytest.raises(ContractViolationError, match="share a base model"):
+                predict_stacked(mixed, probs, feats)
 
 
 class TestFeatureDriftGuardrail:

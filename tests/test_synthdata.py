@@ -24,6 +24,7 @@ from olsofu.synthdata import (
     path_length,
     realize_pattern,
     sample_batch,
+    sample_batches,
 )
 
 
@@ -209,21 +210,30 @@ def reference_sample_batch(q_t, batch_size, pool, corruption, rng):
     return corrupt(pool.inputs[rows], corruption, rng), labels
 
 
+def uneven_pool():
+    """A pool with uneven classes (one has a single member, one none), and
+    marginals with zero entries, including on the empty class."""
+    labels = np.repeat(np.arange(5), [40, 1, 25, 0, 13])
+    make_rng(3).shuffle(labels)
+    pool = LabeledSet(make_rng(4).standard_normal((labels.size, 3)), labels)
+    marginals = [
+        np.array([0.2, 0.1, 0.4, 0.0, 0.3]),
+        np.array([0.0, 0.5, 0.0, 0.0, 0.5]),
+        np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
+        np.array([0.35, 0.15, 0.25, 0.0, 0.25]),
+    ]
+    return pool, marginals
+
+
+CORRUPTIONS = [CorruptionSpec(), CorruptionSpec("rotate2d", angle=30.0),
+               CorruptionSpec("gaussian_noise", 0.3), CorruptionSpec("affine", 0.5)]
+
+
 class TestSampleBatch:
     @pytest.mark.parametrize("corruption", [CorruptionSpec(),
                                             CorruptionSpec("gaussian_noise", 0.3)])
     def test_draw_stream_matches_per_row_loop(self, corruption):
-        # Uneven pool classes (one has a single member, one none) and
-        # marginals with zero entries, including on the empty class.
-        labels = np.repeat(np.arange(5), [40, 1, 25, 0, 13])
-        make_rng(3).shuffle(labels)
-        pool = LabeledSet(make_rng(4).standard_normal((labels.size, 3)), labels)
-        marginals = [
-            np.array([0.2, 0.1, 0.4, 0.0, 0.3]),
-            np.array([0.0, 0.5, 0.0, 0.0, 0.5]),
-            np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
-            np.array([0.35, 0.15, 0.25, 0.0, 0.25]),
-        ]
+        pool, marginals = uneven_pool()
         for seed in range(200):
             new, ref = make_rng(seed), make_rng(seed)
             for j in range(8):
@@ -233,6 +243,47 @@ class TestSampleBatch:
                 np.testing.assert_array_equal(y_new, y_ref)
                 np.testing.assert_array_equal(x_new, x_ref)
             assert new.random() == ref.random()
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: c.kind)
+    @pytest.mark.parametrize("m", [1, 7, 25])
+    def test_chunk_draw_matches_per_batch_draws(self, m, corruption):
+        # m batches drawn at once equal m per-row draws in turn, bit for
+        # bit, and leave the generator in the same state.
+        pool, marginals = uneven_pool()
+        for seed in range(40):
+            new, ref = make_rng(seed), make_rng(seed)
+            qs = np.array([marginals[(seed + j) % len(marginals)] for j in range(m)])
+            inputs, labels = sample_batches(qs, 7, pool, corruption, new)
+            assert inputs.shape == (m, 7, 3) and labels.shape == (m, 7)
+            for q, x, y in zip(qs, inputs, labels):
+                x_ref, y_ref = reference_sample_batch(q, 7, pool, corruption, ref)
+                np.testing.assert_array_equal(y, y_ref)
+                np.testing.assert_array_equal(x, x_ref)
+            assert new.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("bad, error, match", [
+        ([0.5, np.nan, 0.5, 0.0, 0.0], InvalidArgumentError, "q_t must be finite"),
+        ([0.5, 0.4, 0.05, 0.0, 0.0], InvalidArgumentError, "q_t must be on the probability"),
+        ([0.5, 0.0, 0.0, 1e-12, 0.5 - 1e-12], DataExhaustedError, "class 3"),
+    ], ids=["nan", "off-simplex", "empty-class"])
+    def test_first_bad_row_raises_before_any_draw(self, bad, error, match):
+        # The error names the first row sample_batch refuses; nothing is
+        # drawn, so a caller can draw the rows before it from the same state.
+        pool, marginals = uneven_pool()
+        qs = np.array([marginals[0], marginals[1], bad, marginals[2], bad])
+        rng = make_rng(0)
+        with pytest.raises(error, match=match) as err:
+            sample_batches(qs, 7, pool, CorruptionSpec(), rng)
+        assert err.value.row == 2
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state
+        with pytest.raises(error, match=match):
+            sample_batch(np.array(bad), 7, pool, CorruptionSpec(), make_rng(0))
+
+    def test_marginals_must_be_a_2d_array(self, rng):
+        pool, marginals = uneven_pool()
+        with pytest.raises(InvalidArgumentError) as err:
+            sample_batches(marginals[0], 7, pool, CorruptionSpec(), rng)
+        assert err.value.field == "qs"
 
     def test_pool_layout_is_built_once(self, monkeypatch, rng):
         # The pool is grouped by class on its first draw; later draws read
