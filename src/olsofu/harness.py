@@ -19,6 +19,7 @@ from .errors import InvalidArgumentError, RunError, UndefinedCorrelationError, r
 from .estimator import ConfusionMatrix, bbse_estimate, bbse_estimates, confusion_matrix
 from .models import (
     SSL_KINDS,
+    HeadCurvature,
     ModelParams,
     SslSpec,
     TrainConfig,
@@ -26,6 +27,7 @@ from .models import (
     forward,
     retrain_linear,
     train_supervised,
+    with_updates,
 )
 from .numkit import make_rng, min_singular_value
 from .ofu import (
@@ -434,6 +436,9 @@ def ordering_bias_test(
     takes one entropy feature-update step of size 0.5 *on the same batch*
     and a head re-train before estimating, which breaks the independence
     the estimator needs; ``retrain_max_iter`` (then required) caps the retrain.
+    As an online run's refreshes do, each trial's retrain starts from the
+    head and the ``HeadCurvature`` the previous one ended with; the
+    objective is strictly convex, so the start moves only the solver's path.
     Returns (bias per class, standard error per class, flagged), flagged
     when any |bias| > 3 stderr.
 
@@ -479,10 +484,15 @@ def ordering_bias_test(
     else:
         val = fresh_stratified(violate_val_per_class)
         spec = SslSpec(kind="entropy", ssl_lr=0.5)
+        curvature = HeadCurvature()
+        retrained = f
         for i in range(n_trials):
             batch = draw_batch()
             bumped = feature_update(f, batch, spec, rng)
-            retrained = retrain_linear(bumped, train, max_iter=retrain_max_iter)
+            retrained = retrain_linear(
+                with_updates(bumped, linear_w=retrained.linear_w, linear_b=retrained.linear_b),
+                train, max_iter=retrain_max_iter, curvature=curvature,
+            )
             conf = confusion_matrix(retrained, val)
             estimates[i] = bbse_estimate(retrained, conf, batch).s
     bias = estimates.mean(axis=0) - q

@@ -697,38 +697,48 @@ def _nll_derivatives(logits: np.ndarray, y: np.ndarray, labelled: np.ndarray, be
 
 
 def calibrate_temperature(
-    m: ModelParams, val, logits: np.ndarray | None = None
+    m: ModelParams, val, logits: np.ndarray | None = None, start_temperature: float = 1.0
 ) -> ModelParams:
     """Pick the temperature minimising validation NLL.
 
     The NLL of ``softmax(beta * z)`` is convex in beta = 1/T (a mean of
     log-sum-exps of linear maps), so safeguarded Newton on beta finds the
-    minimiser over [e^-3, e^3]. It starts cold at beta = 1, so the result
-    depends only on the logits. Each evaluation is one softmax giving the
-    NLL and both derivatives; every evaluated beta narrows a bracket of
-    the minimiser, and a step that leaves the bracket goes to the range
-    bound the first time, else to the bracket's geometric midpoint. A
-    minimiser on a bound (a derivative pointing out of the range there)
-    ends the search at that bound. Ties (and any search loss vs.
-    temperature 1) resolve to temperature 1, so the result never has
-    higher NLL than the uncalibrated model.
+    minimiser over [e^-3, e^3]. The search starts at ``start_temperature``
+    (clamped into that range): 1 by default, which makes the result depend
+    only on the logits; a refresh starts from the temperature of the model
+    it replaces, near which the new minimiser usually lies. Each evaluation
+    is one softmax giving the NLL and both derivatives; every evaluated
+    beta narrows a bracket of the minimiser, and a step that leaves the
+    bracket goes to the range bound the first time, else to the bracket's
+    geometric midpoint. A minimiser on a bound (a derivative pointing out
+    of the range there) ends the search at that bound. Ties (and any search
+    loss vs. temperature 1) resolve to temperature 1, so the result never
+    has higher NLL than the uncalibrated model; a search that does not
+    start at 1 takes one more softmax for the NLL there. The tie is judged
+    at the last evaluated beta, which depends on the start, so where
+    temperature 1 is within about 1e-12 of the optimum's NLL one start may
+    return 1 and another the optimum; elsewhere the start moves the result
+    by rounding only.
 
     ``logits`` are ``m``'s validation logits if the caller already has
     them; otherwise they are computed here.
     """
     if len(val) == 0:
         raise InvalidArgumentError("validation set must be nonempty")
+    require(math.isfinite(start_temperature) and start_temperature > 0,
+            "start_temperature", "must be finite and > 0")
     if logits is None:
         _, _, logits = forward(m, val.inputs)
     y = val.labels
     labelled = logits[np.arange(len(y)), y]
     lo, hi = CALIBRATION_BETA_RANGE
     lo_seen = hi_seen = False  # whether lo / hi is an evaluated point
-    beta = 1.0
-    for i in range(CALIBRATION_MAX_EVALS):
+    beta = min(max(1.0 / start_temperature, lo), hi)
+    nll_one = None  # at beta = 1
+    for _ in range(CALIBRATION_MAX_EVALS):
         nll, g, h = _nll_derivatives(logits, y, labelled, beta)
-        if i == 0:
-            nll_one = nll  # at beta = 1
+        if beta == 1.0:
+            nll_one = nll
         if g > 0:
             hi, hi_seen = beta, True
         elif g < 0:
@@ -736,14 +746,17 @@ def calibrate_temperature(
         if g == 0 or lo == hi or h <= 0:
             break
         new = beta - g / h
-        if new >= hi:
+        # A step that rounds to zero lands on the bracket's end, not beyond.
+        if new > hi:
             new = math.sqrt(lo * hi) if hi_seen else hi
-        elif new <= lo:
+        elif new < lo:
             new = math.sqrt(lo * hi) if lo_seen else lo
         if abs(new - beta) <= CALIBRATION_STEP_RTOL * beta:
             beta = new
             break
         beta = new
+    if nll_one is None:
+        nll_one = nll_at_temperature(logits, y, 1.0)
     if nll_one <= nll + 1e-12:
         return with_updates(m, temperature=1.0)
     return with_updates(m, temperature=1.0 / beta)

@@ -140,7 +140,10 @@ def softmax(z, temperature: float = 1.0, out: np.ndarray | None = None) -> np.nd
     """
     if temperature <= 0:
         raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
-    z = np.divide(as_array(z, "z"), float(temperature), out=out)
+    z = as_array(z, "z")
+    # Dividing by 1 is exact, so in place at temperature 1 the pass is skipped.
+    if out is not z or temperature != 1.0:
+        z = np.divide(z, float(temperature), out=out)
     if z.ndim > 1 and z.shape[-1] <= COLUMN_MAX_WIDTH:
         top = z[..., :1].copy()
         for j in range(1, z.shape[-1]):

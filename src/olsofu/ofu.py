@@ -158,13 +158,16 @@ def build_context(
     )
 
 
-def calibrate(model: ModelParams, val, reg_lambda: float) -> tuple[ModelParams, ConfusionMatrix]:
-    """Calibrate ``model``'s temperature on ``val`` and measure the soft
-    confusion of the calibrated model there, regularized by ``reg_lambda``,
-    from one forward of ``val``. Both read a class-major copy of the
-    logits, whose per-row softmax runs over contiguous class columns."""
+def calibrate(
+    model: ModelParams, val, reg_lambda: float, start_temperature: float = 1.0
+) -> tuple[ModelParams, ConfusionMatrix]:
+    """Calibrate ``model``'s temperature on ``val``, searching from
+    ``start_temperature``, and measure the soft confusion of the calibrated
+    model there, regularized by ``reg_lambda``, from one forward of
+    ``val``. Both read a class-major copy of the logits, whose per-row
+    softmax runs over contiguous class columns."""
     logits = np.asfortranarray(forward(model, val.inputs)[2])
-    calibrated = calibrate_temperature(model, val, logits)
+    calibrated = calibrate_temperature(model, val, logits, start_temperature)
     return calibrated, regularize_confusion(confusion_matrix(calibrated, val, logits), reg_lambda)
 
 
@@ -173,7 +176,8 @@ class OfuState:
     """Mutable single-owner state of one online run, with the run's fixed
     resources: the source data, the estimator's regularization, the
     run-level rng that feeds SSL draws and the head retrain's iteration
-    cap. ``confusion`` is of ``model``, and ``ctx`` is built from it.
+    cap. ``confusion`` is of ``model``, and ``ctx`` is built from it;
+    ``model``'s temperature is where the next refresh's calibration starts.
     ``curvature`` is the run's head-retrain curvature, which each refresh's
     solve starts from and leaves for the next, and the storage of the
     solve's design matrix."""
@@ -208,7 +212,8 @@ def steps_before_refresh(state: OfuState) -> int | None:
 def refresh(state: OfuState, inputs: np.ndarray) -> None:
     """Steps (2)-(3) on the buffered ``inputs``: feature-update the model,
     re-train its head, re-calibrate it, and rebuild the confusion and the
-    strategy's context from the result."""
+    strategy's context from the result. The calibration's search starts
+    from the temperature of the model it replaces."""
     # The old model's context is dead from here on; dropping it now keeps
     # its arrays out of the feature update's peak memory.
     state.ctx = None
@@ -229,7 +234,9 @@ def refresh(state: OfuState, inputs: np.ndarray) -> None:
         carrier, state.train, max_iter=state.retrain_max_iter, feats=feats,
         curvature=state.curvature,
     )
-    state.model, state.confusion = calibrate(retrained, state.val, state.reg_lambda)
+    state.model, state.confusion = calibrate(
+        retrained, state.val, state.reg_lambda, state.model.temperature
+    )
     state.ctx = build_context(state.model, state.train, feats, state.strategy.reads)
     state.feature_updates_done += 1
 

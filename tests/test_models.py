@@ -553,6 +553,12 @@ class TestCalibration:
         out = calibrate_temperature(m, val)
         assert out.temperature == pytest.approx(5.0, rel=0.1)
 
+    @staticmethod
+    def _starts(cold):
+        """Where a warm-started search may begin: both ends of the range,
+        the cold search's temperature and 20% either side of it."""
+        return (np.exp(-3.0), np.exp(3.0), cold, 0.8 * cold, 1.2 * cold)
+
     def test_flat_logits_tie_break_to_one(self):
         rng = make_rng(3)
         m = init_model(4, 3, rng=rng)
@@ -561,7 +567,8 @@ class TestCalibration:
         from olsofu.synthdata import LabeledSet
 
         val = LabeledSet(rng.standard_normal((50, 4)), rng.integers(3, size=50))
-        assert calibrate_temperature(m, val).temperature == 1.0
+        for start in self._starts(1.0):
+            assert calibrate_temperature(m, val, start_temperature=start).temperature == 1.0
 
     def test_never_worse_than_unit_temperature(self, rng):
         from olsofu.synthdata import LabeledSet
@@ -569,12 +576,14 @@ class TestCalibration:
         for seed in range(5):
             m = init_model(5, 3, rng=make_rng(seed))
             val = LabeledSet(rng.standard_normal((100, 5)), rng.integers(3, size=100))
-            out = calibrate_temperature(m, val)
             _, _, logits = forward(m, val.inputs)
-            assert (
-                nll_at_temperature(logits, val.labels, out.temperature)
-                <= nll_at_temperature(logits, val.labels, 1.0) + 1e-12
-            )
+            cold = calibrate_temperature(m, val).temperature
+            for start in (1.0, *self._starts(cold)):
+                out = calibrate_temperature(m, val, logits, start)
+                assert (
+                    nll_at_temperature(logits, val.labels, out.temperature)
+                    <= nll_at_temperature(logits, val.labels, 1.0) + 1e-12
+                )
 
 
     def _count_softmax(self, monkeypatch):
@@ -608,6 +617,28 @@ class TestCalibration:
                 <= nll_at_temperature(logits, val.labels, expected) + 1e-12
             )
 
+    def test_warm_start_lands_on_the_cold_temperature(self, monkeypatch):
+        cases = list(p11_models())
+        cases += [self._calibrated_setup(scale) for scale in (0.25, 1.0, 5.0)]
+        calls = self._count_softmax(monkeypatch)
+        for m, val in cases:
+            _, _, logits = forward(m, val.inputs)
+            cold = calibrate_temperature(m, val, logits).temperature
+            assert calibrate_temperature(m, val, logits, 1.0).temperature == cold
+            for start in self._starts(cold):
+                calls.clear()
+                t = calibrate_temperature(m, val, logits, start).temperature
+                assert abs(t - cold) <= 1e-10 * cold
+                if start == cold:
+                    # One evaluation at the optimum, one at temperature 1.
+                    assert len(calls) <= 4
+
+    @pytest.mark.parametrize("start", [0.0, -1.0, np.inf, np.nan])
+    def test_start_temperature_must_be_positive_and_finite(self, start):
+        m, val = self._calibrated_setup(scale=1.0, n=100)
+        with pytest.raises(InvalidArgumentError, match="start_temperature"):
+            calibrate_temperature(m, val, start_temperature=start)
+
     @pytest.mark.parametrize("scale", [0.25, 1.0, 5.0])
     def test_layout_of_logits_is_a_speed_choice(self, scale):
         # Row-major and class-major logits give the same temperature, bit
@@ -636,15 +667,15 @@ class TestCalibration:
 
     def test_separable_validation_clamps_to_lowest_temperature(self):
         m, val = self._logit_labelled(np.argmax)
-        assert calibrate_temperature(m, val).temperature == pytest.approx(
-            np.exp(-3.0), rel=1e-12
-        )
+        for start in (1.0, *self._starts(np.exp(-3.0))):
+            assert calibrate_temperature(m, val, start_temperature=start).temperature \
+                == pytest.approx(np.exp(-3.0), rel=1e-12)
 
     def test_anti_correlated_labels_clamp_to_highest_temperature(self):
         m, val = self._logit_labelled(np.argmin)
-        assert calibrate_temperature(m, val).temperature == pytest.approx(
-            np.exp(3.0), rel=1e-12
-        )
+        for start in (1.0, *self._starts(np.exp(3.0))):
+            assert calibrate_temperature(m, val, start_temperature=start).temperature \
+                == pytest.approx(np.exp(3.0), rel=1e-12)
 
 
 class TestCheckpoints:

@@ -210,6 +210,26 @@ class TestSoftmax:
         e = np.exp(z / 0.5 - (z / 0.5).max(axis=-1, keepdims=True))
         np.testing.assert_array_equal(softmax(z, 0.5), e / e.sum(axis=-1, keepdims=True))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(300, 4), (40, 33), (7,)])
+    def test_in_place_at_unit_temperature_matches_a_new_array(self, shape, order):
+        # In place at temperature 1 the divide pass is skipped; the result
+        # must equal the out-of-place call's bit for bit.
+        z = np.asarray(30.0 * np.random.default_rng(11).standard_normal(shape), order=order)
+        before = z.copy()
+        fresh = softmax(z)
+        np.testing.assert_array_equal(z, before)  # out=None leaves z alone
+        got = softmax(z, out=z)
+        assert got is z
+        np.testing.assert_array_equal(got, fresh)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_in_place_rejects_non_finite_input(self, bad):
+        z = np.zeros((3, 4))
+        z[1, 2] = bad
+        with pytest.raises(InvalidArgumentError):
+            softmax(z, out=z)
+
 
 class TestRotate2d:
     def test_rows_take_their_own_angle(self):

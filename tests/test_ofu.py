@@ -202,6 +202,57 @@ class TestOlsOfuStep:
         assert state.model.uid == pre.model.uid
 
 
+class TestWarmCalibration:
+    def test_each_refresh_starts_from_the_model_it_replaces(
+        self, small_scenario, small_pretrained, monkeypatch
+    ):
+        # A P8-style run: rotation SSL, a refresh every 5 steps. Each
+        # refresh's calibration starts from the temperature of the model it
+        # replaces and lands where a cold search on the same logits does.
+        import olsofu.models
+        import olsofu.ofu
+        from olsofu.harness import run_online
+
+        real_softmax = olsofu.models.softmax
+        real_calibrate = olsofu.ofu.calibrate_temperature
+        counting, softmax_calls, starts, temps, colds = [False], [0], [], [], []
+
+        def softmax_spy(*args, **kwargs):
+            softmax_calls[0] += counting[0]
+            return real_softmax(*args, **kwargs)
+
+        def calibrate_spy(m, val, logits, start_temperature):
+            counting[0] = True
+            out = real_calibrate(m, val, logits, start_temperature)
+            counting[0] = False
+            starts.append(start_temperature)
+            temps.append(out.temperature)
+            colds.append(real_calibrate(m, val, logits).temperature)
+            return out
+
+        monkeypatch.setattr(olsofu.models, "softmax", softmax_spy)
+        monkeypatch.setattr(olsofu.ofu, "calibrate_temperature", calibrate_spy)
+        sc = dataclasses.replace(
+            small_scenario,
+            shift=dataclasses.replace(small_scenario.shift, horizon=60),
+            algorithm="flhftl",
+            ssl=SslSpec(kind="rotation", ssl_lr=0.05, ba=5),
+            retrain_max_iter=40,
+        )
+        run_online(sc, small_pretrained)
+        assert len(starts) == 12
+        assert starts == [small_pretrained.model.temperature] + temps[:-1]
+        assert softmax_calls[0] <= 4 * len(starts)
+        for t, cold in zip(temps, colds):
+            assert abs(t - cold) <= 1e-10 * cold
+
+    def test_pretraining_calibrates_cold(self, small_pretrained):
+        from olsofu.models import calibrate_temperature
+
+        pre = small_pretrained
+        assert pre.model.temperature == calibrate_temperature(pre.model, pre.val).temperature
+
+
 class TestComposeOutput:
     def test_identity_reweight_equals_base(self, small_pretrained, rng):
         pre = small_pretrained
