@@ -49,7 +49,7 @@ from .synthdata import (
     ShiftPattern,
     draw_class_inputs,
     make_source_data,
-    marginals,
+    marginal_path,
     path_length,
     realize_pattern,
     sample_batch,  # noqa: F401 - perfbench's tracer wraps it here
@@ -128,7 +128,6 @@ class OnlineTrace:
     batch_size: int
     sigma_min: np.ndarray  # (T,) sigma of the confusion used per step
     snapshots: list = field(default_factory=list)
-    end_model_uids: list = field(default_factory=list)
 
     @property
     def horizon(self) -> int:
@@ -223,7 +222,7 @@ def pretrain(sc: Scenario, model: ModelParams | None = None) -> Pretrained:
 
 class _BatchStream:
     """A run's batch stream, drawn, forwarded, BBSE-solved and scored by
-    chunk.
+    chunk, and the one writer of the run's ``OnlineTrace``.
 
     Between two refreshes the model that estimates q_t is fixed, so the
     batches of a segment can share one draw, one forward and one multi-RHS
@@ -234,17 +233,26 @@ class _BatchStream:
     revealed; ``ols_ofu_step`` rejects an estimate from any other model.
     Steps must be asked for in order. A chunk's draw stops before the first
     batch that cannot be drawn, whose error is re-raised when its step is
-    reached. The loop hands the stream each step's deployed ``Predictor``,
-    and the chunk's last step counts every step's errors into the run's
-    ``errors``: in one stacked pass over the chunk's forward for the
+    reached, and writes its steps' rows of ``trace.s`` and, from the
+    chunk's confusion, ``trace.sigma_min``. The loop hands the stream, at
+    the end of each step, its deployed ``Predictor`` and the strategy's
+    snapshot, and the chunk's last step counts every step's errors into
+    ``trace.errors``: in one stacked pass over the chunk's forward for the
     policies on the chunk's model, with a forward of its own for a policy
     on a model refreshed at its step. The shift seed alone fixes the
-    realized marginal pattern and the batch draws.
+    realized marginal path, ``trace.q``, and the batch draws.
     """
 
-    def __init__(self, sc: Scenario, pre: Pretrained, errors: np.ndarray):
-        self.sc, self.pre, self.errors, self.rng = sc, pre, errors, make_rng(sc.shift_seed)
-        self.pattern = realize_pattern(sc.shift, self.rng)
+    def __init__(self, sc: Scenario, pre: Pretrained):
+        self.sc, self.pre, self.rng = sc, pre, make_rng(sc.shift_seed)
+        t, k = sc.horizon, sc.data.k
+        self.trace = OnlineTrace(
+            q=marginal_path(realize_pattern(sc.shift, self.rng)),
+            s=np.zeros((t, k)),
+            errors=np.zeros(t, dtype=int),
+            batch_size=sc.batch_size,
+            sigma_min=np.zeros(t),
+        )
         self.start = self.stop = 1  # the chunk holds steps [start, stop)
         self.failure = None  # what drawing step ``stop`` raised
 
@@ -260,18 +268,19 @@ class _BatchStream:
         if t == self.stop:
             raise self.failure
         i = t - self.start
-        return self.q[i], self.inputs[i], self.estimates[i]
+        return self.trace.q[t - 1], self.inputs[i], self.estimates[i]
 
-    def deploy(self, t: int, predictor: Predictor) -> None:
-        """Take the model deployed at step t; the chunk's last step counts
-        the errors of all its steps."""
+    def end_step(self, t: int, predictor: Predictor, snapshot: np.ndarray) -> None:
+        """Record step t's deployed model and the strategy's snapshot after
+        the step; the chunk's last step scores all its steps."""
         self.deployed.append(predictor)
+        self.trace.snapshots.append(snapshot)
         if t == self.stop - 1:
             self._score()
 
     def _draw(self, start: int, stop: int, model: ModelParams, conf) -> None:
-        sc, pre = self.sc, self.pre
-        qs = marginals(self.pattern, start, stop)
+        sc, pre, trace = self.sc, self.pre, self.trace
+        qs = trace.q[start - 1 : stop - 1]
         self.start, self.stop, self.deployed = start, start, []
         try:
             batches = sample_batches(qs, sc.batch_size, pre.pool, sc.corruption, self.rng)
@@ -281,10 +290,13 @@ class _BatchStream:
                 return
             batches = sample_batches(qs, sc.batch_size, pre.pool, sc.corruption, self.rng)
         n = len(qs)
-        self.stop, self.q, (self.inputs, self.labels) = start + n, qs, batches
+        self.stop, (self.inputs, self.labels) = start + n, batches
         # Row i of probs / feats, shaped (n, B, .), is step start+i's batch.
         probs, feats, _ = forward(model, self.inputs.reshape(n * sc.batch_size, -1))
         self.estimates = bbse_estimates(model, conf, probs, sc.batch_size)
+        rows = slice(start - 1, start - 1 + n)
+        trace.s[rows] = [est.s for est in self.estimates]
+        trace.sigma_min[rows] = conf.sigma_min
         self.probs = probs.reshape(n, sc.batch_size, -1)
         self.feats = feats.reshape(n, sc.batch_size, -1)
         self.uid = model.uid
@@ -301,30 +313,20 @@ class _BatchStream:
                                                  self.probs[own], self.feats[own])
             for i in np.flatnonzero(~own):
                 predicted[i] = policies[i].predict(self.inputs[i])
-        self.errors[self.start - 1 : self.stop - 1] = (predicted != self.labels).sum(axis=1)
-
-
-def _empty_trace(sc: Scenario) -> OnlineTrace:
-    t, k = sc.horizon, sc.data.k
-    return OnlineTrace(
-        q=np.zeros((t, k)),
-        s=np.zeros((t, k)),
-        errors=np.zeros(t, dtype=int),
-        batch_size=sc.batch_size,
-        sigma_min=np.zeros(t),
-    )
+        self.trace.errors[self.start - 1 : self.stop - 1] = (predicted != self.labels).sum(axis=1)
 
 
 def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTrace:
     """The online protocol shared by ``run_online`` and ``oracle_trace``.
 
     Each step samples a batch from the true marginal, predicts with the
-    deployed model, records 0-1 errors against the hidden labels, and then
-    adapts (prediction and adaptation swap under order='update_first'). The
-    deploy policy is the only difference between the two callers: the
+    deployed model, counts its 0-1 errors against the hidden labels, and
+    then adapts (prediction and adaptation swap under order='update_first').
+    The deploy policy is the only difference between the two callers: the
     strategy's composed output, or with ``true_marginal`` the current model
-    reweighted by q_t / q0. The batches, their forwards, their estimates and
-    their error counts come a chunk at a time from a ``_BatchStream``.
+    reweighted by q_t / q0. A ``_BatchStream`` supplies the batches and
+    their estimates and records the trace; the loop only steps the strategy
+    and hands the stream each step's deployed model and snapshot.
     """
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
                              pre.confusion.sigma_min, sc.algo_params)
@@ -334,27 +336,21 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
         rng=make_rng(sc.run_seed), retrain_max_iter=sc.retrain_max_iter,
     )
     predictor = None if true_marginal else compose_output(state.model, strategy)
-    trace = _empty_trace(sc)
-    stream = _BatchStream(sc, pre, trace.errors)
+    stream = _BatchStream(sc, pre)
     for t in range(1, sc.horizon + 1):
         try:
             q_t, inputs, est = stream.step(
                 t, state.model, state.confusion, steps_before_refresh(state)
             )
-            sigma_min = state.confusion.sigma_min
             if sc.order == "update_first":
                 predictor = ols_ofu_step(state, inputs, est)
-            stream.deploy(t, Predictor(state.model, q_t / pre.q0) if true_marginal else predictor)
+            deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
             if sc.order == "predict_first":
                 predictor = ols_ofu_step(state, inputs, est)
+            stream.end_step(t, deployed, state.strategy.snapshot())
         except Exception as exc:  # noqa: BLE001 - annotate with the step index
             raise RunError(f"step {t}: {exc}", t) from exc
-        trace.q[t - 1] = q_t
-        trace.s[t - 1] = est.s
-        trace.sigma_min[t - 1] = sigma_min
-        trace.snapshots.append(state.strategy.snapshot())
-        trace.end_model_uids.append(state.model.uid)
-    return trace
+    return stream.trace
 
 
 def run_online(sc: Scenario, pretrained: Pretrained) -> OnlineTrace:
@@ -367,34 +363,27 @@ def run_bare_ols(sc: Scenario, pretrained: Pretrained) -> OnlineTrace:
 
     Used to check that the wrapper with ssl='none' degenerates to exactly
     this behavior, so it deliberately does not share ``_online_loop``; it
-    shares only the batch stream, so both see the same forwards and
-    estimates.
+    shares only the batch stream, which records its trace, so both see the
+    same forwards and estimates.
     """
     pre = pretrained
-    conf = pre.confusion
-    strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model, conf.sigma_min,
-                             sc.algo_params)
+    strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
+                             pre.confusion.sigma_min, sc.algo_params)
     ctx = build_context(pre.model, pre.train, reads=strategy.reads)
     predictor = compose_output(pre.model, strategy)
-    trace = _empty_trace(sc)
-    stream = _BatchStream(sc, pre, trace.errors)
+    stream = _BatchStream(sc, pre)
     for t in range(1, sc.horizon + 1):
         try:
-            q_t, _, est = stream.step(t, pre.model, conf, None)
-            if sc.order == "predict_first":
-                stream.deploy(t, predictor)
+            _, _, est = stream.step(t, pre.model, pre.confusion, None)
+            deployed = predictor
             strategy.step(ctx, est)
             predictor = compose_output(pre.model, strategy)
             if sc.order == "update_first":
-                stream.deploy(t, predictor)
+                deployed = predictor
+            stream.end_step(t, deployed, strategy.snapshot())
         except Exception as exc:  # noqa: BLE001
             raise RunError(f"step {t}: {exc}", t) from exc
-        trace.q[t - 1] = q_t
-        trace.s[t - 1] = est.s
-        trace.sigma_min[t - 1] = conf.sigma_min
-        trace.snapshots.append(strategy.snapshot())
-        trace.end_model_uids.append(pre.model.uid)
-    return trace
+    return stream.trace
 
 
 def oracle_trace(sc: Scenario, frozen: bool, pretrained: Pretrained) -> OnlineTrace:
@@ -427,7 +416,6 @@ def ordering_bias_test(
     rng: np.random.Generator,
     clean_val_per_class: int = 200_000,
     violate_val_per_class: int = 400,
-    retrain_max_iter: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Monte-Carlo check of the estimator's bias under ordering violations.
 
@@ -435,7 +423,8 @@ def ordering_bias_test(
     ``f`` and should be unbiased. With violate_order=True the model first
     takes one entropy feature-update step of size 0.5 *on the same batch*
     and a head re-train before estimating, which breaks the independence
-    the estimator needs; ``retrain_max_iter`` (then required) caps the retrain.
+    the estimator needs; the retrain runs to ``retrain_linear``'s own
+    tolerance and iteration cap.
     As an online run's refreshes do, each trial's retrain starts from the
     head and the ``HeadCurvature`` the previous one ended with; the
     objective is strictly convex, so the start moves only the solver's path.
@@ -449,8 +438,6 @@ def ordering_bias_test(
     """
     if n_trials < 1000:
         raise InvalidArgumentError("n_trials must be >= 1000")
-    require(not violate_order or retrain_max_iter is not None, "retrain_max_iter",
-            "is needed with violate_order=True")
     q = np.asarray(q, dtype=float)
     k = data.k
 
@@ -491,7 +478,7 @@ def ordering_bias_test(
             bumped = feature_update(f, batch, spec, rng)
             retrained = retrain_linear(
                 with_updates(bumped, linear_w=retrained.linear_w, linear_b=retrained.linear_b),
-                train, max_iter=retrain_max_iter, curvature=curvature,
+                train, curvature=curvature,
             )
             conf = confusion_matrix(retrained, val)
             estimates[i] = bbse_estimate(retrained, conf, batch).s

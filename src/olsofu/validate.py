@@ -237,7 +237,6 @@ def check_p4() -> CheckResult:
     bias, stderr, violate_flag = ordering_bias_test(
         pre.model, q, sc.data, pre.train,
         n_trials=1000, batch_size=10, violate_order=True, rng=make_rng(56),
-        retrain_max_iter=40,
     )
     zmax = float(np.abs(bias / stderr).max())
     return CheckResult(

@@ -312,9 +312,10 @@ class TestWrapperDegeneracy:
 
 
 def per_step_reference(sc, pre, true_marginal=False):
-    """The online protocol one batch at a time: draw, ``bbse_estimate``,
-    ``ols_ofu_step`` and ``Predictor.predict``. Returns (s, errors,
-    snapshots)."""
+    """The online protocol one batch at a time: ``marginal_at``, draw,
+    ``bbse_estimate``, ``ols_ofu_step`` and ``Predictor.predict``. Returns
+    (q, s, sigma_min, errors, snapshots), sigma_min that of the confusion
+    before each step."""
     shift_rng = make_rng(sc.shift_seed)
     pattern = realize_pattern(sc.shift, shift_rng)
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
@@ -325,31 +326,34 @@ def per_step_reference(sc, pre, true_marginal=False):
         rng=make_rng(sc.run_seed), retrain_max_iter=sc.retrain_max_iter,
     )
     predictor = compose_output(state.model, strategy)
-    s, errors, snapshots = [], [], []
+    q, s, sigma_min, errors, snapshots = [], [], [], [], []
     for t in range(1, sc.horizon + 1):
         q_t = marginal_at(pattern, t)
         inputs, labels = sample_batch(q_t, sc.batch_size, pre.pool, sc.corruption,
                                       shift_rng)
         est = bbse_estimate(state.model, state.confusion, inputs)
+        sigma_min.append(state.confusion.sigma_min)
         if sc.order == "update_first":
             predictor = ols_ofu_step(state, inputs, est)
         deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
         errors.append(int(np.sum(deployed.predict(inputs) != labels)))
         if sc.order == "predict_first":
             predictor = ols_ofu_step(state, inputs, est)
+        q.append(q_t)
         s.append(est.s)
         snapshots.append(state.strategy.snapshot())
-    return np.array(s), np.array(errors), snapshots
+    return np.array(q), np.array(s), np.array(sigma_min), np.array(errors), snapshots
 
 
 def assert_loops_match_per_step_reference(sc, pre, **changes):
     """``run_online``, the matching oracle and, without SSL, ``run_bare_ols``
     on ``sc`` with ``changes`` over 2 * CHUNK_STEPS + 13 steps agree with
-    ``per_step_reference``: error counts exactly, estimates and snapshots to
-    rounding."""
+    ``per_step_reference``: marginals, sigma_min and error counts exactly,
+    estimates and snapshots to rounding."""
+    shift = changes.pop("shift", sc.shift)
     sc = dataclasses.replace(
         sc, **changes, retrain_max_iter=40,
-        shift=dataclasses.replace(sc.shift, horizon=2 * CHUNK_STEPS + 13),
+        shift=dataclasses.replace(shift, horizon=2 * CHUNK_STEPS + 13),
     )
     oracle_sc = dataclasses.replace(sc, algorithm="none")
     runs = [(run_online(sc, pre), per_step_reference(sc, pre)),
@@ -357,7 +361,9 @@ def assert_loops_match_per_step_reference(sc, pre, **changes):
              per_step_reference(oracle_sc, pre, true_marginal=True))]
     if sc.ssl.kind == "none":
         runs.append((run_bare_ols(sc, pre), runs[0][1]))
-    for trace, (s, errors, snapshots) in runs:
+    for trace, (q, s, sigma_min, errors, snapshots) in runs:
+        np.testing.assert_array_equal(trace.q, q)
+        np.testing.assert_array_equal(trace.sigma_min, sigma_min)
         np.testing.assert_array_equal(trace.errors, errors)
         assert np.abs(trace.s - s).max() <= 1e-14
         assert len(trace.snapshots) == len(snapshots)
@@ -395,6 +401,17 @@ class TestSegmentPath:
         )
 
     @pytest.mark.parametrize("order", ["predict_first", "update_first"])
+    def test_bernoulli_loops_match_per_step_reference(self, small_scenario,
+                                                      small_pretrained, order):
+        # A bernoulli pattern draws its switches from the shift rng before
+        # any batch; the stream's precomputed marginal path must match
+        # ``marginal_at`` on the realized pattern, and the batches after it.
+        assert_loops_match_per_step_reference(
+            small_scenario, small_pretrained, algorithm="flhftl", order=order,
+            ssl=SslSpec(kind="rotation", ba=5), shift=default_pattern("bernoulli", 4, 150),
+        )
+
+    @pytest.mark.parametrize("order", ["predict_first", "update_first"])
     def test_estimates_come_from_pre_batch_model(self, small_scenario, small_pretrained,
                                                  monkeypatch, order):
         # Ordering audit of the loop: each step's estimate is computed from
@@ -402,15 +419,21 @@ class TestSegmentPath:
         # own batch.
         from olsofu import harness
 
-        est_uids = []
-        original = harness.bbse_estimates
+        est_uids, end_uids = [], []
+        estimates, step = harness.bbse_estimates, harness.ols_ofu_step
 
-        def recording(*args, **kwargs):
-            out = original(*args, **kwargs)
+        def recording_estimates(*args, **kwargs):
+            out = estimates(*args, **kwargs)
             est_uids.extend(e.model_uid for e in out)
             return out
 
-        monkeypatch.setattr(harness, "bbse_estimates", recording)
+        def recording_step(state, *args, **kwargs):
+            out = step(state, *args, **kwargs)
+            end_uids.append(state.model.uid)
+            return out
+
+        monkeypatch.setattr(harness, "bbse_estimates", recording_estimates)
+        monkeypatch.setattr(harness, "ols_ofu_step", recording_step)
         pre = small_pretrained
         sc = dataclasses.replace(
             small_scenario, algorithm="fth", order=order,
@@ -418,9 +441,9 @@ class TestSegmentPath:
             shift=dataclasses.replace(small_scenario.shift, horizon=60),
             retrain_max_iter=40,
         )
-        trace = run_online(sc, pre)
-        assert est_uids == [pre.model.uid] + trace.end_model_uids[:-1]
-        assert len(set(trace.end_model_uids)) == 31  # 30 refreshes and f0
+        run_online(sc, pre)
+        assert est_uids == [pre.model.uid] + end_uids[:-1]
+        assert len(set(end_uids)) == 31  # 30 refreshes and f0
 
 
 class TestProp1:
@@ -451,7 +474,6 @@ class TestProp1:
         bias_v, _, _ = ordering_bias_test(
             scaled, q, data, pre.train, n_trials=1000, batch_size=5,
             violate_order=True, rng=make_rng(9), violate_val_per_class=500,
-            retrain_max_iter=25,
         )
         assert np.abs(bias_v).max() < 5e-3
 
@@ -483,6 +505,20 @@ class TestPearson:
             pearson([1, 2], [1, 2, 3])
 
 
+def count_refreshes(monkeypatch) -> list:
+    """A list that gets one entry per ``ofu.refresh`` call from now on."""
+    from olsofu import ofu
+
+    calls, refresh = [], ofu.refresh
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return refresh(*args, **kwargs)
+
+    monkeypatch.setattr(ofu, "refresh", counting)
+    return calls
+
+
 class TestEndToEnd:
     def test_bernoulli_shift_runs(self, small_scenario, small_pretrained):
         sc = dataclasses.replace(
@@ -494,7 +530,9 @@ class TestEndToEnd:
         assert 0.0 <= trace.avg_error <= 1.0
         assert trace.shift_severity > 0
 
-    def test_infonce_batch_accumulation_run(self, small_scenario, small_pretrained):
+    def test_infonce_batch_accumulation_run(self, small_scenario, small_pretrained,
+                                            monkeypatch):
+        refreshes = count_refreshes(monkeypatch)
         sc = dataclasses.replace(
             small_scenario,
             algorithm="fth",
@@ -505,9 +543,11 @@ class TestEndToEnd:
         trace = run_online(sc, small_pretrained)
         assert 0.0 <= trace.avg_error <= 1.0
         # two buffer flushes in 25 steps at ba=10
-        assert len(set(trace.end_model_uids)) == 3
+        assert len(refreshes) == 2
 
-    def test_uogd_with_feature_updates_runs(self, small_scenario, small_pretrained):
+    def test_uogd_with_feature_updates_runs(self, small_scenario, small_pretrained,
+                                            monkeypatch):
+        refreshes = count_refreshes(monkeypatch)
         sc = dataclasses.replace(
             small_scenario,
             algorithm="uogd",
@@ -517,7 +557,7 @@ class TestEndToEnd:
         )
         trace = run_online(sc, small_pretrained)
         assert 0.0 <= trace.avg_error <= 1.0
-        assert len(set(trace.end_model_uids)) == 6
+        assert len(refreshes) == 5
 
 
 class TestSeedIsolation:
