@@ -58,10 +58,11 @@ from .synthdata import (
 
 ORDERS = ("predict_first", "update_first")
 
-# Steps whose batches are drawn, forwarded and BBSE-solved together. The
-# per-call overheads of the forward and the solve are spread over the
-# chunk; its rows (CHUNK_STEPS * batch_size) stay few enough that memory
-# does not grow.
+# Steps whose batches are drawn together, across refreshes; the forward
+# and the BBSE solve run per segment of one model within the chunk. The
+# per-call overheads of the draw, and between refreshes of the forward and
+# the solve, are spread over the chunk; its rows (CHUNK_STEPS *
+# batch_size) stay few enough that memory does not grow.
 CHUNK_STEPS = 25
 
 # Rows that ``OnlineTrace.to_csv`` formats per string. A block's Python
@@ -221,26 +222,30 @@ def pretrain(sc: Scenario, model: ModelParams | None = None) -> Pretrained:
 
 
 class _BatchStream:
-    """A run's batch stream, drawn, forwarded, BBSE-solved and scored by
-    chunk, and the one writer of the run's ``OnlineTrace``.
+    """A run's batch stream, sampled by chunk, forwarded, BBSE-solved and
+    scored by segment, and the one writer of the run's ``OnlineTrace``.
 
-    Between two refreshes the model that estimates q_t is fixed, so the
-    batches of a segment can share one draw, one forward and one multi-RHS
-    solve. A chunk holds up to ``CHUNK_STEPS`` consecutive batches, drawn
-    in stream order, and never crosses a refresh: it ends at the step whose
-    refresh would change the model. So every estimate is computed, before
-    its batch is adapted on, from the model finalized before the batch was
-    revealed; ``ols_ofu_step`` rejects an estimate from any other model.
-    Steps must be asked for in order. A chunk's draw stops before the first
-    batch that cannot be drawn, whose error is re-raised when its step is
-    reached, and writes its steps' rows of ``trace.s`` and, from the
-    chunk's confusion, ``trace.sigma_min``. The loop hands the stream, at
-    the end of each step, its deployed ``Predictor`` and the strategy's
-    snapshot, and the chunk's last step counts every step's errors into
-    ``trace.errors``: in one stacked pass over the chunk's forward for the
-    policies on the chunk's model, with a forward of its own for a policy
-    on a model refreshed at its step. The shift seed alone fixes the
-    realized marginal path, ``trace.q``, and the batch draws.
+    The draws read only the shift rng, never the model, so the stream
+    samples ``CHUNK_STEPS`` consecutive batches at a time, in stream
+    order, whatever the model does meanwhile. Between two refreshes the
+    model that estimates q_t is fixed, so the batches of a segment share
+    one forward and one multi-RHS solve: a segment holds the sampled
+    batches from its first step up to the step whose refresh would change
+    the model, or to the end of the sampled chunk, whichever comes first.
+    So every estimate is computed, before its batch is adapted on, from
+    the model finalized before the batch was revealed; ``ols_ofu_step``
+    rejects an estimate from any other model. Steps must be asked for in
+    order. A chunk's draw stops before the first batch that cannot be
+    drawn, whose error is re-raised when its step is reached, after every
+    earlier step has run. Each segment writes its steps' rows of
+    ``trace.s`` and, from the segment's confusion, ``trace.sigma_min``.
+    The loop hands the stream, at the end of each step, its deployed
+    ``Predictor`` and the strategy's snapshot, and the segment's last step
+    counts every step's errors into ``trace.errors``: in one stacked pass
+    over the segment's forward for the policies on the segment's model,
+    with a forward of its own for a policy on a model refreshed at its
+    step. The shift seed alone fixes the realized marginal path,
+    ``trace.q``, and the batch draws.
     """
 
     def __init__(self, sc: Scenario, pre: Pretrained):
@@ -253,35 +258,38 @@ class _BatchStream:
             batch_size=sc.batch_size,
             sigma_min=np.zeros(t),
         )
-        self.start = self.stop = 1  # the chunk holds steps [start, stop)
-        self.failure = None  # what drawing step ``stop`` raised
+        self.start = self.stop = 1  # the segment: steps [start, stop)
+        self.chunk_start = self.chunk_stop = 1  # the sampled chunk's steps
+        self.failure = None  # what drawing step ``chunk_stop`` raised
 
     def step(self, t: int, model: ModelParams, conf, segment_steps: int | None):
         """(q_t, inputs, estimate) of step t; ``model`` and ``conf`` are the
         ones estimating from step t for ``segment_steps`` steps (None: to
         the end of the run)."""
-        if t == self.stop and self.failure is None:
-            stop = min(t + CHUNK_STEPS, self.sc.horizon + 1)
+        if t == self.stop:
+            if t == self.chunk_stop and self.failure is None:
+                self._sample(t)
+            if t == self.chunk_stop:
+                raise self.failure
+            stop = self.chunk_stop
             if segment_steps is not None:
                 stop = min(stop, t + segment_steps)
-            self._draw(t, stop, model, conf)
-        if t == self.stop:
-            raise self.failure
+            self._forward(t, stop, model, conf)
         i = t - self.start
         return self.trace.q[t - 1], self.inputs[i], self.estimates[i]
 
     def end_step(self, t: int, predictor: Predictor, snapshot: np.ndarray) -> None:
         """Record step t's deployed model and the strategy's snapshot after
-        the step; the chunk's last step scores all its steps."""
+        the step; the segment's last step scores all its steps."""
         self.deployed.append(predictor)
         self.trace.snapshots.append(snapshot)
         if t == self.stop - 1:
             self._score()
 
-    def _draw(self, start: int, stop: int, model: ModelParams, conf) -> None:
-        sc, pre, trace = self.sc, self.pre, self.trace
-        qs = trace.q[start - 1 : stop - 1]
-        self.start, self.stop, self.deployed = start, start, []
+    def _sample(self, start: int) -> None:
+        sc, pre = self.sc, self.pre
+        qs = self.trace.q[start - 1 : min(start + CHUNK_STEPS, sc.horizon + 1) - 1]
+        self.chunk_start = self.chunk_stop = start
         try:
             batches = sample_batches(qs, sc.batch_size, pre.pool, sc.corruption, self.rng)
         except Exception as exc:  # noqa: BLE001 - re-raised at its step
@@ -289,14 +297,19 @@ class _BatchStream:
             if not len(qs):
                 return
             batches = sample_batches(qs, sc.batch_size, pre.pool, sc.corruption, self.rng)
-        n = len(qs)
-        self.stop, (self.inputs, self.labels) = start + n, batches
+        self.chunk_stop, (self.chunk_inputs, self.chunk_labels) = start + len(qs), batches
+
+    def _forward(self, start: int, stop: int, model: ModelParams, conf) -> None:
+        sc, trace, n = self.sc, self.trace, stop - start
+        rows = slice(start - self.chunk_start, stop - self.chunk_start)
+        self.start, self.stop, self.deployed = start, stop, []
+        self.inputs, self.labels = self.chunk_inputs[rows], self.chunk_labels[rows]
         # Row i of probs / feats, shaped (n, B, .), is step start+i's batch.
         probs, feats, _ = forward(model, self.inputs.reshape(n * sc.batch_size, -1))
         self.estimates = bbse_estimates(model, conf, probs, sc.batch_size)
-        rows = slice(start - 1, start - 1 + n)
-        trace.s[rows] = [est.s for est in self.estimates]
-        trace.sigma_min[rows] = conf.sigma_min
+        steps = slice(start - 1, stop - 1)
+        trace.s[steps] = [est.s for est in self.estimates]
+        trace.sigma_min[steps] = conf.sigma_min
         self.probs = probs.reshape(n, sc.batch_size, -1)
         self.feats = feats.reshape(n, sc.batch_size, -1)
         self.uid = model.uid

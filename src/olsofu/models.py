@@ -201,6 +201,11 @@ def feat_activations(m: ModelParams, x: np.ndarray) -> list:
     return acts
 
 
+def _head_logits(m: ModelParams, feats: np.ndarray, head: tuple | None = None) -> np.ndarray:
+    w, b = (m.linear_w, m.linear_b) if head is None else head
+    return feats @ w.swapaxes(-1, -2) + b
+
+
 def head_output(
     m: ModelParams, feats: np.ndarray, head: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -208,9 +213,22 @@ def head_output(
     ``forward`` computes its outputs with exactly this arithmetic. A stack
     of m heads, ``w`` (m, K, h) and ``b`` (m, 1, K), maps stacked features
     (m, n, h) to stacked outputs (m, n, K), each as its own head would."""
-    w, b = (m.linear_w, m.linear_b) if head is None else head
-    logits = feats @ w.swapaxes(-1, -2) + b
+    logits = _head_logits(m, feats, head)
     return softmax(logits, m.temperature), logits
+
+
+def _features(m: ModelParams, x) -> tuple[np.ndarray, bool]:
+    """The features of ``x``, one input vector or a batch of row vectors,
+    which must be finite and of ``m``'s input width, as a batch; and
+    whether ``x`` was one vector."""
+    x = as_array(x, "x")
+    single = x.ndim == 1
+    batch = x[None, :] if single else x
+    if batch.shape[1] != m.input_dim:
+        raise InvalidArgumentError(
+            f"input dimension {batch.shape[1]} != model dimension {m.input_dim}"
+        )
+    return feat_activations(m, batch)[-1], single
 
 
 def forward(m: ModelParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,18 +237,19 @@ def forward(m: ModelParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Accepts one input vector or a batch of row vectors; output shapes
     mirror the input.
     """
-    x = as_array(x, "x")
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
-    if batch.shape[1] != m.input_dim:
-        raise InvalidArgumentError(
-            f"input dimension {batch.shape[1]} != model dimension {m.input_dim}"
-        )
-    feats = feat_activations(m, batch)[-1]
+    feats, single = _features(m, x)
     probs, logits = head_output(m, feats)
     if single:
         return probs[0], feats[0], logits[0]
     return probs, feats, logits
+
+
+def forward_logits(m: ModelParams, x) -> np.ndarray:
+    """The logits of a batch ``x``, ``forward(m, x)[2]`` bit for bit, for
+    a caller that reads no probabilities: the same checks (finite inputs
+    of ``m``'s width, and finite logits, which the softmax requires) and
+    the same arithmetic, without the softmax."""
+    return as_array(_head_logits(m, _features(m, x)[0]), "logits")
 
 
 def _backprop_features(m: ModelParams, acts: list, dfeats: np.ndarray, gv: _Views):
@@ -269,9 +288,17 @@ def _head_grad(
 def mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of each row's label; a probability
     below 1e-300 counts as 1e-300, so the result is finite."""
-    picked = probs[np.arange(len(labels)), labels]
-    # The sum over the count is np.mean's arithmetic, without its overhead.
-    return float(-np.log(np.maximum(picked, 1e-300)).sum() / len(labels))
+    return _mean_neg_log(probs[np.arange(len(labels)), labels])
+
+
+def _mean_neg_log(picked: np.ndarray) -> float:
+    """``mean_nll`` of the labelled probabilities ``picked``, which it
+    overwrites."""
+    np.maximum(picked, 1e-300, out=picked)
+    np.log(picked, out=picked)
+    # The sum over the count is np.mean's arithmetic, without its overhead;
+    # rounding is symmetric, so -sum(a) is sum(-a) bit for bit.
+    return float(-picked.sum() / len(picked))
 
 
 def _labelled_ce_grad(
@@ -523,12 +550,17 @@ class HeadCurvature:
     one ``retrain_linear`` call to the next. An online run keeps one, so
     each refresh starts from the curvature the previous solve ended with.
     ``inverse`` is None until a solve builds it, and after a step that
-    needed backtracking. ``design`` is the storage of the solve's (h+1, n)
-    design matrix ``[feats.T; 1]``, which every solve on a train set of
-    that shape overwrites, so a run's refreshes allocate it once."""
+    needed backtracking. The other fields are the storage a solve on a
+    train set of n rows and K classes overwrites, so a run's refreshes
+    allocate it once: ``design`` holds the (h+1, n) design matrix
+    ``[feats.T; 1]``, ``residual`` each gradient's class-major (K, n)
+    probabilities minus one-hot labels, and ``labelled`` each loss
+    evaluation's n probabilities of the rows' labels."""
 
     inverse: np.ndarray | None = None
     design: np.ndarray | None = None
+    residual: np.ndarray | None = None
+    labelled: np.ndarray | None = None
 
 
 def _reduced_hessian(probs: np.ndarray, xt_t: np.ndarray) -> np.ndarray:
@@ -584,14 +616,17 @@ def retrain_linear(
     which the solve reads and updates in place: when it holds none, or one
     of another shape, or the last step needed backtracking, the exact
     Hessian (``_reduced_hessian``) is built and inverted at the current
-    iterate. The design matrix goes into ``curvature.design``, which is
-    allocated only when it holds none of the right shape. A call without
-    ``curvature`` starts from an empty holder. The solve stops once the
-    full gradient's norm is below ``grad_tol``. The returned model keeps
-    the feature extractor bit-identical and resets the temperature to 1
-    (calibration is a separate step). ``feats`` are
-    ``m``'s train features if the caller already has them; otherwise they
-    are computed here.
+    iterate. The design matrix and the loss and gradient temporaries go
+    into ``curvature``'s buffers, allocated only when it holds none of the
+    right shape; each loss evaluation is one in-place softmax, and the
+    labelled probabilities are read through flat indices built once per
+    solve. A call without ``curvature`` starts from an empty holder. A head
+    or features holding NaN or infinity raise ``InvalidArgumentError``
+    (from the softmax). The solve stops once the full gradient's norm is
+    below ``grad_tol``. The returned model keeps the feature extractor
+    bit-identical and resets the temperature to 1 (calibration is a
+    separate step). ``feats`` are ``m``'s train features if the caller
+    already has them; otherwise they are computed here.
     """
     y = train.labels
     if feats is None:
@@ -604,28 +639,35 @@ def retrain_linear(
         curvature = HeadCurvature()
     if curvature.inverse is not None and curvature.inverse.shape != (r * width, r * width):
         curvature.inverse = None
-    if curvature.design is None or curvature.design.shape != (width, n):
+    if np.shape(curvature.design) != (width, n) or np.shape(curvature.residual) != (k, n):
         curvature.design = np.empty((width, n))
+        curvature.residual, curvature.labelled = np.empty((k, n)), np.empty(n)
     xt_t = curvature.design  # features by row, bias as a constant one
     xt_t[:-1] = feats.T
     xt_t[-1] = 1.0
+    residual, labelled = curvature.residual, curvature.labelled
     wt = np.hstack([m.linear_w, m.linear_b[:, None]])  # (K, h+1)
     wt -= wt.mean(axis=0)
-    # Logits, probabilities and the one-hot are stored class-major, (K, n),
-    # and used through their (n, K) transposes: the softmax's per-row
-    # maxima and sums then run over contiguous class columns. The values
-    # are bit-identical to row-major storage.
+    # Logits, probabilities, the one-hot and the residual are stored
+    # class-major, (K, n), and the softmax and the gradient's GEMM use them
+    # through their (n, K) transposes: the softmax's per-row maxima and
+    # sums then run over contiguous class columns. The values are
+    # bit-identical to row-major storage. Row i's label sits at flat index
+    # y_i * n + i of a class-major array.
+    flat = y * n + np.arange(n)
     onehot = np.zeros((k, n))
-    onehot[y, np.arange(n)] = 1.0
-    onehot = onehot.T
+    onehot.reshape(-1)[flat] = 1.0
 
     def objective(wt):
         z = (wt @ xt_t).T
-        probs = softmax(z, out=z)
-        return mean_nll(probs, y) + 0.5 * RETRAIN_RIDGE * float((wt * wt).sum()), probs
+        probs = softmax(z, out=z)  # z itself as out: no divide pass
+        # The indices are in range; "clip" lets take write out unbuffered.
+        nll = _mean_neg_log(np.take(probs.T, flat, out=labelled, mode="clip"))
+        return nll + 0.5 * RETRAIN_RIDGE * float((wt * wt).sum()), probs
 
     def gradient(probs, wt):
-        g = (xt_t @ (probs - onehot)).T / n + RETRAIN_RIDGE * wt
+        np.subtract(probs.T, onehot, out=residual)
+        g = (xt_t @ residual.T).T / n + RETRAIN_RIDGE * wt
         return g, (g[:r] - g[r]).ravel()  # full, and over the first K-1 rows
 
     loss, probs = objective(wt)
@@ -728,7 +770,7 @@ def calibrate_temperature(
     require(math.isfinite(start_temperature) and start_temperature > 0,
             "start_temperature", "must be finite and > 0")
     if logits is None:
-        _, _, logits = forward(m, val.inputs)
+        logits = forward_logits(m, val.inputs)
     y = val.labels
     labelled = logits[np.arange(len(y)), y]
     lo, hi = CALIBRATION_BETA_RANGE

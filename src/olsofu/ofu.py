@@ -40,6 +40,7 @@ from .models import (
     calibrate_temperature,
     feat_activations,
     forward,
+    forward_logits,
     head_output,
     retrain_linear,
     with_theta,
@@ -164,9 +165,11 @@ def calibrate(
     """Calibrate ``model``'s temperature on ``val``, searching from
     ``start_temperature``, and measure the soft confusion of the calibrated
     model there, regularized by ``reg_lambda``, from one forward of
-    ``val``. Both read a class-major copy of the logits, whose per-row
-    softmax runs over contiguous class columns."""
-    logits = np.asfortranarray(forward(model, val.inputs)[2])
+    ``val``. The forward computes the logits only (``forward_logits``:
+    ``forward``'s checks and arithmetic, without the probabilities, which
+    neither step reads). Both read a class-major copy of the logits, whose
+    per-row softmax runs over contiguous class columns."""
+    logits = np.asfortranarray(forward_logits(model, val.inputs))
     calibrated = calibrate_temperature(model, val, logits, start_temperature)
     return calibrated, regularize_confusion(confusion_matrix(calibrated, val, logits), reg_lambda)
 

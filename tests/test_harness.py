@@ -29,6 +29,7 @@ from olsofu.ofu import (
     OfuState,
     Predictor,
     compose_output,
+    feature_update,
     ols_ofu_step,
 )
 from olsofu.ols import make_strategy
@@ -39,6 +40,7 @@ from olsofu.synthdata import (
     ShiftPattern,
     default_means,
     default_pattern,
+    draw_class_inputs,
     marginal_at,
     realize_pattern,
     sample_batch,
@@ -72,6 +74,34 @@ def run_with_undrawable_step(sc, pre, monkeypatch, step):
     with pytest.raises(RunError) as err:
         run_online(sc, pre)
     return err
+
+
+def run_until_pool_exhausts(sc, pre, monkeypatch, **changes):
+    """Run ``sc`` with ``changes`` on a pool without class 3 under a
+    bernoulli shift from one-hot class 0 to uniform, whose first step that
+    puts mass on class 3 cannot be drawn. Returns that step, the
+    ``RunError`` the run raises, the estimates ``ols_ofu_step`` got and the
+    refreshes that ran."""
+    from olsofu import harness
+
+    keep = pre.pool.labels != 3
+    pool = LabeledSet(pre.pool.inputs[keep], pre.pool.labels[keep])
+    shift = ShiftPattern("bernoulli", uniform_simplex(4), np.eye(4)[0], 150,
+                         switch_prob=0.05)
+    sc = dataclasses.replace(sc, shift=shift, shift_seed=3, **changes)
+    alphas = realize_pattern(shift, make_rng(sc.shift_seed)).alphas
+    first = 1 + int(np.flatnonzero(alphas)[0])
+    stepped, refreshes = [], count_refreshes(monkeypatch)
+    original = harness.ols_ofu_step
+
+    def counting(state, inputs, est):
+        stepped.append(est)
+        return original(state, inputs, est)
+
+    monkeypatch.setattr(harness, "ols_ofu_step", counting)
+    with pytest.raises(RunError) as err:
+        run_online(sc, dataclasses.replace(pre, pool=pool))
+    return first, err, stepped, refreshes
 
 
 class TestRunOnline:
@@ -136,34 +166,30 @@ class TestRunOnline:
 
     def test_exhausted_pool_fails_at_its_step(self, small_scenario, small_pretrained,
                                               monkeypatch):
-        # A pool without class 3 and a bernoulli shift from one-hot class 0 to
-        # uniform: the first step that puts mass on class 3 cannot be drawn.
-        # It lies inside a chunk, and every step before it has run.
-        from olsofu import harness
-
-        pre = small_pretrained
-        keep = pre.pool.labels != 3
-        pool = LabeledSet(pre.pool.inputs[keep], pre.pool.labels[keep])
-        shift = ShiftPattern("bernoulli", uniform_simplex(4), np.eye(4)[0], 150,
-                             switch_prob=0.05)
-        sc = dataclasses.replace(small_scenario, shift=shift, shift_seed=3)
-        alphas = realize_pattern(shift, make_rng(sc.shift_seed)).alphas
-        first = 1 + int(np.flatnonzero(alphas)[0])
+        # The first undrawable step lies inside a chunk, and every step
+        # before it has run.
+        first, err, stepped, _ = run_until_pool_exhausts(small_scenario, small_pretrained,
+                                                         monkeypatch)
         assert 1 < first and (first - 1) % CHUNK_STEPS  # mid-chunk
-        stepped = []
-        original = harness.ols_ofu_step
-
-        def counting(state, inputs, est):
-            stepped.append(est)
-            return original(state, inputs, est)
-
-        monkeypatch.setattr(harness, "ols_ofu_step", counting)
-        with pytest.raises(RunError) as err:
-            run_online(sc, dataclasses.replace(pre, pool=pool))
         assert err.value.step == first
         assert isinstance(err.value.__cause__, DataExhaustedError)
         assert f"step {first}: test pool has no entries for class 3" in str(err.value)
         assert len(stepped) == first - 1
+
+    def test_exhausted_pool_fails_at_its_step_after_refreshes(self, small_scenario,
+                                                              small_pretrained, monkeypatch):
+        # A refresh every 5 steps: the chunk holding the first undrawable
+        # step was sampled at least two refreshes before that step, and the
+        # segments before it still ran, refreshes and all.
+        first, err, stepped, refreshes = run_until_pool_exhausts(
+            small_scenario, small_pretrained, monkeypatch,
+            ssl=SslSpec(kind="rotation", ba=5), retrain_max_iter=40,
+        )
+        assert (first - 1) % CHUNK_STEPS >= 2 * 5
+        assert err.value.step == first
+        assert isinstance(err.value.__cause__, DataExhaustedError)
+        assert len(stepped) == first - 1
+        assert len(refreshes) == (first - 1) // 5
 
     def test_trace_csv_round_trips(self, small_scenario, small_pretrained, tmp_path):
         import csv
@@ -383,10 +409,48 @@ class TestSegmentPath:
     def test_loops_match_per_step_reference(self, small_scenario, small_pretrained,
                                             algorithm, ssl, order):
         # The horizon is not a multiple of the chunk size, so the last
-        # chunk is short; with rotation every refresh also cuts a chunk, and
-        # a segment longer than a chunk spans two chunks of one model.
+        # chunk is short; with rotation every refresh also ends a segment
+        # within a sampled chunk, and a segment longer than a chunk spans
+        # two chunks of one model.
         assert_loops_match_per_step_reference(small_scenario, small_pretrained,
                                               algorithm=algorithm, ssl=ssl, order=order)
+
+    @pytest.mark.parametrize("order", ["predict_first", "update_first"])
+    @pytest.mark.parametrize("ba", [3, CHUNK_STEPS], ids=["uneven", "chunk"])
+    @pytest.mark.parametrize("algorithm", ["flhftl", "atlas"])
+    def test_segments_within_sampled_chunks_match_per_step_reference(
+        self, small_scenario, small_pretrained, algorithm, ba, order
+    ):
+        # Batches are sampled a chunk at a time across refreshes and each
+        # segment forwards its own rows: at ba=3 a segment straddles every
+        # sampled chunk's end, at ba=CHUNK_STEPS the two coincide.
+        assert_loops_match_per_step_reference(
+            small_scenario, small_pretrained, algorithm=algorithm, order=order,
+            ssl=SslSpec(kind="rotation", ba=ba),
+        )
+
+    def test_batches_are_sampled_a_chunk_at_a_time_across_refreshes(
+        self, small_scenario, small_pretrained, monkeypatch
+    ):
+        from olsofu import harness
+
+        calls, original = [], harness.sample_batches
+
+        def counting(qs, *args):
+            calls.append(len(qs))
+            return original(qs, *args)
+
+        monkeypatch.setattr(harness, "sample_batches", counting)
+        refreshes = count_refreshes(monkeypatch)
+        horizon = 2 * CHUNK_STEPS + 13
+        sc = dataclasses.replace(
+            small_scenario, algorithm="fth", ssl=SslSpec(kind="rotation", ba=5),
+            shift=dataclasses.replace(small_scenario.shift, horizon=horizon),
+            retrain_max_iter=40,
+        )
+        run_online(sc, small_pretrained)
+        assert len(refreshes) == horizon // 5
+        assert calls == [CHUNK_STEPS, CHUNK_STEPS, 13]  # ceil(horizon / CHUNK_STEPS)
 
     @pytest.mark.parametrize("order", ["predict_first", "update_first"])
     @pytest.mark.parametrize("algorithm", ["fth", "atlas"])
@@ -471,6 +535,15 @@ class TestProp1:
             violate_order=False, rng=make_rng(8), clean_val_per_class=2000,
         )
         np.testing.assert_allclose(bias, 0.0, atol=1e-12)
+        # On this saturated model the violating trials' entropy step has an
+        # exactly zero gradient and leaves the model as it is, so the half
+        # below checks the unchanged model's estimate; P4 is the check on a
+        # model that the step moves.
+        batch = draw_class_inputs(data.class_means, data.class_cov_scale,
+                                  np.full(5, 1), make_rng(9))
+        bumped = feature_update(scaled, batch, SslSpec(kind="entropy", ssl_lr=0.5),
+                                make_rng(9))
+        np.testing.assert_array_equal(bumped.theta, scaled.theta)
         bias_v, _, _ = ordering_bias_test(
             scaled, q, data, pre.train, n_trials=1000, batch_size=5,
             violate_order=True, rng=make_rng(9), violate_val_per_class=500,

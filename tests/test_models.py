@@ -18,6 +18,7 @@ from olsofu.models import (
     cross_entropy_loss_grad,
     feat_activations,
     forward,
+    forward_logits,
     head_output,
     init_model,
     load_model,
@@ -86,6 +87,18 @@ class TestForward:
             p_i, z_i = head_output(model, feats[i], (w[i], b[i]))
             np.testing.assert_array_equal(logits[i], z_i)
             np.testing.assert_array_equal(probs[i], p_i)
+
+    def test_logits_alone_are_forwards_logits_with_its_checks(self, rng):
+        m = init_model(6, 4, rng=make_rng(1))
+        x = rng.standard_normal((32, 6))
+        np.testing.assert_array_equal(forward_logits(m, x), forward(m, x)[2])
+        bad_x = x.copy()
+        bad_x[3, 1] = np.nan
+        huge = with_updates(m, linear_b=np.full(4, np.inf))
+        for model, inputs in ((m, x[:, :5]), (m, bad_x), (huge, x)):
+            for f in (forward, forward_logits):
+                with pytest.raises(InvalidArgumentError):
+                    f(model, inputs)
 
     def test_probs_on_simplex_for_batches(self, rng):
         m = init_model(6, 4, rng=make_rng(1))
@@ -447,9 +460,10 @@ class TestRetrainLinear:
         m, feats, train = retrain_problem(4)
         holder = HeadCurvature()
         m = retrain_linear(m, train, feats=feats, curvature=holder)
-        design = holder.design
+        design, residual, labelled = holder.design, holder.residual, holder.labelled
         retrain_linear(m, train, feats=0.9 * feats, curvature=holder)
         assert holder.design is design
+        assert holder.residual is residual and holder.labelled is labelled
         np.testing.assert_array_equal(design[:-1], (0.9 * feats).T)
         np.testing.assert_array_equal(design[-1], 1.0)
 
@@ -470,6 +484,28 @@ class TestRetrainLinear:
         finally:
             tracemalloc.stop()
         assert peak < design_bytes
+
+    def test_buffers_for_another_class_count_are_rebuilt(self):
+        # K=3 and K=4 problems share h and n, so the design matrix fits
+        # both; the K-row buffers do not, and a K=4 solve on a K=3 holder
+        # is a cold one.
+        holder = HeadCurvature()
+        m3, feats3, train3 = retrain_problem(3)
+        retrain_linear(m3, train3, feats=feats3, curvature=holder)
+        m, feats, train = retrain_problem(4)
+        warm = retrain_linear(m, train, feats=feats, curvature=holder)
+        cold = retrain_linear(m, train, feats=feats)
+        np.testing.assert_array_equal(warm.theta, cold.theta)
+        assert holder.residual.shape == (4, 300) and holder.labelled.shape == (300,)
+
+    def test_nan_head_is_rejected(self):
+        # The loss evaluation's softmax checks the logits, so the solve
+        # raises rather than returning a NaN head.
+        m, feats, train = retrain_problem(4)
+        w = m.linear_w.copy()
+        w[1, 2] = np.nan
+        with pytest.raises(InvalidArgumentError):
+            retrain_linear(with_updates(m, linear_w=w), train, feats=feats)
 
     def test_layout_of_feats_is_a_speed_choice(self):
         # Row-major and column-major features give the same head, bit for bit.

@@ -10,6 +10,7 @@ from olsofu.numkit import make_rng
 from olsofu.ofu import (
     OfuState,
     Predictor,
+    calibrate,
     compose_output,
     feature_update,
     ols_ofu_step,
@@ -245,6 +246,25 @@ class TestWarmCalibration:
         assert softmax_calls[0] <= 4 * len(starts)
         for t, cold in zip(temps, colds):
             assert abs(t - cold) <= 1e-10 * cold
+
+    @pytest.mark.parametrize("start", [1.0, 0.6])
+    def test_calibrates_on_forwards_logits(self, small_pretrained, start):
+        # ``calibrate`` forwards the validation set for its logits alone;
+        # the temperature and the confusion are those calibrated on
+        # ``forward``'s logits, bit for bit.
+        from olsofu.estimator import confusion_matrix, regularize_confusion
+        from olsofu.models import calibrate_temperature
+
+        pre = small_pretrained
+        model = with_updates(pre.model, temperature=1.0)
+        logits = forward(model, pre.val.inputs)[2]
+        want = calibrate_temperature(model, pre.val, logits, start)
+        conf = regularize_confusion(confusion_matrix(want, pre.val, logits), 0.01)
+        got, got_conf = calibrate(model, pre.val, 0.01, start)
+        assert got.temperature == want.temperature
+        np.testing.assert_array_equal(got_conf.matrix, conf.matrix)
+        assert got_conf.sigma_min == conf.sigma_min
+        assert got_conf.model_uid == got.uid
 
     def test_pretraining_calibrates_cold(self, small_pretrained):
         from olsofu.models import calibrate_temperature
