@@ -59,6 +59,9 @@ writes, its per-step sigma_min and its strategy snapshots. The set:
   (``CorruptionSpec(kind="gaussian_noise", severity=0.5)``) and fth
   without SSL on affinely corrupted batches
   (``CorruptionSpec(kind="affine", severity=0.2)``);
+- rogd and flhftl without SSL on a K=9 scenario (d=9, 900 train and pool
+  rows, its own pretrain), where numpy's sums over a class axis of 8 or
+  more entries turn pairwise;
 - the pretrained model's arrays for ``pretrain_ssl`` none, rotation and
   infonce (the momentum path and the supervised + SSL gradient sum);
 - the value acceptance check P2 prints.
@@ -198,6 +201,14 @@ def record() -> dict:
             sc, algorithm="fth", corruption=CorruptionSpec(kind="affine", severity=0.2))),
     ):
         _add_trace(doc, key, harness.run_online(run, pre))
+    nine = dataclasses.replace(
+        sc, shift=default_pattern("sinusoidal", 9, 150),
+        data=dataclasses.replace(data, k=9, d=9, class_means=default_means(9, 9, 2.0),
+                                 n_train=900, n_test_pool=900))
+    pre9 = harness.pretrain(nine)
+    for algo in ("rogd", "flhftl"):
+        run = dataclasses.replace(nine, algorithm=algo)
+        _add_trace(doc, f"run_online/{algo}/ssl=none/k=9", harness.run_online(run, pre9))
     for kind in ("none", "rotation", "infonce"):
         p = harness.pretrain(dataclasses.replace(sc, pretrain_ssl=kind))
         doc["digests"][f"pretrain/ssl={kind}/model"] = _model_digest(p.model)

@@ -54,14 +54,36 @@ def project_simplex(v) -> np.ndarray:
     ``v`` is one vector or an (m, K) array whose rows are projected one by
     one. Sort-and-threshold algorithm: find the largest k such that the
     top-k entries shifted by a common offset stay positive, then clip.
-    Exact up to floating point; O(K log K) per row.
+    Exact up to floating point; O(K log K) per row. The result is a new
+    array.
+
+    Both shapes run the same per-row arithmetic, bit for bit, on two
+    paths chosen by ``ndim``. An array (BBSE's estimates of a chunk) is
+    projected in vectorized passes over its rows. One vector (a strategy's
+    step) is sorted, cumulatively summed and thresholded on Python floats,
+    which costs far less than numpy's per-call overhead at small K; its
+    clip, sums and divide stay numpy operations, because numpy sums 8 or
+    more entries pairwise, and a running Python sum would differ there.
     """
     arr = as_array(v, "v")
     if arr.ndim not in (1, 2) or arr.shape[-1] < 1:
         raise InvalidArgumentError("v must be a nonempty 1-d vector or an (m, K) array")
-    out = np.atleast_2d(arr).copy()
     # A point already on the simplex is its own projection; returning it
     # unchanged makes the operation exactly idempotent.
+    if arr.ndim == 1:
+        row = arr.tolist()
+        if min(row) >= 0.0 and abs(arr.sum() - 1.0) <= 1e-12:
+            return arr.copy()
+        total, tau = 0.0, None
+        for i, x in enumerate(sorted(row, reverse=True), 1):
+            total += x
+            if x - (total - 1.0) / i > 0:
+                tau = (total - 1.0) / i
+        if tau is None:  # no index passes (entries past 2**53): the last, as for rows
+            tau = (total - 1.0) / i
+        out = np.maximum(arr - tau, 0.0)
+        return out / out.sum()
+    out = arr.copy()
     off = (out.min(axis=1) < 0.0) | (np.abs(out.sum(axis=1) - 1.0) > 1e-12)
     if off.any():
         rows = out[off]
@@ -74,7 +96,7 @@ def project_simplex(v) -> np.ndarray:
         rows = np.maximum(rows - tau[:, None], 0.0)
         # Renormalisation guards the sum-to-one invariant against rounding.
         out[off] = rows / rows.sum(axis=1, keepdims=True)
-    return out if arr.ndim == 2 else out[0]
+    return out
 
 
 def solve_linear(A, b) -> np.ndarray:

@@ -145,7 +145,10 @@ def build_context(
         feats = feat_activations(model, train.inputs)[-1]
     classes = train.class_layout(model.n_classes)
     order = classes.order
-    xt = class_sums = None
+    xt = class_sums = train_probs = own_probs = None
+    if "train_probs" in reads:
+        train_probs = head_output(model, feats)[0][order]
+        own_probs = train_probs[np.arange(order.size), classes.labels]
     if "xt" in reads:
         xt = np.empty((feats.shape[1] + 1, feats.shape[0]))
         xt[:-1] = feats[order].T
@@ -153,7 +156,8 @@ def build_context(
         class_sums = np.stack([xt[:, sl].sum(axis=1) for sl in classes.slices])
     return OlsContext(
         classes=classes,
-        train_probs=head_output(model, feats)[0][order] if "train_probs" in reads else None,
+        train_probs=train_probs,
+        own_probs=own_probs,
         xt=xt,
         class_sums=class_sums,
     )

@@ -44,17 +44,21 @@ class OlsContext:
     order of the train set's ``LabeledSet.class_layout``, which ``classes``
     is, shared by every context on that set: class k is the basic slice
     ``classes.slices[k]`` of it. ``train_probs`` are f_t'' predictions on
-    the train set, one row per sample (ROGD risk surface). ``xt`` holds the
-    train features under the current extractor, one column per sample,
+    the train set, one row per sample (ROGD risk surface), and
+    ``own_probs`` each row's probability of its own class, read from
+    ``train_probs`` once per context rather than at every ROGD step.
+    ``xt`` holds the train features under the current extractor, one column per sample,
     with a ones row appended for the bias: shape (h+1, n); ``class_sums``
     (K, h+1) are its column sums per class, the label part of the
     UOGD/ATLAS risk and gradient. The wrapper refreshes the context
-    whenever the model changes, building ``train_probs`` and ``xt`` (with
-    ``class_sums``) only for a strategy whose ``reads`` names them.
+    whenever the model changes, building ``train_probs`` (with
+    ``own_probs``) and ``xt`` (with ``class_sums``) only for a strategy
+    whose ``reads`` names them.
     """
 
     classes: ClassLayout
     train_probs: np.ndarray | None = None
+    own_probs: np.ndarray | None = None
     xt: np.ndarray | None = None
     class_sums: np.ndarray | None = None
 
@@ -108,14 +112,17 @@ def per_class_risk_jacobian(
     classes: ClassLayout,
     p: np.ndarray,
     q0: np.ndarray,
+    own: np.ndarray | None = None,
 ) -> np.ndarray:
     """Jacobian J[k, m] = d/dp_m of the class-k surrogate risk
     1 - mean_{x in class k} g(x; f, p/q0)[k] of the reweighted model.
 
     ``train_probs`` holds the train predictions in class order, and
     ``classes`` cuts it into the classes' consecutive row runs, as the
-    context's does. One pass over all rows computes each row's denominator
-    and own-class term; the per-class means are sums over those runs."""
+    context's does. ``own``, if given, holds each row's own-class entry of
+    ``train_probs`` (the context's ``own_probs``); otherwise it is read
+    here. One pass over all rows computes each row's denominator and
+    own-class term; the per-class means are sums over those runs."""
     counts, starts, labels = classes.counts, classes.starts, classes.labels
     empty = np.flatnonzero(counts == 0)
     if empty.size:
@@ -123,7 +130,8 @@ def per_class_risk_jacobian(
     k_classes = p.shape[0]
     ratio = p / q0
     denom = train_probs @ ratio
-    own = train_probs[np.arange(labels.size), labels]
+    if own is None:
+        own = train_probs[np.arange(labels.size), labels]
     g = own * ratio[labels] / denom
     # d g_k / d ratio_m = (delta_km * a_k - g_k * a_m) / denom
     term = (g / denom)[:, None] * train_probs
@@ -190,17 +198,31 @@ class FthStrategy(BaseStrategy):
 
 
 class FtfwhStrategy(BaseStrategy):
-    """Mean of the clipped estimates over a fixed trailing window."""
+    """Mean of the clipped estimates over a fixed trailing window.
+
+    The window is one (window, K) array whose rows hold the latest
+    estimates in age order, oldest first: until it fills, each step writes
+    the next row; then each step shifts the rows up by one and writes the
+    newest last. ``history`` is the filled rows, and the mean reduces them
+    in that order.
+    """
 
     def __init__(self, q0: np.ndarray, params: AlgoParams = AlgoParams()):
         super().__init__(q0)
         self.window = params.window
-        self.history: list[np.ndarray] = []
+        self._rows = np.empty((self.window, self.q0.shape[0]))
+        self._filled = 0
+
+    @property
+    def history(self) -> np.ndarray:
+        return self._rows[: self._filled]
 
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
-        self.history.append(est.clipped.copy())
-        if len(self.history) > self.window:
-            self.history.pop(0)
+        if self._filled == self.window:
+            self._rows[:-1] = self._rows[1:]
+        else:
+            self._filled += 1
+        self._rows[self._filled - 1] = est.clipped
         self.p = np.mean(self.history, axis=0)
 
 
@@ -211,6 +233,8 @@ class RogdStrategy(BaseStrategy):
     estimate. Unless ``params.eta`` fixes it, the step size is
     sqrt(2/T) / L_hat, where L_hat is the largest gradient norm observed
     during the first ``params.warmup`` steps and is frozen afterwards.
+    The Jacobian reads the context's ``train_probs`` and ``own_probs``,
+    both built once per context.
     """
 
     reads = ("train_probs",)
@@ -226,7 +250,8 @@ class RogdStrategy(BaseStrategy):
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
         if ctx.train_probs is None:
             raise InvalidArgumentError("ROGD needs train predictions in the context")
-        jac = per_class_risk_jacobian(ctx.train_probs, ctx.classes, self.p, self.q0)
+        jac = per_class_risk_jacobian(ctx.train_probs, ctx.classes, self.p, self.q0,
+                                      ctx.own_probs)
         grad = jac.T @ est.s
         self.t += 1
         if self.t <= self.warmup:
@@ -253,40 +278,77 @@ class FlhftlStrategy(BaseStrategy):
     expert j = r * 2^m, r odd, is dropped at step j + 4 * 2^m, after that
     step's weight update and before its prediction. So the live set after
     step t, {j <= t : j + 4 * 2^m > t}, follows from t alone and holds
-    O(log t) experts, at most 2 * (floor(log2 t) + 1).
+    O(log t) experts, at most 2 * (floor(log2 t) + 1). Step t drops at
+    most one: (r + 4) * 2^m = t, with r + 4 odd, leaves only
+    j = t - 4 * lowbit(t).
+
+    The live experts' running sums, births and weights are the first rows
+    of fixed-capacity arrays (``sums``, ``births`` and ``weights`` are
+    views of them) in birth order, and the capacity doubles when a step's
+    newborn would not fit. The forecasts each step averages,
+    sums / (t + 1 - births), are also the ones the next step scores, so
+    they are kept until then.
     """
 
     def __init__(self, q0: np.ndarray, params: AlgoParams = AlgoParams()):
         super().__init__(q0)
         k = self.q0.shape[0]
         self.eta = params.flh_eta if params.flh_eta is not None else k / 2.0
-        self.sums = np.zeros((0, k))
-        self.births = np.zeros(0, dtype=int)
-        self.weights = np.zeros(0)
+        self._sums, self._preds = np.empty((8, k)), np.empty((8, k))
+        self._births = np.empty(8, dtype=int)
+        self._weights = np.empty(8)
+        self._n = 0
         self.t = 0
+
+    @property
+    def sums(self) -> np.ndarray:
+        return self._sums[: self._n]
+
+    @property
+    def births(self) -> np.ndarray:
+        return self._births[: self._n]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights[: self._n]
 
     def step(self, ctx: OlsContext, est: MarginalEstimate) -> None:
         s = est.clipped
         self.t += 1
-        if self.weights.size:
-            preds = self.sums / (self.t - self.births)[:, None]
-            losses = ((preds - s) ** 2).sum(axis=1)
-            # Subtract the min before exponentiating for stability.
-            logw = np.log(np.maximum(self.weights, 1e-300)) - self.eta * losses
+        n = self._n
+        if n == self._births.size:
+            self._sums, self._preds, self._births, self._weights = (
+                np.concatenate([a, np.empty_like(a)])
+                for a in (self._sums, self._preds, self._births, self._weights))
+        w = self._weights[:n]
+        if n:
+            losses = ((self._preds[:n] - s) ** 2).sum(axis=1)
+            # Subtract the max before exponentiating for stability.
+            logw = np.log(np.maximum(w, 1e-300)) - self.eta * losses
             logw -= logw.max()
-            w = np.exp(logw)
-            self.weights = w / w.sum()
+            np.exp(logw, out=logw)
+            np.divide(logw, logw.sum(), out=w)
         new_share = 1.0 / (self.t + 1.0)
-        self.weights = np.concatenate([self.weights * (1.0 - new_share), [new_share]])
-        self.weights = self.weights / self.weights.sum()
-        self.sums = np.vstack([self.sums + s, s[None, :]])
-        self.births = np.append(self.births, self.t)
-        live = self.births + 4 * (self.births & -self.births) > self.t
-        if not live.all():
-            self.weights = self.weights[live] / self.weights[live].sum()
-            self.sums, self.births = self.sums[live], self.births[live]
-        preds = self.sums / (self.t + 1 - self.births)[:, None]
-        self.p = project_simplex(self.weights @ preds)
+        w *= 1.0 - new_share
+        self._weights[n] = new_share
+        self._sums[:n] += s
+        self._sums[n] = s
+        self._births[n] = self.t
+        n += 1
+        w = self._weights[:n]
+        w /= w.sum()
+        dead = self.t - 4 * (self.t & -self.t)  # the one expert step t may drop
+        if dead >= 1:
+            i = int(np.searchsorted(self._births[:n], dead))
+            for a in (self._sums, self._births, self._weights):
+                a[i : n - 1] = a[i + 1 : n]
+            n -= 1
+            w = self._weights[:n]
+            w /= w.sum()
+        self._n = n
+        preds = np.divide(self._sums[:n], (self.t + 1 - self._births[:n])[:, None],
+                          out=self._preds[:n])
+        self.p = project_simplex(w @ preds)
 
 
 def atlas_pool_size(horizon: int) -> int:

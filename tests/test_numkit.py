@@ -87,13 +87,57 @@ class TestProjectSimplex:
         rows = [scale * rng.standard_normal(k) for scale in (1e-3, 1e-1, 1, 10, 1e3, 1e6)]
         rows += [np.full(k, 2.5), np.r_[np.full(k - 1, 0.7), -3.0]]  # ties
         rows += [np.full(k, 1.0 / k), np.eye(k)[k - 1], rng.dirichlet(np.ones(k))]
+        # Sums within a few ulps of 1 +- 1e-12, the on-simplex shortcut's edge.
+        edge = []
+        for target in (1.0 - 1e-12, 1.0 + 1e-12):
+            for ulps in range(-3, 4):
+                row = rng.dirichlet(np.ones(k))
+                row[np.argmax(row)] += target + ulps * np.spacing(1.0) - row.sum()
+                edge.append(row)
+        gaps = np.array([abs(r.sum() - 1.0) for r in edge])
+        assert (gaps <= 1e-12).any() and (gaps > 1e-12).any()
+        rows += edge
+        # -0.0 entries, on and off the simplex, and exact ties beside them.
+        rows += [np.where(np.eye(k)[0] == 1.0, 1.0, -0.0),
+                 np.r_[np.full(k - 1, 0.7), -0.0], np.r_[-0.0, np.full(k - 1, 1.0 / (k - 1))]]
         v = np.array(rows)
-        expected = np.array([reference_project(r) for r in v])
-        # A transposed solve's output (as in bbse_estimates) has strided rows.
-        for arr in (v, np.asfortranarray(v)):
-            np.testing.assert_array_equal(project_simplex(arr), expected)
-        for row, want in zip(v, expected):
-            np.testing.assert_array_equal(project_simplex(row), want)
+        assert_rows_projected_bit_for_bit(v)
+        assert_rows_projected_bit_for_bit(np.array([[1.0], [-0.0], [0.3], [-2.0], [1e6]]))
+
+    def test_entries_past_2_53_take_the_rows_path_threshold(self):
+        # No index passes the threshold test when the top entry absorbs the
+        # 1.0; both paths then take the last index.
+        for v in ([1e20, 0.0], [-1e20, -3e20]):
+            v = np.array(v)
+            assert_bits(project_simplex(v), project_simplex(v[None])[0])
+
+    def test_one_vector_result_is_a_new_array(self):
+        for v in (np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.6])):
+            saved = v.copy()
+            out = project_simplex(v)
+            assert not np.shares_memory(out, v)
+            out[:] = 7.0
+            np.testing.assert_array_equal(v, saved)
+
+
+def assert_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_rows_projected_bit_for_bit(v):
+    """Each row of ``v``, projected as a C- or Fortran-ordered array and as
+    one vector, contiguous or strided, equals ``reference_project``'s
+    projection bit for bit, signed zeros included."""
+    expected = np.array([reference_project(r) for r in v])
+    # A transposed solve's output (as in bbse_estimates) has strided rows.
+    fortran = np.asfortranarray(v)
+    for arr in (v, fortran):
+        assert_bits(project_simplex(arr), expected)
+    for row, strided, want in zip(v, fortran, expected):
+        assert v.shape[1] == 1 or strided.strides[0] == v.shape[0] * v.itemsize
+        assert_bits(project_simplex(row), want)
+        assert_bits(project_simplex(strided), want)
 
 
 class TestSolveLinear:

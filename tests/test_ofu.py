@@ -152,8 +152,9 @@ class TestOlsOfuStep:
         assert state.feature_updates_done == refreshes
         assert (state.model.uid == pre.model.uid) == (refreshes == 0)
         fresh = build_context(state.model, pre.train)
-        # class_sums are built with xt.
-        for name, read in (("xt", "xt"), ("class_sums", "xt"), ("train_probs", "train_probs")):
+        # class_sums are built with xt, own_probs with train_probs.
+        for name, read in (("xt", "xt"), ("class_sums", "xt"), ("train_probs", "train_probs"),
+                           ("own_probs", "train_probs")):
             assert read in CONTEXT_FIELDS
             if read not in state.strategy.reads:
                 assert getattr(state.ctx, name) is None
@@ -174,7 +175,7 @@ class TestOlsOfuStep:
         refresh(state, pre.pool.inputs[:10])
         model, ctx, conf, design = state.model, state.ctx, state.confusion, state.curvature.design
         arrays = [model.theta, conf.matrix] + [
-            a for a in (ctx.xt, ctx.class_sums, ctx.train_probs) if a is not None
+            a for a in (ctx.xt, ctx.class_sums, ctx.train_probs, ctx.own_probs) if a is not None
         ]
         saved = [a.copy() for a in arrays]
         refresh(state, pre.pool.inputs[10:20])

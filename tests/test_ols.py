@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,13 @@ from hypothesis import strategies as st
 
 from olsofu.errors import InvalidArgumentError
 from olsofu.estimator import MarginalEstimate
-from olsofu.models import forward, init_model
+from olsofu.models import forward, init_model, with_updates
 from olsofu.numkit import is_simplex, make_rng, project_simplex
 from olsofu.ofu import build_context
 from olsofu.ols import (
     AlgoParams,
     AtlasStrategy,
+    BaseStrategy,
     FlhftlStrategy,
     FthStrategy,
     FtfwhStrategy,
@@ -310,6 +313,140 @@ class TestFlhftl:
             assert [x.hex() for x in strat.reweight_vector()] == want
 
 
+def project_as_row(v):
+    """``project_simplex`` through its (m, K) path, which its one-vector
+    path must match bit for bit."""
+    return project_simplex(v[None])[0]
+
+
+class ReferenceFtfwh(BaseStrategy):
+    """FTFWH with its window as a list of estimate copies."""
+
+    def __init__(self, q0, params):
+        super().__init__(q0)
+        self.window = params.window
+        self.history = []
+
+    def step(self, ctx, est):
+        self.history.append(est.clipped.copy())
+        if len(self.history) > self.window:
+            self.history.pop(0)
+        self.p = np.mean(self.history, axis=0)
+
+
+class ReferenceRogd(RogdStrategy):
+    """ROGD reading each row's own-class probability at every step."""
+
+    def step(self, ctx, est):
+        jac = per_class_risk_jacobian(ctx.train_probs, ctx.classes, self.p, self.q0)
+        grad = jac.T @ est.s
+        self.t += 1
+        if self.t <= self.warmup:
+            self.lhat = max(self.lhat, float(np.linalg.norm(grad)))
+        if self.eta is not None:
+            eta_t = self.eta
+        elif self.lhat > 0:
+            eta_t = math.sqrt(2.0 / self.horizon) / self.lhat
+        else:
+            eta_t = 0.0
+        self.p = project_as_row(self.p - eta_t * grad)
+
+
+class ReferenceFlhftl(BaseStrategy):
+    """FLH-FTL growing and pruning its expert arrays by concatenation and
+    masks, and recomputing the forecasts it scores."""
+
+    def __init__(self, q0):
+        super().__init__(q0)
+        k = self.q0.shape[0]
+        self.eta = k / 2.0
+        self.sums = np.zeros((0, k))
+        self.births = np.zeros(0, dtype=int)
+        self.weights = np.zeros(0)
+        self.t = 0
+
+    def step(self, ctx, est):
+        s = est.clipped
+        self.t += 1
+        if self.weights.size:
+            preds = self.sums / (self.t - self.births)[:, None]
+            losses = ((preds - s) ** 2).sum(axis=1)
+            logw = np.log(np.maximum(self.weights, 1e-300)) - self.eta * losses
+            logw -= logw.max()
+            w = np.exp(logw)
+            self.weights = w / w.sum()
+        new_share = 1.0 / (self.t + 1.0)
+        self.weights = np.concatenate([self.weights * (1.0 - new_share), [new_share]])
+        self.weights = self.weights / self.weights.sum()
+        self.sums = np.vstack([self.sums + s, s[None, :]])
+        self.births = np.append(self.births, self.t)
+        live = self.births + 4 * (self.births & -self.births) > self.t
+        if not live.all():
+            self.weights = self.weights[live] / self.weights[live].sum()
+            self.sums, self.births = self.sums[live], self.births[live]
+        preds = self.sums / (self.t + 1 - self.births)[:, None]
+        self.p = project_as_row(self.weights @ preds)
+
+
+def extreme_estimates(rng, n, k=4):
+    """Raw estimates from near-simplex to the +-1e6 range, off-simplex
+    mostly, with their clipped projections."""
+    scales = (1e-3, 0.1, 1.0, 1e3, 1e6)
+    out = []
+    for i in range(n):
+        raw = rng.dirichlet(np.ones(k)) + scales[i % len(scales)] * rng.uniform(-1, 1, k)
+        out.append(est(np.clip(raw, -1e6, 1e6)))
+    return out
+
+
+def assert_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReferenceTrajectories:
+    """The array-state steps retrace the references above bit for bit."""
+
+    @pytest.mark.parametrize("window", [1, 3, 100])
+    def test_ftfwh(self, window, rng):
+        params = AlgoParams(window=window)
+        strat, ref = FtfwhStrategy(UNIFORM4, params), ReferenceFtfwh(UNIFORM4, params)
+        for t, e in enumerate(extreme_estimates(rng, 2 * window + 40), 1):
+            strat.step(None, e)
+            ref.step(None, e)
+            assert len(strat.history) == min(t, window)
+            assert_bits(strat.history, np.array(ref.history))
+            assert_bits(strat.p, ref.p)
+            assert_bits(strat.snapshot(), ref.snapshot())
+
+    @pytest.mark.parametrize("k", [4, 9])
+    def test_flhftl_without_horizon(self, k, rng):
+        q0 = np.full(k, 1.0 / k)
+        strat, ref = FlhftlStrategy(q0), ReferenceFlhftl(q0)
+        for e in extreme_estimates(rng, 2100, k):
+            strat.step(None, e)
+            ref.step(None, e)
+            for got, want in ((strat.p, ref.p), (strat.snapshot(), ref.snapshot()),
+                              (strat.births, ref.births), (strat.weights, ref.weights),
+                              (strat.sums, ref.sums)):
+                assert_bits(got, want)
+
+    def test_rogd_on_alternating_contexts(self, small_pretrained, rng):
+        pre = small_pretrained
+        ctxs = [build_context(m, pre.train, reads=RogdStrategy.reads)
+                for m in (pre.model, with_updates(pre.model, temperature=2.0))]
+        assert not np.array_equal(ctxs[0].own_probs, ctxs[1].own_probs)
+        pairs = [(RogdStrategy(pre.q0, 300, params), ReferenceRogd(pre.q0, 300, params))
+                 for params in (AlgoParams(warmup=20), AlgoParams(eta=5.0))]
+        for t, e in enumerate(extreme_estimates(rng, 300)):
+            for strat, ref in pairs:
+                strat.step(ctxs[t % 2], e)
+                ref.step(ctxs[t % 2], e)
+                assert_bits(strat.p, ref.p)
+                assert_bits(strat.snapshot(), ref.snapshot())
+                assert strat.lhat == ref.lhat
+
+
 class TestCheckedParams:
     # The strategies read their hyperparameters from a checked AlgoParams:
     # a window of 0 would average nothing (NaN).
@@ -526,7 +663,7 @@ class TestAtlas:
         assert not np.array_equal(shuffled.labels, labels)
         ctxs = [build_context(pre.model, train) for train in (pre.train, shuffled)]
         assert ctxs[0].classes.slices == ctxs[1].classes.slices
-        for name in ("xt", "class_sums", "train_probs"):
+        for name in ("xt", "class_sums", "train_probs", "own_probs"):
             np.testing.assert_array_equal(getattr(ctxs[0], name), getattr(ctxs[1], name))
         etas = atlas_step_pool(1000, 4, pre.confusion.sigma_min)
         runs = [AtlasStrategy(pre.model, etas, 0.3) for _ in ctxs]
