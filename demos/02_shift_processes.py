@@ -13,30 +13,27 @@ from olsofu import (
     corrupt,
     default_pattern,
     make_rng,
-    marginal_at,
     marginal_path,
     path_length,
-    realize_pattern,
 )
 
 K, T = 4, 1000
 
+# Row t - 1 of a path is q_t; a bernoulli path draws its switches from the rng.
+paths = {}
 print(f"=== Shift processes (K={K}, T={T}) ===")
 for kind in ("sinusoidal", "bernoulli", "constant", "monotone"):
-    pattern = realize_pattern(default_pattern(kind, K, T), make_rng(7))
-    qs = marginal_path(pattern)
-    head = ", ".join(str(np.round(marginal_at(pattern, t), 3)) for t in (1, 2, 3))
+    qs = paths[kind] = marginal_path(default_pattern(kind, K, T), make_rng(7))
+    head = ", ".join(str(np.round(q_t, 3)) for q_t in qs[:3])
     print(f"  {kind:11s} V_T = {path_length(qs):8.3f}   q_1..q_3: {head}")
 
 print("\nThe sinusoidal period is round(sqrt(T)):")
-pattern = default_pattern("sinusoidal", K, T)
 period = round(np.sqrt(T))
 print(f"  L = {period}; q_t returns to q' whenever t mod L == 0, e.g. "
-      f"q_{period} = {np.round(marginal_at(pattern, period), 3)}")
+      f"q_{period} = {np.round(paths['sinusoidal'][period - 1], 3)}")
 
 print("\nBernoulli switches with probability 1 - 1/sqrt(T) by default:")
-pattern = realize_pattern(default_pattern("bernoulli", K, T), make_rng(7))
-flips = np.abs(np.diff(pattern.alphas)).mean()
+flips = (np.diff(paths["bernoulli"], axis=0) != 0).any(axis=1).mean()
 print(f"  empirical flip rate over T={T}: {flips:.3f} "
       f"(formula value {1 - 1/np.sqrt(T):.5f})")
 

@@ -59,6 +59,9 @@ writes, its per-step sigma_min and its strategy snapshots. The set:
   (``CorruptionSpec(kind="gaussian_noise", severity=0.5)``) and fth
   without SSL on affinely corrupted batches
   (``CorruptionSpec(kind="affine", severity=0.2)``);
+- flhftl with rotation (ba=5) under a bernoulli shift
+  (``default_pattern("bernoulli", 4, 150)``), the one shift kind that
+  draws from the shift rng;
 - rogd and flhftl without SSL on a K=9 scenario (d=9, 900 train and pool
   rows, its own pretrain), where numpy's sums over a class axis of 8 or
   more entries turn pairwise;
@@ -199,6 +202,9 @@ def record() -> dict:
             corruption=CorruptionSpec(kind="gaussian_noise", severity=0.5))),
         ("run_online/fth/ssl=none/affine", dataclasses.replace(
             sc, algorithm="fth", corruption=CorruptionSpec(kind="affine", severity=0.2))),
+        ("run_online/flhftl/ssl=rotation/bernoulli", dataclasses.replace(
+            sc, algorithm="flhftl", ssl=rotation,
+            shift=default_pattern("bernoulli", 4, 150))),
     ):
         _add_trace(doc, key, harness.run_online(run, pre))
     nine = dataclasses.replace(

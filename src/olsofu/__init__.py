@@ -86,11 +86,8 @@ from .synthdata import (
     default_means,
     default_pattern,
     make_source_data,
-    marginal_at,
     marginal_path,
-    marginals,
     path_length,
-    realize_pattern,
     sample_batch,
     sample_batches,
 )

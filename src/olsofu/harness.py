@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidArgumentError, RunError, UndefinedCorrelationError, require
 from .estimator import ConfusionMatrix, bbse_estimate, bbse_estimates, confusion_matrix
 from .models import (
+    RETRAIN_MAX_ITER,
     SSL_KINDS,
     HeadCurvature,
     ModelParams,
@@ -51,7 +52,6 @@ from .synthdata import (
     make_source_data,
     marginal_path,
     path_length,
-    realize_pattern,
     sample_batch,  # noqa: F401 - perfbench's tracer wraps it here
     sample_batches,
 )
@@ -92,7 +92,7 @@ class Scenario:
     reg_lambda: float = 0.01
     hidden: tuple = (32, 32)
     activation: str = "tanh"
-    retrain_max_iter: int = 500
+    retrain_max_iter: int = RETRAIN_MAX_ITER
 
     def __post_init__(self):
         require(self.algorithm in ALGORITHMS, "algorithm",
@@ -241,10 +241,11 @@ class _BatchStream:
     ``trace.s`` and, from the segment's confusion, ``trace.sigma_min``.
     The loop hands the stream, at the end of each step, its deployed
     ``Predictor`` and the strategy's snapshot, and the segment's last step
-    counts every step's errors into ``trace.errors``: in one stacked pass
-    over the segment's forward for the policies on the segment's model,
-    with a forward of its own for a policy on a model refreshed at its
-    step. The shift seed alone fixes the realized marginal path,
+    counts every step's errors into ``trace.errors``. A refresh ends its
+    segment, so only the last step's policy can sit on another model (the
+    one refreshed at that step, under update_first), which gets a forward
+    of its own; the others are scored in one stacked pass over the
+    segment's forward. The shift seed alone fixes the marginal path,
     ``trace.q``, and the batch draws.
     """
 
@@ -252,7 +253,7 @@ class _BatchStream:
         self.sc, self.pre, self.rng = sc, pre, make_rng(sc.shift_seed)
         t, k = sc.horizon, sc.data.k
         self.trace = OnlineTrace(
-            q=marginal_path(realize_pattern(sc.shift, self.rng)),
+            q=marginal_path(sc.shift, self.rng),
             s=np.zeros((t, k)),
             errors=np.zeros(t, dtype=int),
             batch_size=sc.batch_size,
@@ -316,16 +317,12 @@ class _BatchStream:
 
     def _score(self) -> None:
         policies = self.deployed
-        own = np.array([p.base.uid == self.uid for p in policies])
-        if own.all():
-            predicted = predict_stacked(policies, self.probs, self.feats)
-        else:
-            predicted = np.empty_like(self.labels)
-            if own.any():
-                predicted[own] = predict_stacked([p for p, o in zip(policies, own) if o],
-                                                 self.probs[own], self.feats[own])
-            for i in np.flatnonzero(~own):
-                predicted[i] = policies[i].predict(self.inputs[i])
+        n = len(policies) - (policies[-1].base.uid != self.uid)
+        predicted = np.empty_like(self.labels)
+        if n:
+            predicted[:n] = predict_stacked(policies[:n], self.probs[:n], self.feats[:n])
+        if n < len(policies):
+            predicted[n] = policies[n].predict(self.inputs[n])
         self.trace.errors[self.start - 1 : self.stop - 1] = (predicted != self.labels).sum(axis=1)
 
 

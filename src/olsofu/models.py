@@ -542,6 +542,8 @@ RETRAIN_RIDGE = 1e-6
 # (1.6e-3 at 1e-6). It is large enough to stay clear of the line search's
 # rounding floor, which 1e-10 hits.
 RETRAIN_GRAD_TOL = 1e-8
+# The retrain's default iteration cap, also ``Scenario.retrain_max_iter``'s.
+RETRAIN_MAX_ITER = 500
 
 
 @dataclass
@@ -597,7 +599,7 @@ def _reduced_hessian(probs: np.ndarray, xt_t: np.ndarray) -> np.ndarray:
 def retrain_linear(
     m: ModelParams,
     train,
-    max_iter: int = 500,
+    max_iter: int = RETRAIN_MAX_ITER,
     grad_tol: float = RETRAIN_GRAD_TOL,
     feats: np.ndarray | None = None,
     curvature: HeadCurvature | None = None,

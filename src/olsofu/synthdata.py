@@ -7,7 +7,7 @@ shift process, and covariate corruptions emulate generalized label shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -143,7 +143,6 @@ class ShiftPattern:
     q_prime: np.ndarray
     horizon: int
     switch_prob: float | None = None  # bernoulli only; None -> 1 - 1/sqrt(T)
-    alphas: np.ndarray | None = None  # realized sequence (bernoulli)
 
     def __post_init__(self):
         require(self.kind in SHIFT_KINDS, "kind", f"{self.kind!r} is not one of {SHIFT_KINDS}")
@@ -175,61 +174,31 @@ def default_switch_prob(horizon: int) -> float:
     return 1.0 - 1.0 / np.sqrt(horizon)
 
 
-def realize_pattern(pattern: ShiftPattern, rng: np.random.Generator) -> ShiftPattern:
-    """Draw the random bits a bernoulli pattern needs; no-op otherwise.
+def marginal_path(pattern: ShiftPattern, rng: np.random.Generator) -> np.ndarray:
+    """True label marginals q_1..q_T stacked as a (T, K) array.
 
-    The bit starts at 0 (the process starts at q_prime) and flips at each
-    subsequent step with probability switch_prob, defaulting to
-    1 - 1/sqrt(T).
+    A bernoulli pattern draws its T - 1 switches from ``rng`` in one call:
+    alpha starts at 0 (the process starts at q_prime) and flips at each
+    later step with probability switch_prob, defaulting to 1 - 1/sqrt(T).
+    The other kinds draw nothing.
     """
-    if pattern.kind != "bernoulli":
-        return pattern
-    p = pattern.switch_prob
-    if p is None:
-        p = default_switch_prob(pattern.horizon)
-    alphas = np.empty(pattern.horizon)
-    bit = 0.0
-    for t in range(pattern.horizon):
-        if t > 0 and rng.random() < p:
-            bit = 1.0 - bit
-        alphas[t] = bit
-    return replace(pattern, alphas=alphas)
-
-
-def marginals(pattern: ShiftPattern, start: int, stop: int) -> np.ndarray:
-    """True label marginals q_t for the steps t in [start, stop), stacked as
-    a (stop - start, K) array; the steps must lie in [1, T]."""
     horizon = pattern.horizon
-    for t in (start, stop - 1):
-        if not 1 <= t <= horizon:
-            raise InvalidArgumentError(f"t={t} outside [1, {horizon}]")
-    t = np.arange(start, stop)
+    t = np.arange(1, horizon + 1)
     if pattern.kind == "constant":
-        alpha = np.ones(t.size)
+        alpha = np.ones(horizon)
     elif pattern.kind == "monotone":
         # Ramp from q' (t=1) to q (t=T); the full path length is then
         # exactly ||q - q'||_1.
-        alpha = np.ones(t.size) if horizon == 1 else (t - 1) / (horizon - 1)
+        alpha = np.ones(horizon) if horizon == 1 else (t - 1) / (horizon - 1)
     elif pattern.kind == "sinusoidal":
         period = max(1, round(np.sqrt(horizon)))
         alpha = np.sin(np.pi * (t % period) / period)
     else:  # bernoulli
-        if pattern.alphas is None:
-            raise InvalidArgumentError(
-                "bernoulli pattern must be realized with an rng first"
-            )
-        alpha = pattern.alphas[start - 1 : stop - 1]
+        p = pattern.switch_prob
+        p = default_switch_prob(horizon) if p is None else p
+        alpha = np.zeros(horizon)
+        alpha[1:] = np.cumsum(rng.random(horizon - 1) < p) % 2
     return alpha[:, None] * pattern.q + (1.0 - alpha)[:, None] * pattern.q_prime
-
-
-def marginal_at(pattern: ShiftPattern, t: int) -> np.ndarray:
-    """True label marginal q_t for step t in [1, T]."""
-    return marginals(pattern, t, t + 1)[0]
-
-
-def marginal_path(pattern: ShiftPattern) -> np.ndarray:
-    """All marginals stacked as a (T x K) array."""
-    return marginals(pattern, 1, pattern.horizon + 1)
 
 
 def path_length(qs: np.ndarray) -> float:

@@ -52,8 +52,6 @@ from .synthdata import (
     default_means,
     default_pattern,
     draw_class_inputs,
-    marginal_path,
-    realize_pattern,
 )
 
 
@@ -251,8 +249,8 @@ def check_p5() -> CheckResult:
     """True-marginal oracle error vs Monte-Carlo Bayes error."""
     sc = _scenario("p5")
     pre = _pretrained("p5")
-    qs = marginal_path(realize_pattern(sc.shift, make_rng(sc.shift_seed)))
-    uniq, counts = np.unique(np.round(qs, 12), axis=0, return_counts=True)
+    trace = oracle_trace(sc, frozen=True, pretrained=pre)
+    uniq, counts = np.unique(np.round(trace.q, 12), axis=0, return_counts=True)
     rng = make_rng(999)
     per_q = 500_000 // len(uniq)
     bayes = np.array([
@@ -260,7 +258,6 @@ def check_p5() -> CheckResult:
         for u in uniq
     ])
     bayes_avg = float((bayes * counts).sum() / counts.sum())
-    trace = oracle_trace(sc, frozen=True, pretrained=pre)
     gap = abs(trace.avg_error - bayes_avg)
     return CheckResult(
         "P5 oracle reweighting vs Bayes oracle",

@@ -41,11 +41,11 @@ from olsofu.synthdata import (
     default_means,
     default_pattern,
     draw_class_inputs,
-    marginal_at,
-    realize_pattern,
     sample_batch,
     uniform_simplex,
 )
+
+from conftest import reference_marginals
 
 
 def constant_at_uniform(k, horizon):
@@ -89,8 +89,8 @@ def run_until_pool_exhausts(sc, pre, monkeypatch, **changes):
     shift = ShiftPattern("bernoulli", uniform_simplex(4), np.eye(4)[0], 150,
                          switch_prob=0.05)
     sc = dataclasses.replace(sc, shift=shift, shift_seed=3, **changes)
-    alphas = realize_pattern(shift, make_rng(sc.shift_seed)).alphas
-    first = 1 + int(np.flatnonzero(alphas)[0])
+    qs = reference_marginals(shift, make_rng(sc.shift_seed))
+    first = 1 + int(np.flatnonzero(qs[:, 3])[0])
     stepped, refreshes = [], count_refreshes(monkeypatch)
     original = harness.ols_ofu_step
 
@@ -312,10 +312,8 @@ class TestOracle:
             order=order,
         )
         shift_rng = make_rng(sc.shift_seed)
-        pattern = realize_pattern(sc.shift, shift_rng)
         expected = []
-        for t in range(1, sc.horizon + 1):
-            q_t = marginal_at(pattern, t)
+        for q_t in reference_marginals(sc.shift, shift_rng):
             inputs, labels = sample_batch(
                 q_t, sc.batch_size, pre.pool, sc.corruption, shift_rng
             )
@@ -338,12 +336,12 @@ class TestWrapperDegeneracy:
 
 
 def per_step_reference(sc, pre, true_marginal=False):
-    """The online protocol one batch at a time: ``marginal_at``, draw,
-    ``bbse_estimate``, ``ols_ofu_step`` and ``Predictor.predict``. Returns
-    (q, s, sigma_min, errors, snapshots), sigma_min that of the confusion
-    before each step."""
+    """The online protocol one batch at a time: ``reference_marginals``,
+    then per step a draw, ``bbse_estimate``, ``ols_ofu_step`` and
+    ``Predictor.predict``. Returns (q, s, sigma_min, errors, snapshots),
+    sigma_min that of the confusion before each step."""
     shift_rng = make_rng(sc.shift_seed)
-    pattern = realize_pattern(sc.shift, shift_rng)
+    qs = reference_marginals(sc.shift, shift_rng)
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
                              pre.confusion.sigma_min, sc.algo_params)
     state = OfuState(
@@ -352,9 +350,8 @@ def per_step_reference(sc, pre, true_marginal=False):
         rng=make_rng(sc.run_seed), retrain_max_iter=sc.retrain_max_iter,
     )
     predictor = compose_output(state.model, strategy)
-    q, s, sigma_min, errors, snapshots = [], [], [], [], []
-    for t in range(1, sc.horizon + 1):
-        q_t = marginal_at(pattern, t)
+    s, sigma_min, errors, snapshots = [], [], [], []
+    for q_t in qs:
         inputs, labels = sample_batch(q_t, sc.batch_size, pre.pool, sc.corruption,
                                       shift_rng)
         est = bbse_estimate(state.model, state.confusion, inputs)
@@ -365,10 +362,9 @@ def per_step_reference(sc, pre, true_marginal=False):
         errors.append(int(np.sum(deployed.predict(inputs) != labels)))
         if sc.order == "predict_first":
             predictor = ols_ofu_step(state, inputs, est)
-        q.append(q_t)
         s.append(est.s)
         snapshots.append(state.strategy.snapshot())
-    return np.array(q), np.array(s), np.array(sigma_min), np.array(errors), snapshots
+    return qs, np.array(s), np.array(sigma_min), np.array(errors), snapshots
 
 
 def assert_loops_match_per_step_reference(sc, pre, **changes):
@@ -468,8 +464,8 @@ class TestSegmentPath:
     def test_bernoulli_loops_match_per_step_reference(self, small_scenario,
                                                       small_pretrained, order):
         # A bernoulli pattern draws its switches from the shift rng before
-        # any batch; the stream's precomputed marginal path must match
-        # ``marginal_at`` on the realized pattern, and the batches after it.
+        # any batch; the stream's marginal path must match the step-by-step
+        # ``reference_marginals``, and the batches after it.
         assert_loops_match_per_step_reference(
             small_scenario, small_pretrained, algorithm="flhftl", order=order,
             ssl=SslSpec(kind="rotation", ba=5), shift=default_pattern("bernoulli", 4, 150),

@@ -18,14 +18,13 @@ from olsofu.synthdata import (
     default_pattern,
     default_switch_prob,
     make_source_data,
-    marginal_at,
     marginal_path,
-    marginals,
     path_length,
-    realize_pattern,
     sample_batch,
     sample_batches,
 )
+
+from conftest import reference_marginals
 
 
 def spec(k=4, d=8, sep=2.0, cov=1.0, n_train=2000, n_val=None, pool=2000):
@@ -43,64 +42,53 @@ def spec(k=4, d=8, sep=2.0, cov=1.0, n_train=2000, n_val=None, pool=2000):
 class TestShiftPatterns:
     def test_sinusoidal_endpoints(self):
         pat = default_pattern("sinusoidal", 4, 1000)
+        qs = marginal_path(pat, make_rng(0))
         period = round(np.sqrt(1000))
-        # i = t mod L: i = 0 gives q', i = L/2 gives q
-        np.testing.assert_allclose(marginal_at(pat, period), pat.q_prime, atol=1e-12)
-        np.testing.assert_allclose(
-            marginal_at(pat, period + period // 2), pat.q, atol=1e-12
-        )
+        # i = t mod L: i = 0 gives q', i = L/2 gives q; row t - 1 is q_t
+        np.testing.assert_allclose(qs[period - 1], pat.q_prime, atol=1e-12)
+        np.testing.assert_allclose(qs[period + period // 2 - 1], pat.q, atol=1e-12)
 
     def test_bernoulli_default_switch_probability(self):
         # T=1000: 1 - 1/sqrt(1000)
         assert default_switch_prob(1000) == pytest.approx(0.96838, abs=1e-5)
-        pat = realize_pattern(default_pattern("bernoulli", 3, 4000), make_rng(3))
-        flips = np.mean(np.abs(np.diff(pat.alphas)))
+        qs = marginal_path(default_pattern("bernoulli", 3, 4000), make_rng(3))
+        flips = np.mean((np.diff(qs, axis=0) != 0).any(axis=1))
         assert flips == pytest.approx(default_switch_prob(4000), abs=0.02)
 
     def test_bernoulli_needs_realization(self):
+        # The path starts at q' and every row is one of the two endpoints.
         pat = default_pattern("bernoulli", 3, 100)
-        with pytest.raises(InvalidArgumentError):
-            marginal_at(pat, 1)
-        realized = realize_pattern(pat, make_rng(0))
-        assert set(np.unique(realized.alphas)) <= {0.0, 1.0}
-        assert realized.alphas[0] == 0.0
+        qs = marginal_path(pat, make_rng(0))
+        np.testing.assert_array_equal(qs[0], pat.q_prime)
+        at_q = (qs == pat.q).all(axis=1)
+        assert (at_q | (qs == pat.q_prime).all(axis=1)).all()
+        assert at_q.any()
 
     def test_constant_path_length_zero(self):
         pat = default_pattern("constant", 4, 300)
-        assert path_length(marginal_path(pat)) == 0.0
+        assert path_length(marginal_path(pat, make_rng(0))) == 0.0
 
     def test_monotone_path_length_is_endpoint_distance(self):
         pat = default_pattern("monotone", 4, 733)
         expected = np.abs(pat.q - pat.q_prime).sum()
-        assert path_length(marginal_path(pat)) == pytest.approx(expected, abs=1e-9)
-
-    def test_out_of_range_step(self):
-        pat = default_pattern("constant", 4, 10)
-        with pytest.raises(InvalidArgumentError):
-            marginal_at(pat, 0)
-        with pytest.raises(InvalidArgumentError):
-            marginal_at(pat, 11)
+        assert path_length(marginal_path(pat, make_rng(0))) == pytest.approx(expected, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=500), st.integers(min_value=0, max_value=3))
     def test_marginal_always_on_simplex(self, t, kind_idx):
         kind = ["sinusoidal", "constant", "monotone", "bernoulli"][kind_idx]
-        pat = realize_pattern(default_pattern(kind, 5, 500), make_rng(7))
-        assert is_simplex(marginal_at(pat, t if t >= 1 else 1))
+        qs = marginal_path(default_pattern(kind, 5, 500), make_rng(7))
+        assert is_simplex(qs[t - 1])
 
 
-def reference_marginal(pattern, t):
-    """q_t from its step-by-step formula, one scalar alpha per step."""
-    if pattern.kind == "constant":
-        alpha = 1.0
-    elif pattern.kind == "monotone":
-        alpha = 1.0 if pattern.horizon == 1 else (t - 1) / (pattern.horizon - 1)
-    elif pattern.kind == "sinusoidal":
-        period = max(1, round(np.sqrt(pattern.horizon)))
-        alpha = np.sin(np.pi * (t % period) / period)
-    else:
-        alpha = pattern.alphas[t - 1]
-    return alpha * pattern.q + (1.0 - alpha) * pattern.q_prime
+def assert_path_matches_reference(pattern):
+    """``marginal_path`` equals the step-by-step ``reference_marginals``
+    bit for bit, and leaves its rng where the reference leaves its own."""
+    rng, ref_rng = make_rng(5), make_rng(5)
+    qs = marginal_path(pattern, rng)
+    assert qs.shape == (pattern.horizon, pattern.q.size)
+    np.testing.assert_array_equal(qs, reference_marginals(pattern, ref_rng))
+    assert rng.random() == ref_rng.random()
 
 
 class TestChunkMarginals:
@@ -109,24 +97,14 @@ class TestChunkMarginals:
         ("sinusoidal", 7), ("bernoulli", 90),
     ])
     def test_chunks_are_bit_equal_to_per_step_marginals(self, kind, horizon):
-        pat = realize_pattern(
-            ShiftPattern(kind, np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.7, 0.1, 0.1, 0.1]),
-                         horizon), make_rng(5))
-        for size in (1, 25, horizon):
-            for start in range(1, horizon + 1, size):
-                stop = min(start + size, horizon + 1)
-                chunk = marginals(pat, start, stop)
-                assert chunk.shape == (stop - start, 4)
-                for i, t in enumerate(range(start, stop)):
-                    np.testing.assert_array_equal(chunk[i], marginal_at(pat, t))
-                    np.testing.assert_array_equal(chunk[i], reference_marginal(pat, t))
-        np.testing.assert_array_equal(marginal_path(pat), marginals(pat, 1, horizon + 1))
+        assert_path_matches_reference(ShiftPattern(
+            kind, np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.7, 0.1, 0.1, 0.1]), horizon))
 
-    @pytest.mark.parametrize("start,stop", [(0, 5), (1, 12), (11, 12)])
-    def test_out_of_range_chunk(self, start, stop):
-        pat = default_pattern("sinusoidal", 3, 10)
-        with pytest.raises(InvalidArgumentError, match="outside"):
-            marginals(pat, start, stop)
+    @pytest.mark.parametrize("horizon,switch_prob", [(1, None), (90, 0.0), (90, 1.0)])
+    def test_bernoulli_edge_cases_match_reference(self, horizon, switch_prob):
+        assert_path_matches_reference(ShiftPattern(
+            "bernoulli", np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.7, 0.1, 0.1, 0.1]),
+            horizon, switch_prob))
 
 
 class TestSourceData:
