@@ -53,6 +53,9 @@ writes, its per-step sigma_min and its strategy snapshots. The set:
 - ``oracle_trace`` frozen and updated with rotation, x both orders;
 - ``run_bare_ols`` x both orders;
 - atlas with entropy (ba=5) and with InfoNCE (ba=5, inner_steps=2);
+- uogd with entropy (ba=5, update_first): its refreshes take the entropy
+  gradient through the strategy's head, and a refreshing step deploys
+  that head on the refreshed model;
 - flhftl with rotation (ba=5) on batches rotated by 30 degrees
   (``CorruptionSpec(kind="rotate2d", angle=30.0)``), uogd with rotation
   (ba=5, update_first) on batches with Gaussian noise
@@ -200,6 +203,8 @@ def record() -> dict:
         ("run_online/uogd/ssl=rotation/gaussian_noise/update_first", dataclasses.replace(
             sc, algorithm="uogd", ssl=rotation, order="update_first",
             corruption=CorruptionSpec(kind="gaussian_noise", severity=0.5))),
+        ("run_online/uogd/ssl=entropy/update_first", dataclasses.replace(
+            sc, algorithm="uogd", ssl=SslSpec(kind="entropy", ba=5), order="update_first")),
         ("run_online/fth/ssl=none/affine", dataclasses.replace(
             sc, algorithm="fth", corruption=CorruptionSpec(kind="affine", severity=0.2))),
         ("run_online/flhftl/ssl=rotation/bernoulli", dataclasses.replace(

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import InvalidArgumentError, RunError, UndefinedCorrelationError, require
 from .estimator import ConfusionMatrix, bbse_estimate, bbse_estimates, confusion_matrix
 from .models import (
+    HIDDEN_WIDTHS,
+    PRETRAIN_SSL_WEIGHT,
     RETRAIN_MAX_ITER,
     SSL_KINDS,
     HeadCurvature,
@@ -40,7 +42,6 @@ from .ofu import (
     feature_update,
     ols_ofu_step,
     predict_stacked,
-    steps_before_refresh,
 )
 from .ols import ALGORITHMS, AlgoParams, make_strategy
 from .synthdata import (
@@ -87,11 +88,11 @@ class Scenario:
     run_seed: int = 8610
     train_cfg: TrainConfig = TrainConfig()
     pretrain_ssl: str = "none"
-    pretrain_ssl_weight: float = 1.0
+    pretrain_ssl_weight: float = PRETRAIN_SSL_WEIGHT
     algo_params: AlgoParams = AlgoParams()
     reg_lambda: float = 0.01
-    hidden: tuple = (32, 32)
-    activation: str = "tanh"
+    hidden: tuple = HIDDEN_WIDTHS
+    activation: str = ModelParams.activation
     retrain_max_iter: int = RETRAIN_MAX_ITER
 
     def __post_init__(self):
@@ -326,38 +327,40 @@ class _BatchStream:
         self.trace.errors[self.start - 1 : self.stop - 1] = (predicted != self.labels).sum(axis=1)
 
 
-def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTrace:
+def _online_loop(sc: Scenario, pre: Pretrained, deploy) -> OnlineTrace:
     """The online protocol shared by ``run_online`` and ``oracle_trace``.
 
     Each step samples a batch from the true marginal, predicts with the
     deployed model, counts its 0-1 errors against the hidden labels, and
     then adapts (prediction and adaptation swap under order='update_first').
-    The deploy policy is the only difference between the two callers: the
-    strategy's composed output, or with ``true_marginal`` the current model
-    reweighted by q_t / q0. A ``_BatchStream`` supplies the batches and
-    their estimates and records the trace; the loop only steps the strategy
-    and hands the stream each step's deployed model and snapshot.
+    The run is one trajectory, an ``OfuState`` that ``ols_ofu_step``
+    advances with the scenario's strategy, plus one deploy policy:
+    ``deploy(model, strategy, q_t)`` builds the ``Predictor`` deployed at
+    the step whose true marginal is q_t, from the trajectory's current
+    model and the strategy, when the step deploys. A ``_BatchStream``
+    supplies the batches and their estimates and records the trace; the
+    loop only advances the trajectory and hands the stream each step's
+    deployed model and the strategy's snapshot.
     """
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
                              pre.confusion.sigma_min, sc.algo_params)
     state = OfuState(
-        model=pre.model, confusion=pre.confusion, strategy=strategy, train=pre.train,
-        val=pre.val, ssl=sc.ssl, reg_lambda=sc.reg_lambda,
-        rng=make_rng(sc.run_seed), retrain_max_iter=sc.retrain_max_iter,
+        model=pre.model, confusion=pre.confusion, train=pre.train, val=pre.val,
+        ssl=sc.ssl, reg_lambda=sc.reg_lambda, rng=make_rng(sc.run_seed),
+        retrain_max_iter=sc.retrain_max_iter, reads=strategy.reads,
     )
-    predictor = None if true_marginal else compose_output(state.model, strategy)
     stream = _BatchStream(sc, pre)
     for t in range(1, sc.horizon + 1):
         try:
             q_t, inputs, est = stream.step(
-                t, state.model, state.confusion, steps_before_refresh(state)
+                t, state.model, state.confusion, state.steps_before_refresh()
             )
             if sc.order == "update_first":
-                predictor = ols_ofu_step(state, inputs, est)
-            deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
+                ols_ofu_step(state, strategy, inputs, est)
+            deployed = deploy(state.model, strategy, q_t)
             if sc.order == "predict_first":
-                predictor = ols_ofu_step(state, inputs, est)
-            stream.end_step(t, deployed, state.strategy.snapshot())
+                ols_ofu_step(state, strategy, inputs, est)
+            stream.end_step(t, deployed, strategy.snapshot())
         except Exception as exc:  # noqa: BLE001 - annotate with the step index
             raise RunError(f"step {t}: {exc}", t) from exc
     return stream.trace
@@ -365,7 +368,7 @@ def _online_loop(sc: Scenario, pre: Pretrained, true_marginal: bool) -> OnlineTr
 
 def run_online(sc: Scenario, pretrained: Pretrained) -> OnlineTrace:
     """Run the full online protocol, deploying the strategy's output."""
-    return _online_loop(sc, pretrained, true_marginal=False)
+    return _online_loop(sc, pretrained, lambda m, strategy, _: compose_output(m, strategy))
 
 
 def run_bare_ols(sc: Scenario, pretrained: Pretrained) -> OnlineTrace:
@@ -380,16 +383,15 @@ def run_bare_ols(sc: Scenario, pretrained: Pretrained) -> OnlineTrace:
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
                              pre.confusion.sigma_min, sc.algo_params)
     ctx = build_context(pre.model, pre.train, reads=strategy.reads)
-    predictor = compose_output(pre.model, strategy)
     stream = _BatchStream(sc, pre)
     for t in range(1, sc.horizon + 1):
         try:
             _, _, est = stream.step(t, pre.model, pre.confusion, None)
-            deployed = predictor
-            strategy.step(ctx, est)
-            predictor = compose_output(pre.model, strategy)
             if sc.order == "update_first":
-                deployed = predictor
+                strategy.step(ctx, est)
+            deployed = compose_output(pre.model, strategy)
+            if sc.order == "predict_first":
+                strategy.step(ctx, est)
             stream.end_step(t, deployed, strategy.snapshot())
         except Exception as exc:  # noqa: BLE001
             raise RunError(f"step {t}: {exc}", t) from exc
@@ -404,7 +406,7 @@ def oracle_trace(sc: Scenario, frozen: bool, pretrained: Pretrained) -> OnlineTr
     base model evolves while the reweighting stays exact.
     """
     oracle = replace(sc, algorithm="none", ssl=SslSpec() if frozen else sc.ssl)
-    return _online_loop(oracle, pretrained, true_marginal=True)
+    return _online_loop(oracle, pretrained, lambda m, _, q_t: Predictor(m, q_t / pretrained.q0))
 
 
 def improvement_check(sc: Scenario, pretrained: Pretrained) -> tuple[float, float, bool]:

@@ -151,12 +151,16 @@ def with_theta(m: ModelParams, theta: np.ndarray) -> ModelParams:
     return new
 
 
+# The default hidden layer widths, also ``Scenario.hidden``'s.
+HIDDEN_WIDTHS = (32, 32)
+
+
 def init_model(
     d: int,
     k: int,
-    hidden=(32, 32),
+    hidden=HIDDEN_WIDTHS,
     rng: np.random.Generator | None = None,
-    activation: str = "tanh",
+    activation: str = ModelParams.activation,
 ) -> ModelParams:
     """Symmetric uniform init scaled by 1/sqrt(fan_in)."""
     rng = rng if rng is not None else make_rng(0)
@@ -460,14 +464,19 @@ class TrainConfig:
         require(self.seed >= 0, "seed", "must be >= 0")
 
 
+# The default weight of the SSL loss in pretraining, also
+# ``Scenario.pretrain_ssl_weight``'s.
+PRETRAIN_SSL_WEIGHT = 1.0
+
+
 def train_supervised(
     train,
     cfg: TrainConfig,
     k: int,
     ssl: SslSpec = SslSpec(),
-    ssl_weight: float = 1.0,
-    hidden=(32, 32),
-    activation: str = "tanh",
+    ssl_weight: float = PRETRAIN_SSL_WEIGHT,
+    hidden=HIDDEN_WIDTHS,
+    activation: str = ModelParams.activation,
 ) -> ModelParams:
     """Mini-batch SGD with momentum and weight decay on CE plus, when
     ``ssl.kind`` is not 'none', ssl_weight times the self-supervised loss

@@ -11,6 +11,10 @@ place a run's model, confusion and context change. The ordering is
 normative: the estimate consumed in (1) never has a data-flow dependence
 on the current batch.
 
+An ``OfuState`` is the run's trajectory; the strategy is stepped on it,
+not held in it, and the caller deploys from both, e.g. with
+``compose_output``.
+
 A refresh forwards each source set once. The train features of the
 updated extractor feed both the head retrain and the strategies'
 ``OlsContext`` (the retrain leaves the extractor frozen, so they are the
@@ -180,10 +184,11 @@ def calibrate(
 
 @dataclass
 class OfuState:
-    """Mutable single-owner state of one online run, with the run's fixed
-    resources: the source data, the estimator's regularization, the
-    run-level rng that feeds SSL draws and the head retrain's iteration
-    cap. ``confusion`` is of ``model``, and ``ctx`` is built from it;
+    """Mutable single-owner state of one online run's trajectory, with the
+    run's fixed resources: the source data, the estimator's regularization,
+    the run-level rng that feeds SSL draws and the head retrain's iteration
+    cap. ``confusion`` is of ``model``, and ``ctx`` is built from it with
+    the fields that ``reads`` (the stepped strategy's ``reads``) names;
     ``model``'s temperature is where the next refresh's calibration starts.
     ``curvature`` is the run's head-retrain curvature, which each refresh's
     solve starts from and leaves for the next, and the storage of the
@@ -191,51 +196,50 @@ class OfuState:
 
     model: ModelParams  # f_t'': calibrated, independent of the current batch
     confusion: ConfusionMatrix
-    strategy: object
     train: object
     val: object
     ssl: SslSpec
     reg_lambda: float
     rng: np.random.Generator
     retrain_max_iter: int
+    reads: tuple
     ctx: OlsContext = field(init=False)
     buffer: list = field(default_factory=list)
     feature_updates_done: int = 0
     curvature: HeadCurvature = field(default_factory=HeadCurvature, init=False)
 
     def __post_init__(self):
-        self.ctx = build_context(self.model, self.train, reads=self.strategy.reads)
+        self.ctx = build_context(self.model, self.train, reads=self.reads)
+
+    def steps_before_refresh(self) -> int | None:
+        """How many steps, the next one included, estimate from ``model``;
+        the model refreshes at the end of the last of them. None when no
+        step refreshes it (ssl kind 'none')."""
+        if self.ssl.kind == "none":
+            return None
+        return self.ssl.ba - len(self.buffer)
 
 
-def steps_before_refresh(state: OfuState) -> int | None:
-    """How many steps, the next one included, estimate from ``state.model``;
-    the model refreshes at the end of the last of them. None when no step
-    refreshes it (ssl kind 'none')."""
-    if state.ssl.kind == "none":
-        return None
-    return state.ssl.ba - len(state.buffer)
-
-
-def refresh(state: OfuState, inputs: np.ndarray) -> None:
+def refresh(state: OfuState, inputs: np.ndarray, head: tuple | None) -> None:
     """Steps (2)-(3) on the buffered ``inputs``: feature-update the model,
     re-train its head, re-calibrate it, and rebuild the confusion and the
-    strategy's context from the result. The calibration's search starts
-    from the temperature of the model it replaces."""
+    context from the result. ``head``, a ``(w, b)`` or None, is the
+    classification head that the feature update's SSL loss reads in place
+    of the model's own. The calibration's search starts from the
+    temperature of the model it replaces."""
     # The old model's context is dead from here on; dropping it now keeps
     # its arrays out of the feature update's peak memory.
     state.ctx = None
     carrier = state.model
-    if state.strategy.kind == "head":
-        w, b = state.strategy.head()
-        carrier = with_updates(carrier, linear_w=w, linear_b=b)
+    if head is not None:
+        carrier = with_updates(carrier, linear_w=head[0], linear_b=head[1])
     for _ in range(state.ssl.inner_steps):
         carrier = feature_update(carrier, inputs, state.ssl, state.rng)
     # The solve is warm-started from the previous refresh's optimum, which a
-    # head strategy's carrier does not hold.
-    if state.strategy.kind == "head":
-        carrier = with_updates(
-            carrier, linear_w=state.model.linear_w, linear_b=state.model.linear_b
-        )
+    # carrier of another head does not hold.
+    if head is not None:
+        carrier = with_updates(carrier, linear_w=state.model.linear_w,
+                               linear_b=state.model.linear_b)
     feats = feat_activations(carrier, state.train.inputs)[-1]
     retrained = retrain_linear(
         carrier, state.train, max_iter=state.retrain_max_iter, feats=feats,
@@ -244,15 +248,17 @@ def refresh(state: OfuState, inputs: np.ndarray) -> None:
     state.model, state.confusion = calibrate(
         retrained, state.val, state.reg_lambda, state.model.temperature
     )
-    state.ctx = build_context(state.model, state.train, feats, state.strategy.reads)
+    state.ctx = build_context(state.model, state.train, feats, state.reads)
     state.feature_updates_done += 1
 
 
 def ols_ofu_step(
-    state: OfuState, batch_inputs: np.ndarray, est: MarginalEstimate
-) -> Predictor:
-    """Advance one time step; mutates ``state`` and returns the model to
-    deploy next.
+    state: OfuState, strategy, batch_inputs: np.ndarray, est: MarginalEstimate
+) -> None:
+    """Advance one time step: step ``strategy`` on ``est`` in
+    ``state``'s context, buffer the batch and, every ``ba`` steps, refresh
+    ``state``. The caller deploys from the state and the strategy as they
+    stand afterwards.
 
     ``batch_inputs`` must be unlabeled; passing a (inputs, labels) pair is
     rejected so hidden labels cannot leak into adaptation. ``est`` is this
@@ -268,11 +274,17 @@ def ols_ofu_step(
         raise ContractViolationError(
             "the estimate must come from the model finalized before this batch"
         )
-    state.strategy.step(state.ctx, est)
+    strategy.step(state.ctx, est)
     if state.ssl.kind != "none":
         state.buffer.append(np.asarray(batch_inputs, dtype=float))
         if len(state.buffer) >= state.ssl.ba:
             inputs = np.vstack(state.buffer)
             state.buffer.clear()
-            refresh(state, inputs)
-    return compose_output(state.model, state.strategy)
+            # Of the SSL losses only entropy reads the classification head:
+            # rotation trains its own auxiliary head, InfoNCE reads the
+            # features alone, and ``feature_update`` zeroes the head's
+            # gradient. So only there does a head strategy's head, the one
+            # it deploys, shape the feature update; elsewhere the
+            # trajectory does not depend on the strategy at all.
+            reads_head = state.ssl.kind == "entropy" and strategy.kind == "head"
+            refresh(state, inputs, strategy.head() if reads_head else None)

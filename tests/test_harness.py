@@ -13,6 +13,7 @@ from olsofu.estimator import bbse_estimate, confusion_matrix, regularize_confusi
 from olsofu.harness import (
     CHUNK_STEPS,
     CSV_BLOCK_ROWS,
+    ORDERS,
     OnlineTrace,
     Scenario,
     improvement_check,
@@ -32,7 +33,7 @@ from olsofu.ofu import (
     feature_update,
     ols_ofu_step,
 )
-from olsofu.ols import make_strategy
+from olsofu.ols import ALGORITHMS, make_strategy
 from olsofu.synthdata import (
     CorruptionSpec,
     DataSpec,
@@ -94,9 +95,9 @@ def run_until_pool_exhausts(sc, pre, monkeypatch, **changes):
     stepped, refreshes = [], count_refreshes(monkeypatch)
     original = harness.ols_ofu_step
 
-    def counting(state, inputs, est):
+    def counting(state, strategy, inputs, est):
         stepped.append(est)
-        return original(state, inputs, est)
+        original(state, strategy, inputs, est)
 
     monkeypatch.setattr(harness, "ols_ofu_step", counting)
     with pytest.raises(RunError) as err:
@@ -335,21 +336,21 @@ class TestWrapperDegeneracy:
             np.testing.assert_array_equal(a, b)
 
 
-def per_step_reference(sc, pre, true_marginal=False):
+def per_step_reference(sc, pre, deploy):
     """The online protocol one batch at a time: ``reference_marginals``,
     then per step a draw, ``bbse_estimate``, ``ols_ofu_step`` and
-    ``Predictor.predict``. Returns (q, s, sigma_min, errors, snapshots),
-    sigma_min that of the confusion before each step."""
+    ``Predictor.predict`` of ``deploy(model, strategy, q_t)``, as the loop
+    deploys. Returns (q, s, sigma_min, errors, snapshots), sigma_min that
+    of the confusion before each step."""
     shift_rng = make_rng(sc.shift_seed)
     qs = reference_marginals(sc.shift, shift_rng)
     strategy = make_strategy(sc.algorithm, pre.q0, sc.horizon, pre.model,
                              pre.confusion.sigma_min, sc.algo_params)
     state = OfuState(
-        model=pre.model, confusion=pre.confusion, strategy=strategy, train=pre.train,
-        val=pre.val, ssl=sc.ssl, reg_lambda=sc.reg_lambda,
-        rng=make_rng(sc.run_seed), retrain_max_iter=sc.retrain_max_iter,
+        model=pre.model, confusion=pre.confusion, train=pre.train, val=pre.val,
+        ssl=sc.ssl, reg_lambda=sc.reg_lambda, rng=make_rng(sc.run_seed),
+        retrain_max_iter=sc.retrain_max_iter, reads=strategy.reads,
     )
-    predictor = compose_output(state.model, strategy)
     s, sigma_min, errors, snapshots = [], [], [], []
     for q_t in qs:
         inputs, labels = sample_batch(q_t, sc.batch_size, pre.pool, sc.corruption,
@@ -357,13 +358,13 @@ def per_step_reference(sc, pre, true_marginal=False):
         est = bbse_estimate(state.model, state.confusion, inputs)
         sigma_min.append(state.confusion.sigma_min)
         if sc.order == "update_first":
-            predictor = ols_ofu_step(state, inputs, est)
-        deployed = Predictor(state.model, q_t / pre.q0) if true_marginal else predictor
+            ols_ofu_step(state, strategy, inputs, est)
+        deployed = deploy(state.model, strategy, q_t)
         errors.append(int(np.sum(deployed.predict(inputs) != labels)))
         if sc.order == "predict_first":
-            predictor = ols_ofu_step(state, inputs, est)
+            ols_ofu_step(state, strategy, inputs, est)
         s.append(est.s)
-        snapshots.append(state.strategy.snapshot())
+        snapshots.append(strategy.snapshot())
     return qs, np.array(s), np.array(sigma_min), np.array(errors), snapshots
 
 
@@ -378,9 +379,11 @@ def assert_loops_match_per_step_reference(sc, pre, **changes):
         shift=dataclasses.replace(shift, horizon=2 * CHUNK_STEPS + 13),
     )
     oracle_sc = dataclasses.replace(sc, algorithm="none")
-    runs = [(run_online(sc, pre), per_step_reference(sc, pre)),
+    runs = [(run_online(sc, pre), per_step_reference(
+                sc, pre, lambda model, strategy, _: compose_output(model, strategy))),
             (oracle_trace(sc, frozen=sc.ssl.kind == "none", pretrained=pre),
-             per_step_reference(oracle_sc, pre, true_marginal=True))]
+             per_step_reference(oracle_sc, pre,
+                                lambda model, _, q_t: Predictor(model, q_t / pre.q0)))]
     if sc.ssl.kind == "none":
         runs.append((run_bare_ols(sc, pre), runs[0][1]))
     for trace, (q, s, sigma_min, errors, snapshots) in runs:
@@ -391,6 +394,35 @@ def assert_loops_match_per_step_reference(sc, pre, **changes):
         assert len(trace.snapshots) == len(snapshots)
         for a, b in zip(trace.snapshots, snapshots):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+class TestSharedTrajectory:
+    @pytest.mark.parametrize("kind", ["rotation", "infonce", "entropy"])
+    def test_the_trajectory_does_not_depend_on_the_strategy_or_the_order(
+        self, small_scenario, small_pretrained, kind
+    ):
+        # OLS-OFU's refresh reads no reweighting strategy, and a head
+        # strategy's head only through the entropy loss. So every run of a
+        # scenario, the updated oracle's included, estimates from one model
+        # sequence in either order, except a head strategy's under entropy.
+        pre = small_pretrained
+        sc = dataclasses.replace(
+            small_scenario, ssl=SslSpec(kind=kind, ba=5), retrain_max_iter=20,
+            shift=dataclasses.replace(small_scenario.shift, horizon=60),
+        )
+        traces = {}
+        for order in ORDERS:
+            o = dataclasses.replace(sc, order=order)
+            for algo in ALGORITHMS[1:]:
+                traces[algo, order] = run_online(dataclasses.replace(o, algorithm=algo), pre)
+            traces["oracle", order] = oracle_trace(o, frozen=False, pretrained=pre)
+        head_strategies = ("uogd", "atlas") if kind == "entropy" else ()
+        reference = traces["fth", ORDERS[0]]
+        for (name, _), trace in traces.items():
+            same = name not in head_strategies
+            assert np.array_equal(trace.s, reference.s) == same
+            if same:
+                np.testing.assert_array_equal(trace.sigma_min, reference.sigma_min)
 
 
 class TestSegmentPath:
@@ -488,9 +520,8 @@ class TestSegmentPath:
             return out
 
         def recording_step(state, *args, **kwargs):
-            out = step(state, *args, **kwargs)
+            step(state, *args, **kwargs)
             end_uids.append(state.model.uid)
-            return out
 
         monkeypatch.setattr(harness, "bbse_estimates", recording_estimates)
         monkeypatch.setattr(harness, "ols_ofu_step", recording_step)

@@ -21,23 +21,25 @@ from olsofu.ols import make_strategy, reweight_probs
 
 
 def make_state(pre, ssl, algorithm="fth", horizon=100, run_seed=99, retrain_max_iter=40):
+    """A run's trajectory and the strategy stepped on it."""
     strategy = make_strategy(algorithm, pre.q0, horizon, pre.model, pre.confusion.sigma_min)
-    return OfuState(
+    state = OfuState(
         model=pre.model,
         confusion=pre.confusion,
-        strategy=strategy,
         train=pre.train,
         val=pre.val,
         ssl=ssl,
         reg_lambda=0.01,
         rng=make_rng(run_seed),
         retrain_max_iter=retrain_max_iter,
+        reads=strategy.reads,
     )
+    return state, strategy
 
 
-def step(state, x):
+def step(state, strategy, x):
     """``ols_ofu_step`` on the estimate from the model before the batch."""
-    return ols_ofu_step(state, x, bbse_estimate(state.model, state.confusion, x))
+    ols_ofu_step(state, strategy, x, bbse_estimate(state.model, state.confusion, x))
 
 
 class TestSslLoss:
@@ -111,21 +113,39 @@ class TestFeatureUpdate:
         np.testing.assert_array_equal(m.linear_b, out.linear_b)
         assert not np.array_equal(m.ssl_w, out.ssl_w)  # rotation head co-trains
 
+    @pytest.mark.parametrize("kind", ["rotation", "infonce", "entropy"])
+    def test_only_entropy_reads_the_classification_head(self, rng, kind):
+        # ``ols_ofu_step`` hands a head strategy's head to the refresh only
+        # under entropy. Under rotation and InfoNCE another classification
+        # head must leave the updated features, and rotation's co-trained
+        # head, bit for bit as they are.
+        m = init_model(4, 3, rng=make_rng(8))
+        perturbed = with_updates(m, linear_w=m.linear_w + rng.standard_normal(m.linear_w.shape),
+                                 linear_b=m.linear_b - 0.5)
+        x = rng.standard_normal((8, 4))
+        spec = SslSpec(kind=kind, ssl_lr=0.1)
+        a, b = (feature_update(model, x, spec, make_rng(9)) for model in (m, perturbed))
+        rest = np.ones(m.theta.size, dtype=bool)  # every entry but the classification head
+        m.views(rest).linear_w[...] = m.views(rest).linear_b[...] = False
+        same = kind != "entropy"
+        assert all(np.array_equal(wa, wb) for wa, wb in zip(a.feat_weights, b.feat_weights)) == same
+        assert np.array_equal(a.theta[rest], b.theta[rest]) == same
+
 
 class TestOlsOfuStep:
     def test_labels_cannot_reach_adaptation(self, small_pretrained, rng):
         pre = small_pretrained
-        state = make_state(pre, SslSpec(kind="none"))
+        state, strategy = make_state(pre, SslSpec(kind="none"))
         batch = pre.pool.inputs[:10]
         est = bbse_estimate(state.model, state.confusion, batch)
         with pytest.raises(ContractViolationError):
-            ols_ofu_step(state, (batch, np.zeros(10, dtype=int)), est)
+            ols_ofu_step(state, strategy, (batch, np.zeros(10, dtype=int)), est)
 
     def test_batch_accumulation_schedule(self, small_pretrained):
         pre = small_pretrained
-        state = make_state(pre, SslSpec(kind="entropy", ssl_lr=0.01, ba=5))
+        state, strategy = make_state(pre, SslSpec(kind="entropy", ssl_lr=0.01, ba=5))
         for t in range(1, 24):
-            step(state, pre.pool.inputs[10 * t : 10 * (t + 1)])
+            step(state, strategy, pre.pool.inputs[10 * t : 10 * (t + 1)])
             assert len(state.buffer) < 5
             if t % 5 == 0:
                 assert len(state.buffer) == 0
@@ -146,9 +166,9 @@ class TestOlsOfuStep:
         from olsofu.ols import CONTEXT_FIELDS
 
         pre = small_pretrained
-        state = make_state(pre, SslSpec(kind="rotation", ssl_lr=0.05), algorithm)
+        state, strategy = make_state(pre, SslSpec(kind="rotation", ssl_lr=0.05), algorithm)
         if refreshes:
-            step(state, pre.pool.inputs[:10])
+            step(state, strategy, pre.pool.inputs[:10])
         assert state.feature_updates_done == refreshes
         assert (state.model.uid == pre.model.uid) == (refreshes == 0)
         fresh = build_context(state.model, pre.train)
@@ -156,7 +176,7 @@ class TestOlsOfuStep:
         for name, read in (("xt", "xt"), ("class_sums", "xt"), ("train_probs", "train_probs"),
                            ("own_probs", "train_probs")):
             assert read in CONTEXT_FIELDS
-            if read not in state.strategy.reads:
+            if read not in strategy.reads:
                 assert getattr(state.ctx, name) is None
                 continue
             np.testing.assert_array_equal(getattr(state.ctx, name), getattr(fresh, name))
@@ -171,14 +191,14 @@ class TestOlsOfuStep:
         # Every refresh's retrain overwrites the run's one design matrix;
         # nothing an earlier refresh handed out may be a view of it.
         pre = small_pretrained
-        state = make_state(pre, SslSpec(kind="rotation", ssl_lr=0.05), algorithm)
-        refresh(state, pre.pool.inputs[:10])
+        state, _ = make_state(pre, SslSpec(kind="rotation", ssl_lr=0.05), algorithm)
+        refresh(state, pre.pool.inputs[:10], None)
         model, ctx, conf, design = state.model, state.ctx, state.confusion, state.curvature.design
         arrays = [model.theta, conf.matrix] + [
             a for a in (ctx.xt, ctx.class_sums, ctx.train_probs, ctx.own_probs) if a is not None
         ]
         saved = [a.copy() for a in arrays]
-        refresh(state, pre.pool.inputs[10:20])
+        refresh(state, pre.pool.inputs[10:20], None)
         assert state.curvature.design is design
         assert state.model.uid != model.uid
         for a, b in zip(arrays, saved):
@@ -186,21 +206,21 @@ class TestOlsOfuStep:
 
     def test_estimate_from_another_model_rejected(self, small_pretrained):
         pre = small_pretrained
-        state = make_state(pre, SslSpec(kind="rotation", ssl_lr=0.05))
+        state, strategy = make_state(pre, SslSpec(kind="rotation", ssl_lr=0.05))
         batch = pre.pool.inputs[:10]
         est = bbse_estimate(state.model, state.confusion, batch)
-        ols_ofu_step(state, batch, est)  # refreshes the model
+        ols_ofu_step(state, strategy, batch, est)  # refreshes the model
         with pytest.raises(ContractViolationError):
-            ols_ofu_step(state, pre.pool.inputs[10:20], est)
+            ols_ofu_step(state, strategy, pre.pool.inputs[10:20], est)
         s = np.full(4, 0.25)
         with pytest.raises(ContractViolationError):
-            ols_ofu_step(state, batch, MarginalEstimate(s, s))
+            ols_ofu_step(state, strategy, batch, MarginalEstimate(s, s))
 
     def test_ssl_none_keeps_model_fixed(self, small_pretrained):
         pre = small_pretrained
-        state = make_state(pre, SslSpec(kind="none"), "flhftl", horizon=50)
+        state, strategy = make_state(pre, SslSpec(kind="none"), "flhftl", horizon=50)
         for t in range(10):
-            step(state, pre.pool.inputs[10 * t : 10 * (t + 1)])
+            step(state, strategy, pre.pool.inputs[10 * t : 10 * (t + 1)])
         assert state.model.uid == pre.model.uid
 
 
@@ -383,11 +403,11 @@ class TestFeatureDriftGuardrail:
             ssl=SslSpec(kind="entropy", ssl_lr=0.01, ba=5),
             retrain_max_iter=60,
         )
-        state = make_state(pre, sc.ssl, horizon=300)
+        state, strategy = make_state(pre, sc.ssl, horizon=300)
         rng = make_rng(11)
         for t in range(300):
             rows = rng.integers(len(pre.pool), size=10)
-            step(state, pre.pool.inputs[rows])
+            step(state, strategy, pre.pool.inputs[rows])
         base_acc = accuracy(pre.model, pre.pool)
         final_acc = accuracy(state.model, pre.pool)
         assert final_acc >= base_acc - 0.05
